@@ -5,12 +5,14 @@
 //! — the quantified before-picture for ROADMAP item 1 (streaming,
 //! memory-lean engine).
 //!
-//! Exits non-zero when the accounting acceptance contract breaks: the
-//! accounted total must cover ≥ 70 % of the run's peak RSS
-//! ([`MEMORY_COVERAGE_FLOOR`](deflate_bench::memory_exp::MEMORY_COVERAGE_FLOOR))
-//! and the load-bearing subsystems (workload, vm_records, servers,
-//! event_queue) must all report bytes. CI runs the quick sweep — whose
-//! largest row is 100k VMs — as a gating step.
+//! Exits non-zero when the accounting acceptance contract breaks: from
+//! 100k VMs up
+//! ([`COVERAGE_GATE_MIN_VMS`](deflate_bench::memory_exp::COVERAGE_GATE_MIN_VMS))
+//! the accounted total must cover ≥ 70 % of the run's peak RSS
+//! ([`MEMORY_COVERAGE_FLOOR`](deflate_bench::memory_exp::MEMORY_COVERAGE_FLOOR)),
+//! and on every row the load-bearing subsystems (workload, vm_records,
+//! servers, event_queue) must all report bytes. The 10k row prints its
+//! coverage without gating it. CI runs the quick sweep as a gating step.
 use deflate_bench::memory_exp::{memory_sweep, memory_table};
 use deflate_bench::Scale;
 

@@ -1963,9 +1963,9 @@ impl ClusterManager {
     }
 
     /// Record this subsystem's owned heap bytes into the engine's memory
-    /// ledger: the per-server controllers (domains and notification
-    /// buffers), the incremental placement index, the transfer scheduler's
-    /// reservation ledgers, and the migration bookkeeping maps.
+    /// ledger: the per-server controllers (their domains), the
+    /// incremental placement index, the transfer scheduler's reservation
+    /// ledgers, and the migration bookkeeping maps.
     pub fn record_memory(&self, ledger: &mut MemoryLedger) {
         use deflate_core::mem::{map_entry_bytes, vec_capacity_bytes};
         use std::mem::size_of;

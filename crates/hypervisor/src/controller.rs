@@ -4,41 +4,21 @@
 //! controllers control the deflation of VMs by responding to resource
 //! pressure, by implementing the proportional deflation policies described in
 //! section 5." The controller owns a [`SimServer`], applies a server-level
-//! [`DeflationPolicy`] when a new VM needs room, reinflates residents when
-//! capacity frees up, and emits [`DeflationNotification`]s that an
-//! application manager (e.g. the deflation-aware load balancer of §7.3) can
-//! subscribe to.
+//! [`DeflationPolicy`] when a new VM needs room, and reinflates residents
+//! when capacity frees up. The paper's controllers also notify an
+//! application manager of each change (Figure 1); nothing in this engine
+//! subscribes, so the controller keeps no log. A caller that wants to see a
+//! change compares [`Domain::effective_allocation`](crate::domain::Domain::effective_allocation)
+//! before and after the call.
 
 use crate::domain::DeflationMechanism;
 use crate::server::SimServer;
 use deflate_core::error::{DeflateError, Result};
 use deflate_core::policy::{DeflationPolicy, VectorPlanner};
 use deflate_core::resources::ResourceVector;
-use deflate_core::vm::{ServerId, VmId, VmSpec};
+use deflate_core::vm::{VmId, VmSpec};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Notification sent to the application manager / load balancer whenever a
-/// VM's allocation changes (Figure 1, "Deflate VM Notification").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeflationNotification {
-    /// Server where the change happened.
-    pub server: ServerId,
-    /// Affected VM.
-    pub vm: VmId,
-    /// Allocation before the change.
-    pub old_allocation: ResourceVector,
-    /// Allocation after the change.
-    pub new_allocation: ResourceVector,
-}
-
-impl DeflationNotification {
-    /// True when the VM lost resources (deflation), false when it gained
-    /// them (reinflation).
-    pub fn is_deflation(&self) -> bool {
-        self.new_allocation.total() < self.old_allocation.total()
-    }
-}
 
 /// Outcome of an admission attempt on one server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,7 +45,6 @@ pub struct LocalController {
     server: SimServer,
     policy: Arc<dyn DeflationPolicy>,
     mechanism: DeflationMechanism,
-    notifications: Vec<DeflationNotification>,
 }
 
 impl LocalController {
@@ -80,7 +59,6 @@ impl LocalController {
             server,
             policy,
             mechanism,
-            notifications: Vec::new(),
         }
     }
 
@@ -100,16 +78,11 @@ impl LocalController {
         self.policy.name()
     }
 
-    /// Drain the accumulated notifications (oldest first).
-    pub fn take_notifications(&mut self) -> Vec<DeflationNotification> {
-        std::mem::take(&mut self.notifications)
-    }
-
     /// Owned heap bytes behind this controller: the server's domain map
-    /// plus the pending-notification buffer (the policy handle is shared
-    /// and accounted nowhere — an `Arc` to a stateless strategy).
+    /// (the policy handle is shared and accounted nowhere — an `Arc` to a
+    /// stateless strategy).
     pub fn accounted_bytes(&self) -> u64 {
-        self.server.accounted_bytes() + deflate_core::mem::vec_capacity_bytes(&self.notifications)
+        self.server.accounted_bytes()
     }
 
     /// Attempt to admit a new VM, deflating residents if needed (the
@@ -126,11 +99,6 @@ impl LocalController {
 
         // Step 2: compute the deflation required to accommodate the new VM.
         let needed = demand.saturating_sub(&free);
-        let snapshot_before: Vec<(VmId, ResourceVector)> = self
-            .server
-            .domains()
-            .map(|d| (d.spec.id, d.effective_allocation()))
-            .collect();
         let domains: Vec<_> = self.server.domains().collect();
         let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, needed);
         if !plan.satisfied() {
@@ -140,12 +108,9 @@ impl LocalController {
                 shortfall: plan.shortfall,
             });
         }
-        let targets = plan.targets.clone();
-        drop(domains);
 
         // Step 3: perform the actual deflation and launch the VM.
-        self.server.apply_targets(&targets)?;
-        self.record_changes(&snapshot_before);
+        self.server.apply_targets(&plan.targets)?;
         let reclaimed = plan.reclaimed;
         match self.server.create_domain(spec.clone(), self.mechanism) {
             Ok(_) => Ok(AdmissionOutcome::AdmittedWithDeflation { reclaimed }),
@@ -195,17 +160,9 @@ impl LocalController {
         if over.is_zero() {
             return ResourceVector::ZERO;
         }
-        let snapshot_before: Vec<(VmId, ResourceVector)> = self
-            .server
-            .domains()
-            .map(|d| (d.spec.id, d.effective_allocation()))
-            .collect();
         let domains: Vec<_> = self.server.domains().collect();
         let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, over);
-        let targets = plan.targets.clone();
-        drop(domains);
-        let _ = self.server.apply_targets(&targets);
-        self.record_changes(&snapshot_before);
+        let _ = self.server.apply_targets(&plan.targets);
         self.server
             .effective_used()
             .saturating_sub(&self.server.capacity)
@@ -231,38 +188,12 @@ impl LocalController {
         if free.is_zero() {
             return;
         }
-        let snapshot_before: Vec<(VmId, ResourceVector)> = self
-            .server
-            .domains()
-            .map(|d| (d.spec.id, d.effective_allocation()))
-            .collect();
         let domains: Vec<_> = self.server.domains().filter(|d| !d.is_parked()).collect();
         let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, -free);
-        let targets = plan.targets.clone();
-        drop(domains);
         // Ignore the (negative) shortfall: not being able to place all freed
         // resources simply means residents are already fully inflated.
-        let _ = self.server.apply_targets(&targets);
+        let _ = self.server.apply_targets(&plan.targets);
         debug_assert!(self.server.check_capacity_invariant().is_ok());
-        self.record_changes(&snapshot_before);
-    }
-
-    fn record_changes(&mut self, before: &[(VmId, ResourceVector)]) {
-        for &(id, old) in before {
-            if let Some(domain) = self.server.domain(id) {
-                let new = domain.effective_allocation();
-                if (new - old).max_component().abs() > 1e-6
-                    || (old - new).max_component().abs() > 1e-6
-                {
-                    self.notifications.push(DeflationNotification {
-                        server: self.server.id,
-                        vm: id,
-                        old_allocation: old,
-                        new_allocation: new,
-                    });
-                }
-            }
-        }
     }
 }
 
@@ -270,7 +201,8 @@ impl LocalController {
 mod tests {
     use super::*;
     use deflate_core::policy::ProportionalDeflation;
-    use deflate_core::vm::{Priority, VmClass};
+    use deflate_core::vm::{Priority, ServerId, VmClass};
+    use std::collections::BTreeMap;
 
     fn controller() -> LocalController {
         let server = SimServer::new(
@@ -293,20 +225,27 @@ mod tests {
         .with_priority(Priority::new(0.5))
     }
 
+    fn allocations(c: &LocalController) -> BTreeMap<VmId, ResourceVector> {
+        c.server()
+            .domains()
+            .map(|d| (d.spec.id, d.effective_allocation()))
+            .collect()
+    }
+
     #[test]
     fn admission_without_pressure() {
         let mut c = controller();
         let out = c.try_admit(vm(1, 4.0, 8192.0)).unwrap();
         assert_eq!(out, AdmissionOutcome::AdmittedWithoutDeflation);
         assert_eq!(c.server().domain_count(), 1);
-        assert!(c.take_notifications().is_empty());
     }
 
     #[test]
-    fn admission_with_deflation_notifies_residents() {
+    fn admission_with_deflation_shrinks_residents() {
         let mut c = controller();
         c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
         c.try_admit(vm(2, 6.0, 8192.0)).unwrap();
+        let before = allocations(&c);
         // Server is now full (16 cores committed); a third VM forces
         // deflation of residents.
         let out = c.try_admit(vm(3, 8.0, 8192.0)).unwrap();
@@ -318,9 +257,11 @@ mod tests {
         }
         assert_eq!(c.server().domain_count(), 3);
         assert!(c.server().check_capacity_invariant().is_ok());
-        let notes = c.take_notifications();
-        assert!(!notes.is_empty());
-        assert!(notes.iter().all(|n| n.is_deflation()));
+        let after = allocations(&c);
+        assert!(before.iter().all(|(id, old)| after[id].fits_within(old)));
+        assert!(before
+            .iter()
+            .any(|(id, old)| after[id].total() < old.total()));
     }
 
     #[test]
@@ -349,16 +290,48 @@ mod tests {
         c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
         c.try_admit(vm(2, 6.0, 8192.0)).unwrap();
         c.try_admit(vm(3, 8.0, 8192.0)).unwrap();
-        c.take_notifications();
+        let before = allocations(&c);
         // VM 3 leaves; the survivors should be reinflated back towards full.
         c.on_departure(VmId(3)).unwrap();
         let d1 = c.server().domain(VmId(1)).unwrap();
         let d2 = c.server().domain(VmId(2)).unwrap();
         assert_eq!(d1.effective_allocation(), d1.spec.max_allocation);
         assert_eq!(d2.effective_allocation(), d2.spec.max_allocation);
-        let notes = c.take_notifications();
-        assert!(notes.iter().all(|n| !n.is_deflation()));
-        assert!(!notes.is_empty());
+        let after = allocations(&c);
+        for id in [VmId(1), VmId(2)] {
+            assert!(
+                after[&id].total() > before[&id].total(),
+                "{id} did not grow"
+            );
+        }
+    }
+
+    /// The controller's footprint depends only on its residents: repeated
+    /// reclaim, restore, admission-under-pressure and departure cycles
+    /// must not accumulate state.
+    #[test]
+    fn accounted_bytes_stay_flat_across_deflation_cycles() {
+        let mut c = controller();
+        c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
+        c.try_admit(vm(2, 6.0, 8192.0)).unwrap();
+        let full = c.server().capacity;
+        let mut after_10 = 0;
+        for cycle in 1..=1000u64 {
+            c.server_mut().set_capacity(full * 0.5);
+            assert!(c.deflate_into_capacity().is_zero());
+            c.restore_capacity(full);
+            let id = VmId(100 + cycle);
+            let out = c.try_admit(vm(id.0, 8.0, 8192.0)).unwrap();
+            assert!(matches!(
+                out,
+                AdmissionOutcome::AdmittedWithDeflation { .. }
+            ));
+            c.on_departure(id).unwrap();
+            if cycle == 10 {
+                after_10 = c.accounted_bytes();
+            }
+        }
+        assert_eq!(c.accounted_bytes(), after_10);
     }
 
     #[test]

@@ -350,7 +350,8 @@ impl Domain {
 
     /// Apply a target allocation vector through this domain's mechanism.
     ///
-    /// Returns one [`DeflationOutcome`] per resource kind. The effective
+    /// Returns one [`DeflationOutcome`] per resource kind, in
+    /// [`ResourceKind::ALL`] order. The effective
     /// allocation after the call:
     ///
     /// * transparent — exactly the clamped target (multiplexing is
@@ -359,12 +360,9 @@ impl Domain {
     ///   the guest's safety threshold (so it may exceed the target);
     /// * hybrid — exactly the clamped target, with as much as safely possible
     ///   realised via hotplug and the remainder via multiplexing.
-    pub fn deflate_to(&mut self, target: ResourceVector) -> Vec<DeflationOutcome> {
+    pub fn deflate_to(&mut self, target: ResourceVector) -> [DeflationOutcome; 4] {
         let clamped = target.clamp(&ResourceVector::ZERO, &self.spec.max_allocation);
-        ResourceKind::ALL
-            .iter()
-            .map(|&kind| self.deflate_resource(kind, clamped[kind]))
-            .collect()
+        ResourceKind::ALL.map(|kind| self.deflate_resource(kind, clamped[kind]))
     }
 
     fn deflate_resource(&mut self, kind: ResourceKind, target: f64) -> DeflationOutcome {

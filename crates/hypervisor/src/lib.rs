@@ -19,7 +19,8 @@
 //!   cluster layer needs (committed vs effective allocations, overcommitment,
 //!   deflatable headroom).
 //! * [`controller`] — the per-server local deflation controller of §6 that
-//!   applies policies from `deflate-core` and emits deflation notifications.
+//!   applies policies from `deflate-core` to admit, deflate and reinflate
+//!   residents.
 //! * [`migration`] — the live-migration cost model: page-transfer time
 //!   derived from a domain's hot footprint (RSS + page cache), dirty-page
 //!   overhead, and per-server migration-bandwidth budgets.
@@ -34,7 +35,7 @@ pub mod guest;
 pub mod migration;
 pub mod server;
 
-pub use controller::{AdmissionOutcome, DeflationNotification, LocalController};
+pub use controller::{AdmissionOutcome, LocalController};
 pub use domain::{CacheRegrowthModel, DeflationMechanism, DeflationOutcome, Domain};
 pub use guest::{GuestOs, HotplugOutcome, MEMORY_BLOCK_MB};
 pub use migration::MigrationCostModel;
@@ -43,7 +44,7 @@ pub use server::SimServer;
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
     pub use crate::cgroups::{CgroupController, CgroupSet};
-    pub use crate::controller::{AdmissionOutcome, DeflationNotification, LocalController};
+    pub use crate::controller::{AdmissionOutcome, LocalController};
     pub use crate::domain::{CacheRegrowthModel, DeflationMechanism, DeflationOutcome, Domain};
     pub use crate::guest::{GuestOs, HotplugOutcome};
     pub use crate::migration::MigrationCostModel;

@@ -6,8 +6,8 @@
 //!    local controller;
 //! 2. admit a new VM under resource pressure, letting the proportional
 //!    deflation policy shrink the residents to make room;
-//! 3. inspect the deflation notifications the controller emits (the signal a
-//!    deflation-aware load balancer consumes);
+//! 3. compare each resident's allocation before and after the admission
+//!    (the change a deflation-aware load balancer would react to);
 //! 4. remove a VM and watch the survivors reinflate.
 //!
 //! Run with: `cargo run --example quickstart`
@@ -39,6 +39,11 @@ fn main() {
     }
 
     // A high-priority on-demand VM arrives; the residents must shrink.
+    let before: Vec<(VmId, ResourceVector)> = controller
+        .server()
+        .domains()
+        .map(|d| (d.spec.id, d.effective_allocation()))
+        .collect();
     let on_demand = VmSpec::on_demand(
         VmId(3),
         VmClass::Unknown,
@@ -47,12 +52,16 @@ fn main() {
     let outcome = controller.try_admit(on_demand).expect("valid spec");
     println!("vm-3 (on-demand): admitted -> {outcome:?}");
 
-    println!("\nDeflation notifications (what the load balancer would see):");
-    for note in controller.take_notifications() {
-        println!(
-            "  {}: {} -> {}",
-            note.vm, note.old_allocation, note.new_allocation
-        );
+    println!("\nAllocation changes (what the load balancer would react to):");
+    for (id, old) in before {
+        let new = controller
+            .server()
+            .domain(id)
+            .expect("resident")
+            .effective_allocation();
+        if new != old {
+            println!("  {id}: {old} -> {new}");
+        }
     }
 
     println!("\nAllocations after admission under pressure:");
