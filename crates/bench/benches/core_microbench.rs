@@ -68,7 +68,7 @@ fn bench_placement(c: &mut Criterion) {
     );
     c.bench_function("placement_cosine_fitness_128_servers", |b| {
         let policy = CosineFitness::load_balancing();
-        b.iter(|| black_box(policy.place(&vm, &servers)))
+        b.iter(|| black_box(policy.place(&vm, &servers, &[])))
     });
 }
 

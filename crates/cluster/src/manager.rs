@@ -62,7 +62,7 @@ use deflate_core::placement::{
 use deflate_core::policy::{DeflationPolicy, RestorePolicy, TransferPolicy};
 use deflate_core::resources::{ResourceKind, ResourceVector};
 use deflate_core::shard::ShardConfig;
-use deflate_core::vm::{ServerId, VmId, VmSpec};
+use deflate_core::vm::{IdMap, ServerId, VmId, VmSpec};
 use deflate_hypervisor::controller::{AdmissionOutcome, LocalController};
 use deflate_hypervisor::domain::{CacheRegrowthModel, DeflationMechanism, Domain};
 use deflate_hypervisor::migration::MigrationCostModel;
@@ -70,7 +70,6 @@ use deflate_hypervisor::server::SimServer;
 use deflate_telemetry::{MemoryLedger, Phase, TelemetrySink};
 use deflate_transient::pool::{run_tasks, Task, WorkerPool};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which placement heuristic the manager uses.
@@ -385,14 +384,14 @@ pub struct ClusterManager {
     base_capacity: ResourceVector,
     mode: ReclamationMode,
     cost_model: MigrationCostModel,
-    vm_location: HashMap<VmId, usize>,
+    vm_location: IdMap<VmId, usize>,
     /// First server each migrated VM ran on, for migrate-back after a
     /// capacity restitution.
-    migration_origin: HashMap<VmId, usize>,
+    migration_origin: IdMap<VmId, usize>,
     /// Transfers currently on the wire, by migration id.
-    in_flight: HashMap<u64, InFlight>,
+    in_flight: IdMap<u64, InFlight>,
     /// Reverse index: which migration a VM is currently part of.
-    in_flight_by_vm: HashMap<VmId, u64>,
+    in_flight_by_vm: IdMap<VmId, u64>,
     next_migration_id: u64,
     /// Global bandwidth-slot scheduler (owns the per-server ledgers and the
     /// ordering policy).
@@ -459,10 +458,10 @@ impl ClusterManager {
             base_capacity: config.server_capacity,
             mode,
             cost_model: MigrationCostModel::instant(),
-            vm_location: HashMap::new(),
-            migration_origin: HashMap::new(),
-            in_flight: HashMap::new(),
-            in_flight_by_vm: HashMap::new(),
+            vm_location: IdMap::default(),
+            migration_origin: IdMap::default(),
+            in_flight: IdMap::default(),
+            in_flight_by_vm: IdMap::default(),
             next_migration_id: 0,
             scheduler: TransferScheduler::new(config.num_servers, TransferPolicy::default()),
             staged: Vec::new(),
@@ -533,7 +532,7 @@ impl ClusterManager {
     /// placement policy over the cached views (sequentially or fanned out,
     /// per the [`PlacementEngine`]). `excluded` servers — already tried
     /// and rejected within the current placement loop, or a migration's
-    /// own source — are filtered from the candidates.
+    /// own source — are skipped by the policy's own scan.
     fn rank_servers(&mut self, vm: &VmSpec, excluded: &[ServerId]) -> Option<PlacementDecision> {
         let controllers = &self.controllers;
         self.index
@@ -681,12 +680,7 @@ impl ClusterManager {
         vm: &VmSpec,
         excluded: &[ServerId],
     ) -> Option<PlacementDecision> {
-        let views: Vec<ServerView> = self
-            .views()
-            .into_iter()
-            .filter(|v| !excluded.contains(&v.id))
-            .collect();
-        self.placement.place(vm, &views)
+        self.placement.place(vm, &self.views(), excluded)
     }
 
     /// The server index currently hosting a VM.
@@ -730,20 +724,22 @@ impl ClusterManager {
         out
     }
 
-    /// CPU allocation fractions of the VMs resident on one server. Used by
+    /// CPU allocation fractions of the VMs resident on one server, in
+    /// `VmId` order, yielded lazily (empty for an unknown server). Used by
     /// the simulator to record allocation changes touching only the server
     /// affected by an event, which keeps large trace replays cheap.
     /// In-flight destination reservations are excluded — a migrating VM is
     /// reported from its source server until the transfer completes.
-    pub fn allocation_fractions_on(&self, server: ServerId) -> Vec<(VmId, f64)> {
+    pub fn allocation_fractions_on(
+        &self,
+        server: ServerId,
+    ) -> impl Iterator<Item = (VmId, f64)> + '_ {
         let idx = self.server_index(server);
-        if idx >= self.controllers.len() {
-            return Vec::new();
-        }
-        self.controllers[idx]
-            .server()
-            .domains()
-            .filter(|domain| self.vm_location.get(&domain.spec.id) == Some(&idx))
+        self.controllers
+            .get(idx)
+            .into_iter()
+            .flat_map(|controller| controller.server().domains())
+            .filter(move |domain| self.vm_location.get(&domain.spec.id) == Some(&idx))
             .map(|domain| {
                 let max = domain.spec.max_allocation[ResourceKind::Cpu];
                 let frac = if max <= 0.0 {
@@ -753,7 +749,6 @@ impl ClusterManager {
                 };
                 (domain.spec.id, frac)
             })
-            .collect()
     }
 
     /// Cluster-wide overcommitment: committed allocations over hardware
@@ -1028,7 +1023,6 @@ impl ClusterManager {
                             server: decision.server,
                         }
                     } else {
-                        self.counters.preempted_vms += 0; // counted by caller
                         PlacementResult::PlacedWithPreemption {
                             server: decision.server,
                             preempted,
@@ -2159,23 +2153,24 @@ impl ClusterManager {
             )));
         }
         self.last_reclaim_secs = last_reclaim;
-        let n = r.get_usize()?;
-        self.vm_location = HashMap::with_capacity(n);
+        let n = r.get_len(16)?;
+        self.vm_location = IdMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vm = VmId(r.get_u64()?);
             let idx = r.get_u64()? as usize;
             self.vm_location.insert(vm, idx);
         }
-        let n = r.get_usize()?;
-        self.migration_origin = HashMap::with_capacity(n);
+        let n = r.get_len(16)?;
+        self.migration_origin = IdMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vm = VmId(r.get_u64()?);
             let idx = r.get_u64()? as usize;
             self.migration_origin.insert(vm, idx);
         }
-        let n = r.get_usize()?;
-        self.in_flight = HashMap::with_capacity(n);
-        self.in_flight_by_vm = HashMap::with_capacity(n);
+        // id, vm, source, dest and four f64s of 8 bytes each, plus a bool.
+        let n = r.get_len(65)?;
+        self.in_flight = IdMap::with_capacity_and_hasher(n, Default::default());
+        self.in_flight_by_vm = IdMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = r.get_u64()?;
             let flight = InFlight {
@@ -2520,15 +2515,13 @@ mod tests {
         cluster.reclaim_capacity(ServerId(0), 0.5, 0.0);
         let deflated: f64 = cluster
             .allocation_fractions_on(ServerId(0))
-            .iter()
-            .map(|(_, f)| *f)
+            .map(|(_, f)| f)
             .sum();
         // One restitution returns only half the free room.
         cluster.restore_capacity(ServerId(0), 1.0, false, 100.0);
         let after_one: f64 = cluster
             .allocation_fractions_on(ServerId(0))
-            .iter()
-            .map(|(_, f)| *f)
+            .map(|(_, f)| f)
             .sum();
         assert!(after_one > deflated + 1e-6, "some room came back");
         assert!(
@@ -2541,8 +2534,7 @@ mod tests {
         }
         let converged: f64 = cluster
             .allocation_fractions_on(ServerId(0))
-            .iter()
-            .map(|(_, f)| *f)
+            .map(|(_, f)| f)
             .sum();
         assert!(converged > 1.95, "converged sum {converged}");
         assert!(cluster.check_invariants());

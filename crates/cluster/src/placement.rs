@@ -141,16 +141,18 @@ impl PlacementIndex {
     /// replacement for "rebuild all views, then `policy.place`". The
     /// caller must [`refresh`](PlacementIndex::refresh) first; `excluded`
     /// servers (already tried and rejected this placement loop, or a
-    /// migration's own source) are filtered out before ranking.
+    /// migration's own source) are passed through to the policy, which
+    /// skips them while it scans, so the view table is never copied.
     ///
     /// Under [`PlacementEngine::Sequential`] this delegates to
-    /// `policy.place` over the eligible views — literally the pre-index
+    /// `policy.place` over the cached views — literally the pre-index
     /// code path over equal inputs, hence bit-identical by construction.
-    /// Under [`PlacementEngine::Parallel`] the eligible views are split
-    /// into `workers` contiguous spans, each span ranked by the same
-    /// policy on a pool worker, and the per-span winners reduced in span
-    /// order (strictly-greater replaces, ties keep the earlier span) —
-    /// the sequential first-argmax, reproduced exactly.
+    /// Under [`PlacementEngine::Parallel`] the views are split into
+    /// `workers` contiguous spans, each span ranked by the same policy
+    /// (with the same exclusions) on a pool worker, and the per-span
+    /// winners reduced in span order (strictly-greater replaces, ties keep
+    /// the earlier span) — the sequential first-argmax, reproduced
+    /// exactly.
     pub fn rank(
         &self,
         policy: &dyn PlacementPolicy,
@@ -164,26 +166,15 @@ impl PlacementIndex {
             self.dirty_queue.is_empty(),
             "rank() requires a refreshed index"
         );
-        let filtered: Vec<ServerView>;
-        let eligible: &[ServerView] = if excluded.is_empty() {
-            &self.views
-        } else {
-            filtered = self
-                .views
-                .iter()
-                .filter(|v| !excluded.contains(&v.id))
-                .copied()
-                .collect();
-            &filtered
-        };
+        let views: &[ServerView] = &self.views;
         let workers = engine.workers();
         // Spans below ~2 servers per worker cost more to fan out than to
         // scan; the sequential pass is the exact same argmax either way.
-        if workers < 2 || eligible.len() < 2 * workers {
-            return policy.place(vm, eligible);
+        if workers < 2 || views.len() < 2 * workers {
+            return policy.place(vm, views, excluded);
         }
-        let span = eligible.len().div_ceil(workers);
-        let chunks: Vec<&[ServerView]> = eligible.chunks(span).collect();
+        let span = views.len().div_ceil(workers);
+        let chunks: Vec<&[ServerView]> = views.chunks(span).collect();
         let mut partials: Vec<Option<Option<PlacementDecision>>> = vec![None; chunks.len()];
         {
             let tasks: Vec<Task<'_>> = partials
@@ -195,7 +186,7 @@ impl PlacementIndex {
                     let worker_sink = telemetry.clone();
                     Box::new(move || {
                         let _span = worker_sink.shard_span(shard, Phase::PlacementRank);
-                        *slot = Some(policy.place(vm, chunk));
+                        *slot = Some(policy.place(vm, chunk, excluded));
                     }) as Task<'_>
                 })
                 .collect();
@@ -281,7 +272,7 @@ mod tests {
             Box::new(BestFit),
             Box::new(WorstFit),
         ] {
-            let direct = policy.place(&vm, &views);
+            let direct = policy.place(&vm, &views, &[]);
             let ranked = index.rank(
                 policy.as_ref(),
                 &vm,

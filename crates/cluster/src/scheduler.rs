@@ -173,7 +173,8 @@ impl TransferScheduler {
     /// bytes under the given policy, preserving ledgers and stats
     /// bit-identically.
     pub fn read_snapshot(r: &mut ByteReader<'_>, policy: TransferPolicy) -> CheckpointResult<Self> {
-        let num_servers = r.get_usize()?;
+        // Each ledger is at least its own 8-byte length prefix.
+        let num_servers = r.get_len(8)?;
         let mut reservations = Vec::with_capacity(num_servers);
         for _ in 0..num_servers {
             reservations.push(r.get_f64_vec()?);

@@ -63,7 +63,7 @@ use deflate_core::placement::PlacementEngine;
 use deflate_core::policy::{AutoscalePolicy, RestorePolicy, TransferPolicy};
 use deflate_core::shard::ShardConfig;
 use deflate_core::telemetry::TelemetrySpec;
-use deflate_core::vm::{ServerId, VmId};
+use deflate_core::vm::{IdMap, ServerId, VmId};
 use deflate_hypervisor::domain::CacheRegrowthModel;
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_telemetry::{EventField, MemoryLedger, Phase, TelemetryEventKind, TelemetrySink};
@@ -71,7 +71,6 @@ use deflate_transient::events::SimEvent;
 use deflate_transient::pool::{run_tasks, Task, WorkerPool};
 use deflate_transient::sharded::ShardedEventQueue;
 use deflate_transient::signal::CapacitySchedule;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The trace-driven cluster simulator.
@@ -107,7 +106,7 @@ struct EngineState {
     manager: ClusterManager,
     autoscaler: Option<Autoscaler>,
     queue: ShardedEventQueue,
-    index_of: HashMap<VmId, usize>,
+    index_of: IdMap<VmId, usize>,
     records: Vec<VmRecord>,
     running: Vec<bool>,
     migrations: Vec<MigrationEvent>,
@@ -449,7 +448,7 @@ impl ClusterSimulation {
         // Working state.
         let (index_of, records) = {
             let _init = self.telemetry.span(Phase::RecordInit);
-            let index_of: HashMap<VmId, usize> = workload
+            let index_of: IdMap<VmId, usize> = workload
                 .iter()
                 .enumerate()
                 .map(|(i, vm)| (vm.spec.id, i))
@@ -900,7 +899,7 @@ impl ClusterSimulation {
         workload: &[WorkloadVm],
         manager: &ClusterManager,
         queue: &ShardedEventQueue,
-        index_of: &HashMap<VmId, usize>,
+        index_of: &IdMap<VmId, usize>,
         records: &[VmRecord],
         running: &[bool],
         migrations: &[MigrationEvent],
@@ -1029,7 +1028,8 @@ impl ClusterSimulation {
             )));
         }
         state.events_processed = r.get_u64()?;
-        let queued = r.get_usize()?;
+        // A time plus at least the one-byte event tag.
+        let queued = r.get_len(9)?;
         let mut events = Vec::with_capacity(queued);
         for _ in 0..queued {
             let time = r.get_f64()?;
@@ -1071,7 +1071,7 @@ impl ClusterSimulation {
                     )))
                 }
             };
-            let points = r.get_usize()?;
+            let points = r.get_len(16)?;
             let mut history = Vec::with_capacity(points);
             for _ in 0..points {
                 let t = r.get_f64()?;
@@ -1080,7 +1080,8 @@ impl ClusterSimulation {
             }
             state.records[i].allocation_history = history;
         }
-        let migrations = r.get_usize()?;
+        // Time, vm, from, to, duration, volume and the back flag.
+        let migrations = r.get_len(41)?;
         state.migrations = Vec::with_capacity(migrations);
         for _ in 0..migrations {
             state.migrations.push(MigrationEvent {
@@ -1093,7 +1094,7 @@ impl ClusterSimulation {
                 back: r.get_bool()?,
             });
         }
-        let samples = r.get_usize()?;
+        let samples = r.get_len(16)?;
         state.utilization = Vec::with_capacity(samples);
         for _ in 0..samples {
             let t = r.get_f64()?;
@@ -1214,7 +1215,7 @@ impl ClusterSimulation {
         manager: &ClusterManager,
         outcome: &crate::manager::CapacityChangeOutcome,
         time: f64,
-        index_of: &HashMap<VmId, usize>,
+        index_of: &IdMap<VmId, usize>,
         records: &mut [VmRecord],
         running: &mut [bool],
         migrations: &mut Vec<MigrationEvent>,
@@ -1258,7 +1259,7 @@ impl ClusterSimulation {
     fn record_allocations(
         manager: &ClusterManager,
         server: deflate_core::vm::ServerId,
-        index_of: &HashMap<VmId, usize>,
+        index_of: &IdMap<VmId, usize>,
         records: &mut [VmRecord],
         running: &[bool],
         time: f64,

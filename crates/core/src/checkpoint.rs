@@ -266,6 +266,21 @@ impl<'a> ByteReader<'a> {
             .map_err(|_| CheckpointError::Corrupt(format!("count {v} overflows usize")))
     }
 
+    /// Read the length prefix of a sequence whose entries take at least
+    /// `min_entry_bytes` each. A length whose entries cannot fit in the
+    /// bytes left is [`CheckpointError::Corrupt`], so the returned count is
+    /// safe to preallocate for.
+    pub fn get_len(&mut self, min_entry_bytes: usize) -> CheckpointResult<usize> {
+        let len = self.get_usize()?;
+        match len.checked_mul(min_entry_bytes) {
+            Some(bytes) if bytes <= self.remaining() => Ok(len),
+            _ => Err(CheckpointError::Corrupt(format!(
+                "length {len} needs at least {min_entry_bytes} bytes per entry, {} left",
+                self.remaining()
+            ))),
+        }
+    }
+
     /// Read an `f64` from its bit pattern.
     pub fn get_f64(&mut self) -> CheckpointResult<f64> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -281,8 +296,8 @@ impl<'a> ByteReader<'a> {
 
     /// Read a length-prefixed `f64` vector.
     pub fn get_f64_vec(&mut self) -> CheckpointResult<Vec<f64>> {
-        let len = self.get_usize()?;
-        let mut out = Vec::with_capacity(len.min(self.remaining() / 8 + 1));
+        let len = self.get_len(8)?;
+        let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(self.get_f64()?);
         }

@@ -8,7 +8,7 @@
 //! recovers the conventional non-deflatable behaviour.
 
 use super::{pick_best, PlacementDecision, PlacementPolicy, ServerView};
-use crate::vm::VmSpec;
+use crate::vm::{ServerId, VmSpec};
 use serde::{Deserialize, Serialize};
 
 /// First-fit: choose the first (lowest-id) feasible server.
@@ -20,11 +20,16 @@ impl PlacementPolicy for FirstFit {
         "first-fit"
     }
 
-    fn place(&self, vm: &VmSpec, servers: &[ServerView]) -> Option<PlacementDecision> {
+    fn place(
+        &self,
+        vm: &VmSpec,
+        servers: &[ServerView],
+        excluded: &[ServerId],
+    ) -> Option<PlacementDecision> {
         let demand = vm.max_allocation;
         servers
             .iter()
-            .find(|s| s.can_accommodate(&demand))
+            .find(|s| s.can_accommodate(&demand) && !excluded.contains(&s.id))
             .map(|s| PlacementDecision {
                 server: s.id,
                 score: 0.0,
@@ -44,9 +49,14 @@ impl PlacementPolicy for BestFit {
         "best-fit"
     }
 
-    fn place(&self, vm: &VmSpec, servers: &[ServerView]) -> Option<PlacementDecision> {
+    fn place(
+        &self,
+        vm: &VmSpec,
+        servers: &[ServerView],
+        excluded: &[ServerId],
+    ) -> Option<PlacementDecision> {
         let demand = vm.max_allocation;
-        pick_best(vm, servers, |s| {
+        pick_best(vm, servers, excluded, |s| {
             // Smaller leftover == better, so negate for pick_best's argmax.
             -(s.availability().saturating_sub(&demand).total())
         })
@@ -63,9 +73,14 @@ impl PlacementPolicy for WorstFit {
         "worst-fit"
     }
 
-    fn place(&self, vm: &VmSpec, servers: &[ServerView]) -> Option<PlacementDecision> {
+    fn place(
+        &self,
+        vm: &VmSpec,
+        servers: &[ServerView],
+        excluded: &[ServerId],
+    ) -> Option<PlacementDecision> {
         let demand = vm.max_allocation;
-        pick_best(vm, servers, |s| {
+        pick_best(vm, servers, excluded, |s| {
             s.availability().saturating_sub(&demand).total()
         })
     }
@@ -104,21 +119,25 @@ mod tests {
             server(2, 10_000.0, 16_384.0),
             server(3, 40_000.0, 100_000.0),
         ];
-        let d = FirstFit.place(&vm(8_000.0, 8_192.0), &servers).unwrap();
+        let d = FirstFit
+            .place(&vm(8_000.0, 8_192.0), &servers, &[])
+            .unwrap();
         assert_eq!(d.server, ServerId(2));
     }
 
     #[test]
     fn best_fit_takes_tightest() {
         let servers = vec![server(1, 40_000.0, 100_000.0), server(2, 9_000.0, 9_000.0)];
-        let d = BestFit.place(&vm(8_000.0, 8_192.0), &servers).unwrap();
+        let d = BestFit.place(&vm(8_000.0, 8_192.0), &servers, &[]).unwrap();
         assert_eq!(d.server, ServerId(2));
     }
 
     #[test]
     fn worst_fit_takes_emptiest() {
         let servers = vec![server(1, 40_000.0, 100_000.0), server(2, 9_000.0, 9_000.0)];
-        let d = WorstFit.place(&vm(8_000.0, 8_192.0), &servers).unwrap();
+        let d = WorstFit
+            .place(&vm(8_000.0, 8_192.0), &servers, &[])
+            .unwrap();
         assert_eq!(d.server, ServerId(1));
     }
 
@@ -126,16 +145,16 @@ mod tests {
     fn all_return_none_when_infeasible() {
         let servers = vec![server(1, 1_000.0, 1_024.0)];
         let big = vm(2_000.0, 2_048.0);
-        assert!(FirstFit.place(&big, &servers).is_none());
-        assert!(BestFit.place(&big, &servers).is_none());
-        assert!(WorstFit.place(&big, &servers).is_none());
+        assert!(FirstFit.place(&big, &servers, &[]).is_none());
+        assert!(BestFit.place(&big, &servers, &[]).is_none());
+        assert!(WorstFit.place(&big, &servers, &[]).is_none());
     }
 
     #[test]
     fn deflatable_headroom_counts_as_capacity() {
         let mut s = server(1, 1_000.0, 1_024.0);
         s.deflatable = ResourceVector::cpu_mem(8_000.0, 8_192.0);
-        let d = FirstFit.place(&vm(4_000.0, 4_096.0), &[s]).unwrap();
+        let d = FirstFit.place(&vm(4_000.0, 4_096.0), &[s], &[]).unwrap();
         assert!(d.requires_deflation);
     }
 

@@ -8,7 +8,7 @@
 //! Tetris [Grandl et al., SIGCOMM'14] that the paper cites.
 
 use super::{pick_best, PlacementDecision, PlacementPolicy, ServerView};
-use crate::vm::VmSpec;
+use crate::vm::{ServerId, VmSpec};
 use serde::{Deserialize, Serialize};
 
 /// Cosine-fitness placement policy.
@@ -65,10 +65,15 @@ impl PlacementPolicy for CosineFitness {
         "cosine-fitness"
     }
 
-    fn place(&self, vm: &VmSpec, servers: &[ServerView]) -> Option<PlacementDecision> {
+    fn place(
+        &self,
+        vm: &VmSpec,
+        servers: &[ServerView],
+        excluded: &[ServerId],
+    ) -> Option<PlacementDecision> {
         let demand = vm.max_allocation;
         let magnitude_aware = self.prefer_emptier_on_tie;
-        pick_best(vm, servers, |s| {
+        pick_best(vm, servers, excluded, |s| {
             if magnitude_aware {
                 Self::projection(s, &demand)
             } else {
@@ -82,7 +87,7 @@ impl PlacementPolicy for CosineFitness {
 mod tests {
     use super::*;
     use crate::resources::ResourceVector;
-    use crate::vm::{ServerId, VmClass, VmId};
+    use crate::vm::{VmClass, VmId};
 
     fn server(id: u32, free: ResourceVector, deflatable: ResourceVector, oc: f64) -> ServerView {
         let total = ResourceVector::new(48_000.0, 131_072.0, 1_000.0, 10_000.0);
@@ -122,7 +127,7 @@ mod tests {
             1.0,
         );
         let d = CosineFitness::default()
-            .place(&vm(16_000.0, 4_096.0), &[s2, s1])
+            .place(&vm(16_000.0, 4_096.0), &[s2, s1], &[])
             .unwrap();
         assert_eq!(d.server, ServerId(1));
     }
@@ -147,7 +152,9 @@ mod tests {
         // Placing onto a server that only has deflatable headroom left is
         // flagged as requiring deflation.
         let demand = vm(8_000.0, 2_048.0);
-        let d = CosineFitness::default().place(&demand, &[fresh]).unwrap();
+        let d = CosineFitness::default()
+            .place(&demand, &[fresh], &[])
+            .unwrap();
         assert!(d.requires_deflation);
     }
 
@@ -160,7 +167,7 @@ mod tests {
             1.0,
         );
         assert!(CosineFitness::default()
-            .place(&vm(2_000.0, 4_096.0), &[s])
+            .place(&vm(2_000.0, 4_096.0), &[s], &[])
             .is_none());
     }
 
@@ -180,7 +187,7 @@ mod tests {
         );
         // Availability vectors are parallel, so cosine fitness ties exactly.
         let d = CosineFitness::load_balancing()
-            .place(&vm(2_000.0, 2_048.0), &[a, b])
+            .place(&vm(2_000.0, 2_048.0), &[a, b], &[])
             .unwrap();
         assert_eq!(d.server, ServerId(2));
     }

@@ -111,16 +111,25 @@ pub trait PlacementPolicy: Send + Sync {
     /// Short policy name used in experiment output.
     fn name(&self) -> &'static str;
 
-    /// Choose a server for `vm` among `servers`. Returns `None` when no
+    /// Choose a server for `vm` among `servers`, skipping every server
+    /// whose id is in `excluded` (servers already tried, or a migration's
+    /// own source). The answer is the one `servers` with the excluded
+    /// entries filtered out would give. Returns `None` when no eligible
     /// server can accommodate the VM even after deflating everything.
-    fn place(&self, vm: &VmSpec, servers: &[ServerView]) -> Option<PlacementDecision>;
+    fn place(
+        &self,
+        vm: &VmSpec,
+        servers: &[ServerView],
+        excluded: &[ServerId],
+    ) -> Option<PlacementDecision>;
 }
 
-/// Helper shared by concrete policies: iterate over feasible servers and pick
-/// the one maximising `score`.
+/// Helper shared by concrete policies: iterate over feasible, non-excluded
+/// servers and pick the one maximising `score`.
 pub(crate) fn pick_best<F>(
     vm: &VmSpec,
     servers: &[ServerView],
+    excluded: &[ServerId],
     mut score: F,
 ) -> Option<PlacementDecision>
 where
@@ -129,7 +138,7 @@ where
     let demand = vm.max_allocation;
     let mut best: Option<PlacementDecision> = None;
     for server in servers {
-        if !server.can_accommodate(&demand) {
+        if !server.can_accommodate(&demand) || excluded.contains(&server.id) {
             continue;
         }
         let s = score(server);
@@ -217,6 +226,130 @@ mod tests {
         assert_eq!(partition_for_priority(Priority::new(0.5), 0), 0);
     }
 
+    /// Numerical Recipes LCG: seeded, reproducible view tables.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            self.0 >> 33
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            self.next() as f64 / (1u64 << 31) as f64
+        }
+    }
+
+    fn random_views(rng: &mut Lcg, n: usize, pools: u64) -> Vec<ServerView> {
+        (0..n)
+            .map(|i| {
+                let total = ResourceVector::new(48_000.0, 131_072.0, 1_000.0, 10_000.0);
+                let used = ResourceVector::new(
+                    48_000.0 * rng.unit(),
+                    131_072.0 * rng.unit(),
+                    1_000.0 * rng.unit(),
+                    10_000.0 * rng.unit(),
+                );
+                ServerView {
+                    id: ServerId(i as u32 * 3 + 1),
+                    total,
+                    used,
+                    deflatable: used * (0.5 * rng.unit()),
+                    overcommitment: 1.0 + rng.unit(),
+                    partition: match rng.below(pools + 1) {
+                        0 => None,
+                        p => Some((p - 1) as u8),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    fn random_vm(rng: &mut Lcg) -> VmSpec {
+        let demand = ResourceVector::new(
+            16_000.0 * rng.unit(),
+            32_768.0 * rng.unit(),
+            300.0 * rng.unit(),
+            3_000.0 * rng.unit(),
+        );
+        if rng.below(4) == 0 {
+            VmSpec::on_demand(VmId(1), VmClass::Unknown, demand)
+        } else {
+            VmSpec::deflatable(VmId(1), VmClass::Interactive, demand)
+                .with_priority(Priority::new(rng.unit()))
+        }
+    }
+
+    #[test]
+    fn excluding_equals_ranking_a_filtered_copy() {
+        let policies: Vec<Box<dyn PlacementPolicy>> = vec![
+            Box::new(CosineFitness::load_balancing()),
+            Box::new(CosineFitness::default()),
+            Box::new(FirstFit),
+            Box::new(BestFit),
+            Box::new(WorstFit),
+            Box::new(PartitionedPlacement::new(PartitionScheme::None, BestFit)),
+            Box::new(PartitionedPlacement::new(
+                PartitionScheme::ByPriority { pools: 2 },
+                FirstFit,
+            )),
+            Box::new(PartitionedPlacement::new(
+                PartitionScheme::ByPriority { pools: 3 },
+                CosineFitness::load_balancing(),
+            )),
+            Box::new(PartitionedPlacement::new(
+                PartitionScheme::OnDemandSplit {
+                    on_demand_fraction: 0.25,
+                },
+                WorstFit,
+            )),
+        ];
+        let mut rng = Lcg(42);
+        let mut placed = 0;
+        for n in [0, 1, 2, 5, 17, 40] {
+            for _ in 0..25 {
+                let views = random_views(&mut rng, n, 3);
+                let all: Vec<ServerId> = views.iter().map(|v| v.id).collect();
+                let some: Vec<ServerId> = all
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.below(3) == 0)
+                    .chain([ServerId(0), ServerId(2)]) // ids not in the table
+                    .collect();
+                let one: Vec<ServerId> = all.iter().copied().take(1).collect();
+                let vm = random_vm(&mut rng);
+                for excluded in [&[][..], &one, &some, &all] {
+                    let filtered: Vec<ServerView> = views
+                        .iter()
+                        .copied()
+                        .filter(|v| !excluded.contains(&v.id))
+                        .collect();
+                    for policy in &policies {
+                        let skipped = policy.place(&vm, &views, excluded);
+                        let copied = policy.place(&vm, &filtered, &[]);
+                        assert_eq!(skipped, copied, "{} over {n} servers", policy.name());
+                        if let (Some(a), Some(b)) = (skipped, copied) {
+                            assert_eq!(a.score.to_bits(), b.score.to_bits());
+                            assert!(!excluded.contains(&a.server));
+                            placed += 1;
+                        }
+                        if filtered.is_empty() {
+                            assert!(skipped.is_none(), "every server excluded");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(placed > 1_000, "the battery must exercise real picks");
+    }
+
     #[test]
     fn pick_best_skips_infeasible_servers() {
         let vm = VmSpec::deflatable(
@@ -225,7 +358,7 @@ mod tests {
             ResourceVector::cpu_mem(10_000.0, 1_024.0),
         );
         let servers = vec![view(1, 2_000.0, 0.0, 1.0), view(2, 20_000.0, 0.0, 1.0)];
-        let d = pick_best(&vm, &servers, |s| s.free().cpu()).unwrap();
+        let d = pick_best(&vm, &servers, &[], |s| s.free().cpu()).unwrap();
         assert_eq!(d.server, ServerId(2));
         assert!(!d.requires_deflation);
         // No server fits: None.
@@ -234,6 +367,6 @@ mod tests {
             VmClass::Interactive,
             ResourceVector::cpu_mem(1e9, 1_024.0),
         );
-        assert!(pick_best(&vm_huge, &servers, |s| s.free().cpu()).is_none());
+        assert!(pick_best(&vm_huge, &servers, &[], |s| s.free().cpu()).is_none());
     }
 }

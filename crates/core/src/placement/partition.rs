@@ -9,7 +9,7 @@
 //! admission control rather than spilling into another pool.
 
 use super::{partition_for_priority, PlacementDecision, PlacementPolicy, ServerView};
-use crate::vm::{Priority, VmSpec};
+use crate::vm::{Priority, ServerId, VmSpec};
 use serde::{Deserialize, Serialize};
 
 /// How servers are assigned to priority pools.
@@ -85,16 +85,24 @@ impl<P: PlacementPolicy> PlacementPolicy for PartitionedPlacement<P> {
         "partitioned"
     }
 
-    fn place(&self, vm: &VmSpec, servers: &[ServerView]) -> Option<PlacementDecision> {
+    fn place(
+        &self,
+        vm: &VmSpec,
+        servers: &[ServerView],
+        excluded: &[ServerId],
+    ) -> Option<PlacementDecision> {
         match self.scheme.partition_of(vm.deflatable, vm.priority) {
-            None => self.inner.place(vm, servers),
+            None => self.inner.place(vm, servers, excluded),
             Some(pool) => {
                 let eligible: Vec<ServerView> = servers
                     .iter()
                     .copied()
-                    .filter(|s| s.partition == Some(pool) || s.partition.is_none())
+                    .filter(|s| {
+                        (s.partition == Some(pool) || s.partition.is_none())
+                            && !excluded.contains(&s.id)
+                    })
                     .collect();
-                self.inner.place(vm, &eligible)
+                self.inner.place(vm, &eligible, &[])
             }
         }
     }
@@ -105,7 +113,7 @@ mod tests {
     use super::*;
     use crate::placement::FirstFit;
     use crate::resources::ResourceVector;
-    use crate::vm::{ServerId, VmClass, VmId};
+    use crate::vm::{VmClass, VmId};
 
     fn server(id: u32, partition: Option<u8>) -> ServerView {
         ServerView {
@@ -177,10 +185,10 @@ mod tests {
         let policy = PartitionedPlacement::new(scheme, FirstFit);
         let servers = vec![server(1, Some(0)), server(2, Some(1))];
         // Low priority VM must land in pool 0 (server 1).
-        let d = policy.place(&vm(1, 0.2, true), &servers).unwrap();
+        let d = policy.place(&vm(1, 0.2, true), &servers, &[]).unwrap();
         assert_eq!(d.server, ServerId(1));
         // High priority VM in pool 1 (server 2).
-        let d = policy.place(&vm(2, 0.9, true), &servers).unwrap();
+        let d = policy.place(&vm(2, 0.9, true), &servers, &[]).unwrap();
         assert_eq!(d.server, ServerId(2));
     }
 
@@ -192,7 +200,7 @@ mod tests {
         let mut full = server(1, Some(0));
         full.used = full.total;
         let servers = vec![full, server(2, Some(1))];
-        assert!(policy.place(&vm(1, 0.2, true), &servers).is_none());
+        assert!(policy.place(&vm(1, 0.2, true), &servers, &[]).is_none());
     }
 
     #[test]
@@ -200,7 +208,7 @@ mod tests {
         let scheme = PartitionScheme::ByPriority { pools: 2 };
         let policy = PartitionedPlacement::new(scheme, FirstFit);
         let servers = vec![server(1, None)];
-        assert!(policy.place(&vm(1, 0.2, true), &servers).is_some());
-        assert!(policy.place(&vm(2, 0.9, true), &servers).is_some());
+        assert!(policy.place(&vm(1, 0.2, true), &servers, &[]).is_some());
+        assert!(policy.place(&vm(2, 0.9, true), &servers, &[]).is_some());
     }
 }

@@ -49,7 +49,6 @@ pub use transfer::{TransferOrdering, TransferPolicy};
 use crate::resources::{ResourceKind, ResourceVector};
 use crate::vm::{VmAllocation, VmId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-VM, per-resource state a scalar policy needs to make its decision.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -127,6 +126,7 @@ pub trait DeflationPolicy: Send + Sync {
     /// the given VMs.
     ///
     /// Invariants every implementation upholds:
+    /// * `targets` holds one entry per input VM, in input order;
     /// * each target lies in `[min, max]` of its VM;
     /// * `sum(current − target) == demand − shortfall` (up to rounding);
     /// * `shortfall` is non-negative for deflation and non-positive for
@@ -161,7 +161,6 @@ pub(crate) fn weighted_fill(headrooms: &[f64], weights: &[f64], demand: f64) -> 
         if total_weight <= 0.0 {
             break;
         }
-        let mut saturated = Vec::new();
         let mut progressed = false;
         for &i in &active {
             let share = remaining * weights[i] / total_weight;
@@ -171,16 +170,13 @@ pub(crate) fn weighted_fill(headrooms: &[f64], weights: &[f64], demand: f64) -> 
                 take[i] += grant;
                 progressed = true;
             }
-            if headrooms[i] - take[i] <= 1e-12 {
-                saturated.push(i);
-            }
         }
         let taken: f64 = take.iter().sum();
         remaining = demand - taken;
         if !progressed {
             break;
         }
-        active.retain(|i| !saturated.contains(i));
+        active.retain(|&i| headrooms[i] - take[i] > 1e-12);
     }
     (take, remaining.max(0.0))
 }
@@ -232,8 +228,8 @@ pub struct VectorPlanner;
 /// per-resource shortfalls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorPlan {
-    /// New allocation vectors keyed by VM.
-    pub targets: BTreeMap<VmId, ResourceVector>,
+    /// New allocation vector of every deflatable input VM, in input order.
+    pub targets: Vec<(VmId, ResourceVector)>,
     /// Total reclaimed per resource (negative when reinflating).
     pub reclaimed: ResourceVector,
     /// Unmet demand per resource.
@@ -251,44 +247,56 @@ impl VectorPlanner {
     /// Extract the scalar state of one resource kind from a set of VM
     /// allocations (deflatable VMs only; non-deflatable VMs are skipped).
     pub fn scalar_states<V: AllocationView>(vms: &[V], kind: ResourceKind) -> Vec<VmResourceState> {
+        Self::deflatable_states(vms, kind).collect()
+    }
+
+    fn deflatable_states<V: AllocationView>(
+        vms: &[V],
+        kind: ResourceKind,
+    ) -> impl Iterator<Item = VmResourceState> + '_ {
         vms.iter()
             .filter(|vm| vm.spec().deflatable)
-            .map(|vm| VmResourceState {
+            .map(move |vm| VmResourceState {
                 id: vm.spec().id,
                 max: vm.spec().max_allocation[kind],
                 min: vm.spec().min_allocation[kind],
                 current: vm.current_allocation()[kind],
                 priority: vm.spec().priority.value(),
             })
-            .collect()
     }
 
     /// Plan deflation (or reinflation) of every resource dimension using the
     /// given scalar policy. `demand` holds, per resource, the amount that
     /// must be reclaimed (positive) or can be returned (negative).
+    ///
+    /// The plan's targets are the deflatable `vms` in input order. The
+    /// scalar plans come back in that same order (a [`ScalarPlan`]
+    /// contract), so each resource kind is merged positionally.
     pub fn plan<V: AllocationView>(
         policy: &dyn DeflationPolicy,
         vms: &[V],
         demand: ResourceVector,
     ) -> VectorPlan {
-        let mut targets: BTreeMap<VmId, ResourceVector> = vms
+        let mut targets: Vec<(VmId, ResourceVector)> = vms
             .iter()
             .filter(|vm| vm.spec().deflatable)
             .map(|vm| (vm.spec().id, vm.current_allocation()))
             .collect();
         let mut reclaimed = ResourceVector::ZERO;
         let mut shortfall = ResourceVector::ZERO;
+        let mut states = Vec::new();
         for kind in ResourceKind::ALL {
             let d = demand[kind];
             if d.abs() <= 1e-12 {
                 continue;
             }
-            let states = Self::scalar_states(vms, kind);
+            states.clear();
+            states.extend(Self::deflatable_states(vms, kind));
             let plan = policy.plan(&states, d);
-            for (id, target) in &plan.targets {
-                if let Some(v) = targets.get_mut(id) {
-                    (*v)[kind] = *target;
-                }
+            debug_assert_eq!(plan.targets.len(), targets.len());
+            for ((id, target), (planned, v)) in plan.targets.iter().zip(targets.iter_mut()) {
+                debug_assert_eq!(id, planned, "scalar plan out of input order");
+                v[kind] = *target;
             }
             reclaimed[kind] = plan.reclaimed;
             shortfall[kind] = plan.shortfall;
@@ -379,6 +387,82 @@ mod tests {
         assert!((rem - 7.0).abs() < 1e-9);
     }
 
+    /// `weighted_fill` as it was before the saturated-set rewrite: kept
+    /// verbatim as the oracle the current one must match bit for bit.
+    fn weighted_fill_oracle(headrooms: &[f64], weights: &[f64], demand: f64) -> (Vec<f64>, f64) {
+        let n = headrooms.len();
+        let mut take = vec![0.0f64; n];
+        if demand <= 0.0 || n == 0 {
+            return (take, demand.max(0.0));
+        }
+        let mut remaining = demand;
+        let mut active: Vec<usize> = (0..n)
+            .filter(|&i| headrooms[i] > 1e-12 && weights[i] > 0.0)
+            .collect();
+        while remaining > 1e-9 && !active.is_empty() {
+            let total_weight: f64 = active.iter().map(|&i| weights[i]).sum();
+            if total_weight <= 0.0 {
+                break;
+            }
+            let mut saturated = Vec::new();
+            let mut progressed = false;
+            for &i in &active {
+                let share = remaining * weights[i] / total_weight;
+                let capacity = headrooms[i] - take[i];
+                let grant = share.min(capacity);
+                if grant > 0.0 {
+                    take[i] += grant;
+                    progressed = true;
+                }
+                if headrooms[i] - take[i] <= 1e-12 {
+                    saturated.push(i);
+                }
+            }
+            let taken: f64 = take.iter().sum();
+            remaining = demand - taken;
+            if !progressed {
+                break;
+            }
+            active.retain(|i| !saturated.contains(i));
+        }
+        (take, remaining.max(0.0))
+    }
+
+    #[test]
+    fn weighted_fill_matches_the_oracle_bit_for_bit() {
+        // Numerical Recipes LCG; values mix zeros, sub-epsilon headrooms
+        // and ordinary magnitudes so every saturation branch is taken.
+        let mut seed = 7u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pick = |u: f64| match (u * 10.0) as u32 {
+            0 => 0.0,
+            1 => 1e-13,
+            2 => 1.0,
+            _ => 100.0 * u,
+        };
+        for case in 0..2_000 {
+            let n = case % 33;
+            let headrooms: Vec<f64> = (0..n).map(|_| pick(next())).collect();
+            let weights: Vec<f64> = (0..n).map(|_| pick(next())).collect();
+            let total: f64 = headrooms.iter().sum();
+            let demand = match case % 5 {
+                0 => -1.0,
+                1 => total,
+                _ => 2.0 * total * next(),
+            };
+            let (take, rem) = weighted_fill(&headrooms, &weights, demand);
+            let (want, want_rem) = weighted_fill_oracle(&headrooms, &weights, demand);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&take), bits(&want), "case {case}");
+            assert_eq!(rem.to_bits(), want_rem.to_bits(), "case {case}");
+        }
+    }
+
     #[test]
     fn weighted_fill_zero_demand_or_empty() {
         let (take, rem) = weighted_fill(&[], &[], 5.0);
@@ -400,6 +484,42 @@ mod tests {
         assert!(plan.satisfied());
         assert_eq!(plan.target_for(VmId(2)), Some(3.0));
         assert_eq!(plan.target_for(VmId(9)), None);
+    }
+
+    #[test]
+    fn vector_plan_lists_deflatable_vms_in_input_order() {
+        let make = |id: u64, deflatable: bool| {
+            let size = ResourceVector::new(1000.0 * id as f64, 2048.0, 100.0, 500.0);
+            VmAllocation::new(if deflatable {
+                VmSpec::deflatable(VmId(id), VmClass::Interactive, size)
+            } else {
+                VmSpec::on_demand(VmId(id), VmClass::Unknown, size)
+            })
+        };
+        let vms = vec![
+            make(5, true),
+            make(2, false),
+            make(9, true),
+            make(1, true),
+            make(7, false),
+        ];
+        let demand = ResourceVector::new(3000.0, 1024.0, 0.0, 50.0);
+        for reinflate in [false, true] {
+            let demand = if reinflate { -demand } else { demand };
+            let plan = VectorPlanner::plan(&ProportionalDeflation::default(), &vms, demand);
+            let ids: Vec<VmId> = plan.targets.iter().map(|(id, _)| *id).collect();
+            assert_eq!(ids, vec![VmId(5), VmId(9), VmId(1)]);
+        }
+        let plan = VectorPlanner::plan(&ProportionalDeflation::default(), &vms, demand);
+        for (id, target) in &plan.targets {
+            let vm = vms.iter().find(|vm| vm.spec.id == *id).unwrap();
+            assert!(
+                target.cpu() < vm.spec.max_allocation.cpu(),
+                "{id:?} deflated"
+            );
+            // Dimensions without demand keep the current allocation.
+            assert_eq!(target[ResourceKind::DiskBw], 100.0);
+        }
     }
 
     #[test]
@@ -430,7 +550,8 @@ mod tests {
         );
         assert!(plan.satisfied());
         assert_eq!(plan.targets.len(), 1);
-        let target = plan.targets[&VmId(1)];
+        let (id, target) = plan.targets[0];
+        assert_eq!(id, VmId(1));
         assert!((target.cpu() - 3000.0).abs() < 1e-6);
         // Untouched dimensions stay at their current values.
         assert!((target.memory() - 8192.0).abs() < 1e-6);

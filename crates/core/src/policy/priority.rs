@@ -170,8 +170,10 @@ impl DeflationPolicy for PriorityDeflation {
                 .iter()
                 .map(|vm| vm.priority * vm.max.max(1e-12))
                 .collect();
-            let (ret, surplus) = weighted_return(&headroom, &weights, give);
-            let reclaim: Vec<f64> = ret.iter().map(|r| -r).collect();
+            let (mut reclaim, surplus) = weighted_return(&headroom, &weights, give);
+            for r in &mut reclaim {
+                *r = -*r;
+            }
             build_plan(vms, &reclaim, demand, -surplus)
         }
     }

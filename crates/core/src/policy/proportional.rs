@@ -90,8 +90,10 @@ impl DeflationPolicy for ProportionalDeflation {
             // returning resources in proportion to the same weights.
             let give = -demand;
             let headrooms: Vec<f64> = vms.iter().map(|v| v.reinflatable_headroom()).collect();
-            let (ret, surplus) = weighted_return(&headrooms, &weights, give);
-            let reclaim: Vec<f64> = ret.iter().map(|r| -r).collect();
+            let (mut reclaim, surplus) = weighted_return(&headrooms, &weights, give);
+            for r in &mut reclaim {
+                *r = -*r;
+            }
             build_plan(vms, &reclaim, demand, -surplus)
         }
     }

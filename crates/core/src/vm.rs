@@ -8,7 +8,9 @@
 
 use crate::resources::{ResourceKind, ResourceVector};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Unique identifier of a VM within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -29,6 +31,34 @@ impl fmt::Display for ServerId {
         write!(f, "server-{}", self.0)
     }
 }
+
+/// A fixed, unseeded hasher for maps keyed by ids the program assigns
+/// itself ([`VmId`]s are trace row indices, migration ids a counter): one
+/// rotate-xor-multiply per `u64`, where `RandomState` runs SipHash with a
+/// per-process key. Nothing may depend on the iteration order of an
+/// [`IdMap`]: callers sort or fold order-independently, as they had to
+/// under the randomised default.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A `HashMap` keyed by program-assigned ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Application class labels carried by the Azure trace (§3.2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -337,6 +367,16 @@ mod tests {
             VmClass::Interactive,
             ResourceVector::new(4000.0, 8192.0, 100.0, 1000.0),
         )
+    }
+
+    #[test]
+    fn id_map_hashes_without_a_seed() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        assert_eq!(build.hash_one(VmId(3)), build.hash_one(VmId(3)));
+        assert_eq!(build.hash_one(VmId(1)), 0x517c_c1b7_2722_0a95);
+        let map: IdMap<VmId, usize> = (0..1000).map(|i| (VmId(i), i as usize)).collect();
+        assert!((0..1000).all(|i| map[&VmId(i)] == i as usize));
     }
 
     #[test]

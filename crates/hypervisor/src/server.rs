@@ -240,12 +240,13 @@ impl SimServer {
         self.domains.remove(&id).ok_or(DeflateError::UnknownVm(id))
     }
 
-    /// Apply new allocation targets to a set of domains (typically a
+    /// Apply new allocation targets to a set of domains, in slice order
+    /// (typically the targets of a
     /// [`VectorPlan`](deflate_core::policy::VectorPlan) computed by a
-    /// deflation policy). Unknown VM ids are reported as errors; known
-    /// domains are updated through their configured mechanism.
-    pub fn apply_targets(&mut self, targets: &BTreeMap<VmId, ResourceVector>) -> Result<()> {
-        for (&id, &target) in targets {
+    /// deflation policy). An unknown VM id stops the walk with an error;
+    /// known domains are updated through their configured mechanism.
+    pub fn apply_targets(&mut self, targets: &[(VmId, ResourceVector)]) -> Result<()> {
+        for &(id, target) in targets {
             let domain = self
                 .domains
                 .get_mut(&id)
@@ -385,9 +386,8 @@ mod tests {
         )
         .unwrap();
         // Deflate the resident VM, then admit another one deflated.
-        let mut targets = BTreeMap::new();
-        targets.insert(VmId(1), ResourceVector::cpu_mem(4000.0, 8192.0));
-        s.apply_targets(&targets).unwrap();
+        s.apply_targets(&[(VmId(1), ResourceVector::cpu_mem(4000.0, 8192.0))])
+            .unwrap();
         s.create_domain_deflated(
             VmSpec::deflatable(
                 VmId(2),
@@ -406,12 +406,18 @@ mod tests {
     #[test]
     fn apply_targets_unknown_vm_errors() {
         let mut s = SimServer::new(ServerId(1), capacity());
-        let mut targets = BTreeMap::new();
-        targets.insert(VmId(99), ResourceVector::ZERO);
+        s.create_domain(spec(1, 4.0, 8192.0), DeflationMechanism::Transparent)
+            .unwrap();
+        let before = s.domain(VmId(1)).unwrap().effective_allocation();
         assert!(matches!(
-            s.apply_targets(&targets),
+            s.apply_targets(&[
+                (VmId(99), ResourceVector::ZERO),
+                (VmId(1), ResourceVector::ZERO)
+            ]),
             Err(DeflateError::UnknownVm(VmId(99)))
         ));
+        // The walk stops at the unknown id: later targets are not applied.
+        assert_eq!(s.domain(VmId(1)).unwrap().effective_allocation(), before);
     }
 
     #[test]

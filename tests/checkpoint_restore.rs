@@ -27,11 +27,12 @@ use vmdeflate::cluster::sim::ClusterSimulation;
 use vmdeflate::cluster::spec::{
     paper_server_capacity, servers_for_transient_overcommitment, WorkloadVm,
 };
-use vmdeflate::core::checkpoint::{CheckpointError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use vmdeflate::core::checkpoint::{ByteReader, CheckpointError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use vmdeflate::core::placement::PartitionScheme;
 use vmdeflate::core::policy::ProportionalDeflation;
 use vmdeflate::core::shard::ShardConfig;
-use vmdeflate::hypervisor::domain::DeflationMechanism;
+use vmdeflate::hypervisor::domain::{DeflationMechanism, Domain};
+use vmdeflate::transient::events::SimEvent;
 use vmdeflate::transient::signal::{CapacityProfile, CapacitySchedule, TransientConfig};
 
 mod common;
@@ -274,6 +275,62 @@ fn malformed_snapshots_are_rejected() {
     let mut padded = snapshot.clone();
     padded.push(0);
     assert!(sim.resume(&workload, &padded).is_err());
+}
+
+/// A length prefix claiming more entries than the bytes left can hold is
+/// a typed `Corrupt` error, raised before anything is preallocated for
+/// it: one flipped high bit must not abort the process.
+#[test]
+fn inflated_length_prefixes_are_rejected() {
+    let workload = transient_workload(Scale::Quick);
+    let sim = transient_simulation(
+        &workload,
+        Scale::Quick,
+        TransientMode::Deflation,
+        CapacityProfile::spot_market_default(),
+        default_migration_cost(),
+        vmdeflate::core::policy::TransferPolicy::fifo(),
+    );
+    let snapshot = sim.checkpoint(&workload, 3600.0);
+    let (queue_at, locations_at) = length_prefix_offsets(&snapshot);
+    for at in [queue_at, locations_at] {
+        for claimed in [u64::MAX, 1 << 36, snapshot.len() as u64] {
+            let mut bad = snapshot.clone();
+            bad[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+            let err = sim.resume(&workload, &bad).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Corrupt(_)),
+                "prefix at byte {at} inflated to {claimed}: {err:?}"
+            );
+        }
+    }
+}
+
+/// Byte offsets of two length prefixes in an engine snapshot: the event
+/// queue's and the cluster manager's VM-location map's. Walks the format
+/// through the public decoders up to each of them.
+fn length_prefix_offsets(snapshot: &[u8]) -> (usize, usize) {
+    let mut r = ByteReader::with_header(snapshot).unwrap();
+    r.get_f64().unwrap(); // checkpoint time
+    r.get_usize().unwrap(); // workload size
+    r.get_u64().unwrap(); // events processed
+    let queue_at = snapshot.len() - r.remaining();
+    for _ in 0..r.get_usize().unwrap() {
+        r.get_f64().unwrap();
+        SimEvent::read_snapshot(&mut r).unwrap();
+    }
+    // The manager: every server's capacity and residents, then the
+    // per-server reclaim clocks.
+    for _ in 0..r.get_usize().unwrap() {
+        r.get_resources().unwrap();
+        for _ in 0..r.get_usize().unwrap() {
+            Domain::read_snapshot(&mut r).unwrap();
+        }
+    }
+    r.get_f64_vec().unwrap();
+    let locations_at = snapshot.len() - r.remaining();
+    assert!(r.get_usize().unwrap() > 0, "VMs run at the boundary");
+    (queue_at, locations_at)
 }
 
 /// Golden pin of the snapshot byte format: the FNV-1a digest of the
