@@ -539,10 +539,18 @@ fn walk_vm_record(l: &mut Lockstep<'_>, i: usize) -> Step<()> {
             ))))
         }
     }
-    let history = l.usize(|| format!("{}.allocation_history.len", p()))?;
-    for j in 0..history {
-        l.f64(|| format!("{}.allocation_history[{j}].time_secs", p()))?;
-        l.f64(|| format!("{}.allocation_history[{j}].fraction", p()))?;
+    // The usage summary's frame: an entry count, then its fields.
+    l.usize(|| format!("{}.usage.len", p()))?;
+    l.u32(|| format!("{}.usage.next_sample", p()))?;
+    l.u32(|| format!("{}.usage.flags", p()))?;
+    for field in [
+        "demanded",
+        "lost",
+        "weighted",
+        "last_change_secs",
+        "last_fraction",
+    ] {
+        l.f64(move || format!("{}.usage.{field}", p()))?;
     }
     Ok(())
 }
@@ -684,6 +692,38 @@ mod tests {
             diff.field.starts_with("utilization"),
             "last byte belongs to the utilization block, got {}",
             diff.field
+        );
+    }
+
+    // A bit flipped inside a record's usage summary is named down to the
+    // accumulator.
+    #[test]
+    fn flipped_usage_bit_names_the_summary_field() {
+        let workload = scenario_workload();
+        let (servers, schedule) = scenario_cluster(&workload);
+        let sim = scenario_sim(servers, schedule, TransferPolicy::fifo());
+        let snapshot = sim.checkpoint(&workload, HORIZON_SECS / 2.0);
+        let u64_at = |at: usize| u64::from_le_bytes(snapshot[at..at + 8].try_into().unwrap());
+        // The snapshot ends with the migration log (a count, then 41 bytes
+        // per entry) and the utilisation series, empty without ticks.
+        let end = snapshot.len() - 8;
+        assert_eq!(u64_at(end), 0);
+        let log_at = (0..)
+            .map(|m| end - 8 - 41 * m)
+            .zip(0u64..)
+            .find(|&(at, m)| u64_at(at) == m)
+            .map(|(at, _)| at)
+            .unwrap();
+        // The last record's summary ends right before the log, with
+        // demanded, lost, weighted, last_change_secs and last_fraction.
+        let mut mutated = snapshot.clone();
+        mutated[log_at - 40] ^= 0x01;
+        let diff = first_divergent_field(&snapshot, &mutated)
+            .unwrap()
+            .expect("a flipped bit must be named");
+        assert_eq!(
+            diff.field,
+            format!("record[{}].usage.demanded", workload.len() - 1)
         );
     }
 

@@ -115,7 +115,7 @@ pub use manager::{
     AdmissionCounters, CapacityChangeOutcome, ClusterConfig, ClusterManager, MigrationRecord,
     PendingMigration, PlacementKind, PlacementResult, ReclamationMode, TransientCounters,
 };
-pub use metrics::{MigrationEvent, SimResult, VmOutcome, VmRecord};
+pub use metrics::{MigrationEvent, SimResult, UsageSummary, VmOutcome, VmRecord};
 pub use placement::PlacementIndex;
 pub use scheduler::{SchedulerStats, TransferScheduler};
 pub use sim::ClusterSimulation;

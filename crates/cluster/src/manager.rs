@@ -2153,18 +2153,25 @@ impl ClusterManager {
             )));
         }
         self.last_reclaim_secs = last_reclaim;
+        // Every decoded server index must name a server of this cluster.
+        let server_index = |what: &str, idx: u64| match usize::try_from(idx) {
+            Ok(idx) if idx < num_servers => Ok(idx),
+            _ => Err(CheckpointError::Corrupt(format!(
+                "{what} names server {idx} of {num_servers}"
+            ))),
+        };
         let n = r.get_len(16)?;
         self.vm_location = IdMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vm = VmId(r.get_u64()?);
-            let idx = r.get_u64()? as usize;
+            let idx = server_index("vm_location", r.get_u64()?)?;
             self.vm_location.insert(vm, idx);
         }
         let n = r.get_len(16)?;
         self.migration_origin = IdMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vm = VmId(r.get_u64()?);
-            let idx = r.get_u64()? as usize;
+            let idx = server_index("migration_origin", r.get_u64()?)?;
             self.migration_origin.insert(vm, idx);
         }
         // id, vm, source, dest and four f64s of 8 bytes each, plus a bool.
@@ -2175,8 +2182,8 @@ impl ClusterManager {
             let id = r.get_u64()?;
             let flight = InFlight {
                 vm: VmId(r.get_u64()?),
-                source: r.get_usize()?,
-                dest: r.get_usize()?,
+                source: server_index("in-flight source", r.get_u64()?)?,
+                dest: server_index("in-flight dest", r.get_u64()?)?,
                 start_secs: r.get_f64()?,
                 finish_secs: r.get_f64()?,
                 deadline_secs: r.get_f64()?,

@@ -4,6 +4,7 @@
 use crate::manager::{AdmissionCounters, TransientCounters};
 use crate::scheduler::SchedulerStats;
 use deflate_autoscale::AutoscaleStats;
+use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
 use deflate_core::pricing::{PricingPolicy, RateCard};
 use deflate_core::vm::VmSpec;
 use deflate_core::vm::{ServerId, VmId};
@@ -32,7 +33,123 @@ pub enum VmOutcome {
     },
 }
 
-/// The full history of one VM across the simulation.
+/// [`UsageSummary`] flag: the VM has held an allocation.
+const PLACED: u32 = 1;
+/// [`UsageSummary`] flag: some recorded allocation was below the full one.
+const DEFLATED: u32 = 2;
+
+/// Entries in a summary's snapshot frame: a count followed by this many
+/// 16-byte entries (the cursor and flags, then five `f64`s).
+const SNAPSHOT_ENTRIES: usize = 3;
+
+/// A VM's CPU allocation against its utilisation trace, summarised online.
+///
+/// The engine feeds every allocation change-point to
+/// [`VmRecord::record_allocation`] as it happens and closes the summary at
+/// the VM's departure event ([`VmRecord::close_usage`]). Trace samples are
+/// folded into the demanded and lost work as soon as the allocation in
+/// effect at their time is known, and each allocation segment joins the
+/// time-weighted sum when it ends. No history is kept: the summary is a
+/// fixed 48 bytes whatever the VM's lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct UsageSummary {
+    /// Index of the first trace sample not yet folded.
+    next_sample: u32,
+    /// `PLACED` and `DEFLATED` bits.
+    flags: u32,
+    /// Demanded CPU work of the folded samples (their sum).
+    demanded: f64,
+    /// Work lost in the folded samples: usage above the allocation.
+    lost: f64,
+    /// Allocation fraction × seconds over the finished segments.
+    weighted: f64,
+    /// Time of the last change-point, seconds (0 until placed).
+    last_change_secs: f64,
+    /// Allocation fraction at the last change-point (0 until placed).
+    last_fraction: f64,
+}
+
+impl UsageSummary {
+    /// True once the VM has held an allocation (never for rejected VMs).
+    pub fn placed(&self) -> bool {
+        self.flags & PLACED != 0
+    }
+
+    /// True when some recorded allocation was below the full one.
+    pub fn ever_deflated(&self) -> bool {
+        self.flags & DEFLATED != 0
+    }
+
+    /// The last allocation change-point `(time_secs, fraction)`, if the VM
+    /// was ever placed.
+    pub fn last_change(&self) -> Option<(f64, f64)> {
+        self.placed()
+            .then_some((self.last_change_secs, self.last_fraction))
+    }
+
+    /// Write the summary as its snapshot frame: the entry count, then the
+    /// sample cursor, the flags and the five accumulators.
+    pub fn write_snapshot(&self, w: &mut ByteWriter) {
+        w.put_usize(SNAPSHOT_ENTRIES);
+        w.put_u32(self.next_sample);
+        w.put_u32(self.flags);
+        w.put_f64(self.demanded);
+        w.put_f64(self.lost);
+        w.put_f64(self.weighted);
+        w.put_f64(self.last_change_secs);
+        w.put_f64(self.last_fraction);
+    }
+
+    /// Read a summary written by [`write_snapshot`](Self::write_snapshot)
+    /// for a VM whose trace has `trace_len` samples. A cursor past the
+    /// trace, unknown flag bits or a non-finite accumulator is `Corrupt`.
+    pub fn read_snapshot(r: &mut ByteReader<'_>, trace_len: usize) -> CheckpointResult<Self> {
+        let entries = r.get_usize()?;
+        if entries != SNAPSHOT_ENTRIES {
+            return Err(CheckpointError::Corrupt(format!(
+                "usage summary of {entries} entries, expected {SNAPSHOT_ENTRIES}"
+            )));
+        }
+        let summary = UsageSummary {
+            next_sample: r.get_u32()?,
+            flags: r.get_u32()?,
+            demanded: r.get_f64()?,
+            lost: r.get_f64()?,
+            weighted: r.get_f64()?,
+            last_change_secs: r.get_f64()?,
+            last_fraction: r.get_f64()?,
+        };
+        if summary.next_sample as usize > trace_len {
+            return Err(CheckpointError::Corrupt(format!(
+                "usage cursor {} past a {trace_len}-sample trace",
+                summary.next_sample
+            )));
+        }
+        if summary.flags & !(PLACED | DEFLATED) != 0
+            || (summary.ever_deflated() && !summary.placed())
+        {
+            return Err(CheckpointError::Corrupt(format!(
+                "invalid usage flags {:#x}",
+                summary.flags
+            )));
+        }
+        let accumulators = [
+            summary.demanded,
+            summary.lost,
+            summary.weighted,
+            summary.last_change_secs,
+            summary.last_fraction,
+        ];
+        if !accumulators.iter().all(|v| v.is_finite()) {
+            return Err(CheckpointError::Corrupt(
+                "non-finite usage accumulator".to_string(),
+            ));
+        }
+        Ok(summary)
+    }
+}
+
+/// One VM's outcome across the simulation, with its usage summarised.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VmRecord {
     /// The VM's specification.
@@ -43,14 +160,25 @@ pub struct VmRecord {
     pub departure_secs: f64,
     /// Final outcome.
     pub outcome: VmOutcome,
-    /// CPU allocation fraction change-points: `(time_secs, fraction)` with
-    /// the first entry at the arrival time. Empty for rejected VMs.
-    pub allocation_history: Vec<(f64, f64)>,
-    /// The VM's CPU utilisation trace (relative to its full allocation).
-    pub cpu_util: TimeSeries,
+    /// CPU allocation against the VM's utilisation trace, folded online.
+    /// Complete once the VM's departure event has been processed, which
+    /// every record of a [`SimResult`] has.
+    pub usage: UsageSummary,
 }
 
 impl VmRecord {
+    /// A record for a VM that has not arrived yet (outcome `Rejected`
+    /// until the engine places it).
+    pub fn new(spec: VmSpec, arrival_secs: f64, departure_secs: f64) -> Self {
+        VmRecord {
+            spec,
+            arrival_secs,
+            departure_secs,
+            outcome: VmOutcome::Rejected,
+            usage: UsageSummary::default(),
+        }
+    }
+
     /// The time the VM actually stopped running (departure, or preemption
     /// time, or arrival for rejected VMs).
     pub fn end_secs(&self) -> f64 {
@@ -66,31 +194,76 @@ impl VmRecord {
         (self.end_secs() - self.arrival_secs).max(0.0) / 3600.0
     }
 
-    /// Owned heap bytes behind the record: the allocation-history
-    /// change-points and the utilisation trace. Feeds the engine's
-    /// `mem.vm_records` gauge.
+    /// Owned heap bytes behind the record. The usage summary is inline,
+    /// so this is zero; it feeds the engine's `mem.vm_records` gauge
+    /// together with the records' own size.
     pub fn accounted_bytes(&self) -> u64 {
-        deflate_core::mem::vec_capacity_bytes(&self.allocation_history)
-            + self.cpu_util.accounted_bytes()
+        0
     }
 
-    /// The CPU allocation fraction in effect at an absolute simulation time.
-    pub fn allocation_fraction_at(&self, time_secs: f64) -> f64 {
-        if self.allocation_history.is_empty()
-            || time_secs < self.arrival_secs
-            || time_secs >= self.end_secs()
-        {
-            return 0.0;
-        }
-        let mut fraction = self.allocation_history[0].1;
-        for &(t, f) in &self.allocation_history {
-            if t <= time_secs {
-                fraction = f;
-            } else {
-                break;
+    /// Record a CPU allocation change-point at `time_secs`. A fraction
+    /// within `1e-9` of the one in effect is no change. Trace samples
+    /// before `time_secs` are folded at the previous fraction, so a sample
+    /// exactly at `time_secs` gets the new one. `trace` is the VM's CPU
+    /// utilisation trace; change-points arrive in time order.
+    pub fn record_allocation(&mut self, trace: &TimeSeries, time_secs: f64, fraction: f64) {
+        debug_assert!(
+            !self.usage.placed() || time_secs >= self.usage.last_change_secs,
+            "change-points must arrive in time order"
+        );
+        if self.usage.placed() {
+            let previous = self.usage.last_fraction;
+            if (previous - fraction).abs() < 1e-9 {
+                return;
+            }
+            self.fold_samples(trace, time_secs, previous);
+            let seg_start = self.usage.last_change_secs.max(self.arrival_secs);
+            if time_secs > seg_start {
+                self.usage.weighted += previous * (time_secs - seg_start);
             }
         }
-        fraction
+        self.usage.flags |= PLACED;
+        if fraction < 1.0 - 1e-9 {
+            self.usage.flags |= DEFLATED;
+        }
+        self.usage.last_change_secs = time_secs;
+        self.usage.last_fraction = fraction;
+    }
+
+    /// Close the summary at the VM's departure event, once its outcome is
+    /// final: samples before [`end_secs`](Self::end_secs) are folded at the
+    /// last fraction and the last segment joins the weighted sum; samples
+    /// from the end up to the scheduled departure count as fully lost.
+    pub fn close_usage(&mut self, trace: &TimeSeries) {
+        let end = self.end_secs();
+        if self.usage.placed() {
+            let fraction = self.usage.last_fraction;
+            self.fold_samples(trace, end, fraction);
+            let seg_start = self.usage.last_change_secs.max(self.arrival_secs);
+            if end > seg_start {
+                self.usage.weighted += fraction * (end - seg_start);
+            }
+        }
+        self.fold_samples(trace, f64::INFINITY, 0.0);
+    }
+
+    /// Fold the unfolded samples taken before `until_secs` (and before the
+    /// scheduled departure) at allocation `fraction`.
+    fn fold_samples(&mut self, trace: &TimeSeries, until_secs: f64, fraction: f64) {
+        let interval = trace.interval_secs();
+        let samples = trace.samples();
+        let mut k = self.usage.next_sample as usize;
+        while let Some(&usage) = samples.get(k) {
+            let t = self.arrival_secs + k as f64 * interval;
+            if t >= self.departure_secs || t >= until_secs {
+                break;
+            }
+            self.usage.demanded += usage;
+            self.usage.lost += (usage - fraction).max(0.0);
+            k += 1;
+        }
+        // A trace of 2^32 samples would be 32 GiB: the cursor fits.
+        self.usage.next_sample = k as u32;
     }
 
     /// Time-average allocation fraction over the period the VM ran (1.0 =
@@ -98,22 +271,10 @@ impl VmRecord {
     pub fn mean_allocation_fraction(&self) -> f64 {
         let start = self.arrival_secs;
         let end = self.end_secs();
-        if end <= start || self.allocation_history.is_empty() {
+        if end <= start || !self.usage.placed() {
             return 0.0;
         }
-        let mut weighted = 0.0;
-        for (i, &(t, f)) in self.allocation_history.iter().enumerate() {
-            let seg_start = t.max(start);
-            let seg_end = if i + 1 < self.allocation_history.len() {
-                self.allocation_history[i + 1].0.min(end)
-            } else {
-                end
-            };
-            if seg_end > seg_start {
-                weighted += f * (seg_end - seg_start);
-            }
-        }
-        (weighted / (end - start)).clamp(0.0, 1.0)
+        (self.usage.weighted / (end - start)).clamp(0.0, 1.0)
     }
 
     /// Relative throughput loss of this VM: demanded CPU work that could not
@@ -122,22 +283,10 @@ impl VmRecord {
     /// total demanded work over the VM's intended lifetime. Work scheduled
     /// after a preemption is entirely lost.
     pub fn throughput_loss(&self) -> f64 {
-        let interval = self.cpu_util.interval_secs();
-        let mut demanded = 0.0;
-        let mut lost = 0.0;
-        for (k, &usage) in self.cpu_util.samples().iter().enumerate() {
-            let t = self.arrival_secs + k as f64 * interval;
-            if t >= self.departure_secs {
-                break;
-            }
-            demanded += usage;
-            let alloc = self.allocation_fraction_at(t);
-            lost += (usage - alloc).max(0.0);
-        }
-        if demanded <= 0.0 {
+        if self.usage.demanded <= 0.0 {
             0.0
         } else {
-            (lost / demanded).clamp(0.0, 1.0)
+            (self.usage.lost / self.usage.demanded).clamp(0.0, 1.0)
         }
     }
 
@@ -429,10 +578,7 @@ impl SimResult {
         if admitted.is_empty() {
             return 0.0;
         }
-        let deflated = admitted
-            .iter()
-            .filter(|r| r.allocation_history.iter().any(|&(_, f)| f < 1.0 - 1e-9))
-            .count();
+        let deflated = admitted.iter().filter(|r| r.usage.ever_deflated()).count();
         deflated as f64 / admitted.len() as f64
     }
 }
@@ -443,35 +589,53 @@ mod tests {
     use deflate_core::resources::ResourceVector;
     use deflate_core::vm::{VmClass, VmId};
 
+    fn spec() -> VmSpec {
+        VmSpec::deflatable(
+            VmId(1),
+            VmClass::Interactive,
+            ResourceVector::cpu_mem(4000.0, 8192.0),
+        )
+    }
+
+    /// Feed `history` to a record the way the engine does (change-points
+    /// in time order, outcome settled before the departure closes it).
     fn record(history: Vec<(f64, f64)>, outcome: VmOutcome, util: Vec<f64>) -> VmRecord {
-        VmRecord {
-            spec: VmSpec::deflatable(
-                VmId(1),
-                VmClass::Interactive,
-                ResourceVector::cpu_mem(4000.0, 8192.0),
-            ),
-            arrival_secs: 0.0,
-            departure_secs: 1200.0,
-            outcome,
-            allocation_history: history,
-            cpu_util: TimeSeries::five_minute(util),
+        let trace = TimeSeries::five_minute(util);
+        let mut r = VmRecord::new(spec(), 0.0, 1200.0);
+        for (t, f) in history {
+            r.record_allocation(&trace, t, f);
         }
+        r.outcome = outcome;
+        r.close_usage(&trace);
+        r
     }
 
     #[test]
-    fn allocation_fraction_lookup() {
-        let r = record(
-            vec![(0.0, 1.0), (600.0, 0.5)],
+    fn change_points_apply_from_their_own_sample_on() {
+        // Samples at 0, 300, 600 and 900 s; usage 0.8 throughout.
+        let loss_with_change_at = |t: f64| {
+            record(
+                vec![(0.0, 1.0), (t, 0.5)],
+                VmOutcome::Completed,
+                vec![0.8; 4],
+            )
+            .throughput_loss()
+        };
+        // A sample exactly at a change-point gets the new fraction.
+        assert!((loss_with_change_at(600.0) - 0.6 / 3.2).abs() < 1e-12);
+        assert!((loss_with_change_at(599.0) - 0.6 / 3.2).abs() < 1e-12);
+        assert!((loss_with_change_at(601.0) - 0.3 / 3.2).abs() < 1e-12);
+        // Past the last sample: nothing lost.
+        assert_eq!(loss_with_change_at(1199.0), 0.0);
+        // Of changes at one timestamp, the last one is in effect.
+        let tied = record(
+            vec![(0.0, 1.0), (600.0, 0.2), (600.0, 0.5)],
             VmOutcome::Completed,
-            vec![0.2; 4],
+            vec![0.8; 4],
         );
-        assert_eq!(r.allocation_fraction_at(100.0), 1.0);
-        assert_eq!(r.allocation_fraction_at(599.0), 1.0);
-        assert_eq!(r.allocation_fraction_at(600.0), 0.5);
-        assert_eq!(r.allocation_fraction_at(1199.0), 0.5);
-        // Outside the lifetime: 0.
-        assert_eq!(r.allocation_fraction_at(-1.0), 0.0);
-        assert_eq!(r.allocation_fraction_at(1200.0), 0.0);
+        assert!((tied.throughput_loss() - 0.6 / 3.2).abs() < 1e-12);
+        assert!(tied.usage.ever_deflated());
+        assert_eq!(tied.usage.last_change(), Some((600.0, 0.5)));
     }
 
     #[test]
@@ -482,10 +646,12 @@ mod tests {
             vec![0.2; 4],
         );
         assert!((r.mean_allocation_fraction() - 0.75).abs() < 1e-9);
-        // Rejected VM: zero.
+        // Rejected VM: zero, never placed.
         let rej = record(vec![], VmOutcome::Rejected, vec![0.2; 4]);
         assert_eq!(rej.mean_allocation_fraction(), 0.0);
         assert_eq!(rej.hours_run(), 0.0);
+        assert!(!rej.usage.placed());
+        assert_eq!(rej.usage.last_change(), None);
     }
 
     #[test]
@@ -501,9 +667,11 @@ mod tests {
         // Never-deflated VM loses nothing.
         let full = record(vec![(0.0, 1.0)], VmOutcome::Completed, vec![0.9; 4]);
         assert_eq!(full.throughput_loss(), 0.0);
+        assert!(!full.usage.ever_deflated());
         // Idle VM loses nothing even when deflated.
         let idle = record(vec![(0.0, 0.2)], VmOutcome::Completed, vec![0.0; 4]);
         assert_eq!(idle.throughput_loss(), 0.0);
+        assert!(idle.usage.ever_deflated());
     }
 
     #[test]
@@ -516,6 +684,210 @@ mod tests {
         // After 600 s the allocation is 0, so half the demand is lost.
         assert!((r.throughput_loss() - 0.5).abs() < 1e-9);
         assert!((r.hours_run() - 600.0 / 3600.0).abs() < 1e-9);
+        assert_eq!(r.mean_allocation_fraction(), 1.0);
+    }
+
+    /// The snapshot frame is a count and three 16-byte entries, the
+    /// shape readers that skip records rely on, and it round-trips.
+    #[test]
+    fn summary_snapshot_frame_round_trips() {
+        let r = record(
+            vec![(0.0, 1.0), (300.0, 0.4)],
+            VmOutcome::Evicted { at_secs: 900.0 },
+            vec![0.5; 4],
+        );
+        let mut w = ByteWriter::new();
+        r.usage.write_snapshot(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 3 * 16);
+        assert_eq!(bytes[..8], 3u64.to_le_bytes());
+        let read = UsageSummary::read_snapshot(&mut ByteReader::new(&bytes), 4).unwrap();
+        assert_eq!(read, r.usage);
+    }
+
+    /// A tiny LCG (Knuth's MMIX constants): reproducible cases with no
+    /// RNG dependency.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            self.0 >> 33
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            self.next() as f64 / (1u64 << 31) as f64
+        }
+    }
+
+    /// The allocation-history formulas the summary replaced, kept as the
+    /// oracle: `history` holds the de-duplicated change-points.
+    mod oracle {
+        pub fn fraction_at(history: &[(f64, f64)], start: f64, end: f64, time: f64) -> f64 {
+            if history.is_empty() || time < start || time >= end {
+                return 0.0;
+            }
+            let mut fraction = history[0].1;
+            for &(t, f) in history {
+                if t <= time {
+                    fraction = f;
+                } else {
+                    break;
+                }
+            }
+            fraction
+        }
+
+        pub fn mean_allocation_fraction(history: &[(f64, f64)], start: f64, end: f64) -> f64 {
+            if end <= start || history.is_empty() {
+                return 0.0;
+            }
+            let mut weighted = 0.0;
+            for (i, &(t, f)) in history.iter().enumerate() {
+                let seg_start = t.max(start);
+                let seg_end = if i + 1 < history.len() {
+                    history[i + 1].0.min(end)
+                } else {
+                    end
+                };
+                if seg_end > seg_start {
+                    weighted += f * (seg_end - seg_start);
+                }
+            }
+            (weighted / (end - start)).clamp(0.0, 1.0)
+        }
+
+        pub fn throughput_loss(
+            history: &[(f64, f64)],
+            trace: &super::TimeSeries,
+            start: f64,
+            departure: f64,
+            end: f64,
+        ) -> f64 {
+            let interval = trace.interval_secs();
+            let mut demanded = 0.0;
+            let mut lost = 0.0;
+            for (k, &usage) in trace.samples().iter().enumerate() {
+                let t = start + k as f64 * interval;
+                if t >= departure {
+                    break;
+                }
+                demanded += usage;
+                let alloc = fraction_at(history, start, end, t);
+                lost += (usage - alloc).max(0.0);
+            }
+            if demanded <= 0.0 {
+                0.0
+            } else {
+                (lost / demanded).clamp(0.0, 1.0)
+            }
+        }
+    }
+
+    /// The summary reproduces the history formulas bit for bit on LCG
+    /// cases: ties at one timestamp, samples exactly at change-points,
+    /// preemption and eviction before departure, rejected VMs, and traces
+    /// shorter or longer than the lifetime.
+    #[test]
+    fn summary_matches_the_history_formulas_bit_for_bit() {
+        let mut lcg = Lcg(0x5EED_0001);
+        let fractions = [1.0, 0.5, 0.25, 0.8, 1.0 - 1e-10, 0.0];
+        let mut seen = [0usize; 5];
+        for case in 0..20_000 {
+            let interval = [300.0, 60.0, 7.5][lcg.below(3) as usize];
+            let arrival = lcg.below(100) as f64 * 60.0 + [0.0, 0.5][lcg.below(2) as usize];
+            let lifetime = lcg.below(40) as f64 * interval + lcg.unit() * interval;
+            let departure = arrival + lifetime;
+            // From no samples to twice the lifetime's worth.
+            let samples = lcg.below(2 * (lifetime / interval) as u64 + 3) as usize;
+            let util: Vec<f64> = (0..samples)
+                .map(|_| match lcg.below(4) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => lcg.unit(),
+                })
+                .collect();
+            let trace = TimeSeries::new(interval, util);
+            let outcome = match lcg.below(5) {
+                0 => VmOutcome::Rejected,
+                1 => VmOutcome::Preempted {
+                    at_secs: arrival + lcg.unit() * lifetime,
+                },
+                2 => VmOutcome::Evicted {
+                    at_secs: arrival + lcg.unit() * lifetime,
+                },
+                _ => VmOutcome::Completed,
+            };
+            let mut r = VmRecord::new(spec(), arrival, departure);
+            r.outcome = outcome;
+            let end = r.end_secs();
+            let mut history: Vec<(f64, f64)> = Vec::new();
+            if outcome != VmOutcome::Rejected {
+                // Change-points from arrival to the end: on sample times,
+                // between them, and tied at one timestamp.
+                let mut t = arrival;
+                for _ in 0..=lcg.below(12) {
+                    let fraction = if lcg.below(3) == 0 {
+                        lcg.unit()
+                    } else {
+                        fractions[lcg.below(fractions.len() as u64) as usize]
+                    };
+                    if history
+                        .last()
+                        .is_none_or(|&(_, last)| (last - fraction).abs() >= 1e-9)
+                    {
+                        history.push((t, fraction));
+                    }
+                    r.record_allocation(&trace, t, fraction);
+                    let next = match lcg.below(3) {
+                        0 => t,
+                        1 => arrival + ((t - arrival) / interval).floor() * interval + interval,
+                        _ => t + lcg.unit() * lifetime / 4.0,
+                    };
+                    if next > end {
+                        break;
+                    }
+                    t = next;
+                }
+            }
+            r.close_usage(&trace);
+            let want_loss = oracle::throughput_loss(&history, &trace, arrival, departure, end);
+            let want_mean = oracle::mean_allocation_fraction(&history, arrival, end);
+            assert_eq!(
+                r.throughput_loss().to_bits(),
+                want_loss.to_bits(),
+                "case {case}: loss {} vs {want_loss}, {history:?}",
+                r.throughput_loss()
+            );
+            assert_eq!(
+                r.mean_allocation_fraction().to_bits(),
+                want_mean.to_bits(),
+                "case {case}: mean {} vs {want_mean}, {history:?}",
+                r.mean_allocation_fraction()
+            );
+            assert_eq!(
+                r.usage.ever_deflated(),
+                history.iter().any(|&(_, f)| f < 1.0 - 1e-9),
+                "case {case}"
+            );
+            assert_eq!(r.usage.placed(), !history.is_empty(), "case {case}");
+            seen[match outcome {
+                VmOutcome::Rejected => 0,
+                VmOutcome::Preempted { .. } => 1,
+                VmOutcome::Evicted { .. } => 2,
+                VmOutcome::Completed if trace.duration_secs() < lifetime => 3,
+                VmOutcome::Completed => 4,
+            }] += 1;
+        }
+        // Every kind of case was drawn often.
+        assert!(seen.iter().all(|&n| n > 1000), "{seen:?}");
     }
 
     #[test]

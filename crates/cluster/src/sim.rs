@@ -3,10 +3,10 @@
 //! The simulator replays a VM workload (arrival time, departure time, size,
 //! CPU-utilisation history — normally derived from the synthetic Azure trace)
 //! against a [`ClusterManager`], recording for every VM when it was admitted,
-//! rejected, preempted or evicted and how its CPU allocation changed over
-//! time. The resulting [`SimResult`] yields the three cluster-level metrics
-//! of §7.4: reclamation-failure probability (Figure 20), throughput loss
-//! (Figure 21) and revenue (Figure 22).
+//! rejected, preempted or evicted and summarising its CPU allocation against
+//! its utilisation trace as the run goes. The resulting [`SimResult`] yields
+//! the three cluster-level metrics of §7.4: reclamation-failure probability
+//! (Figure 20), throughput loss (Figure 21) and revenue (Figure 22).
 //!
 //! The simulation runs on the generalized event engine of
 //! `deflate-transient`: a deterministic binary-heap event queue
@@ -43,9 +43,9 @@
 //! ([`ClusterSimulation::with_shards`], default 1 = sequential): the event
 //! queue splits into per-shard heaps built in parallel
 //! ([`ShardedEventQueue`]), and the embarrassingly-parallel per-server
-//! passes — per-VM record initialisation, trace-utilisation sampling ahead
-//! of capacity events, and the per-server sums behind each
-//! `UtilizationTick` — fan out to one `std::thread` worker per shard.
+//! passes — trace-utilisation sampling ahead of capacity events and the
+//! per-server sums behind each `UtilizationTick` — fan out to one
+//! `std::thread` worker per shard.
 //! Event *handling* (placement, reclamation ladders, transfer booking)
 //! stays serialized at the coordinator in the queue's global total order,
 //! which is what makes a sharded run **bit-identical** to the sequential
@@ -54,7 +54,7 @@
 
 use crate::audit::Auditor;
 use crate::manager::{ClusterConfig, ClusterManager, PlacementResult, ReclamationMode};
-use crate::metrics::{MigrationEvent, RunStats, SimResult, VmOutcome, VmRecord};
+use crate::metrics::{MigrationEvent, RunStats, SimResult, UsageSummary, VmOutcome, VmRecord};
 use crate::spec::WorkloadVm;
 use deflate_autoscale::{Autoscaler, ElasticApp};
 use deflate_core::audit::AuditSpec;
@@ -112,6 +112,10 @@ struct EngineState {
     migrations: Vec<MigrationEvent>,
     utilization: Vec<(f64, f64)>,
     events_processed: u64,
+    /// Nominal overcommitment of the configuration. A function of the
+    /// workload and cluster size only, computed at boot, before the
+    /// per-VM state fills up.
+    overcommitment: f64,
     /// The online invariant auditor, present only when an [`AuditSpec`]
     /// enables at least one checker. Pure observer: never serialized into
     /// snapshots, never consulted by any decision path.
@@ -369,10 +373,15 @@ impl ClusterSimulation {
     /// bookkeeping — everything `drive` advances, and everything a
     /// snapshot restores over.
     fn boot(&self, workload: &[WorkloadVm]) -> EngineState {
+        let overcommitment = crate::spec::overcommitment_of(
+            workload,
+            self.config.server_capacity,
+            self.config.num_servers,
+        );
         // One persistent worker pool is shared by every parallel section of
-        // the run — shard heapify, record init, utilisation sampling,
-        // snapshotting and the placement ranking fan-out — instead of each
-        // section respawning scoped threads. Sized for the wider of the two
+        // the run — shard heapify, utilisation sampling, snapshotting and
+        // the placement ranking fan-out — instead of each section
+        // respawning scoped threads. Sized for the wider of the two
         // parallelism knobs; absent entirely for fully sequential runs.
         let pool_threads = self.shards.count().max(self.placement_engine.workers());
         let pool = (pool_threads > 1).then(|| Arc::new(WorkerPool::new(pool_threads)));
@@ -453,7 +462,11 @@ impl ClusterSimulation {
                 .enumerate()
                 .map(|(i, vm)| (vm.spec.id, i))
                 .collect();
-            (index_of, self.initial_records(workload, pool.as_deref()))
+            let records = workload
+                .iter()
+                .map(|vm| VmRecord::new(vm.spec.clone(), vm.arrival_secs, vm.departure_secs))
+                .collect();
+            (index_of, records)
         };
         EngineState {
             pool,
@@ -466,6 +479,7 @@ impl ClusterSimulation {
             migrations: Vec::new(),
             utilization: Vec::new(),
             events_processed: 0,
+            overcommitment,
             auditor: (!self.audit.is_off()).then(|| Auditor::new(self.audit)),
         }
     }
@@ -487,6 +501,7 @@ impl ClusterSimulation {
             utilization,
             events_processed,
             auditor,
+            ..
         } = state;
         loop {
             if let Some(stop) = stop_secs {
@@ -560,7 +575,9 @@ impl ClusterSimulation {
                         }
                     };
                     if let Some(server) = touched_server {
-                        Self::record_allocations(manager, server, index_of, records, running, time);
+                        Self::record_allocations(
+                            manager, server, workload, index_of, records, running, time,
+                        );
                     }
                 }
                 SimEvent::Departure(i) => {
@@ -588,10 +605,13 @@ impl ClusterSimulation {
                         running[i] = false;
                         for server in [server, dest].into_iter().flatten() {
                             Self::record_allocations(
-                                manager, server, index_of, records, running, time,
+                                manager, server, workload, index_of, records, running, time,
                             );
                         }
                     }
+                    // Every VM gets its departure event, whatever its
+                    // outcome, so this is where its summary completes.
+                    records[i].close_usage(&workload[i].cpu_util);
                 }
                 SimEvent::CapacityReclaim {
                     server,
@@ -625,8 +645,8 @@ impl ClusterSimulation {
                         );
                     }
                     Self::apply_capacity_outcome(
-                        manager, &outcome, time, index_of, records, running, migrations, queue,
-                        autoscaler,
+                        manager, &outcome, workload, time, index_of, records, running, migrations,
+                        queue, autoscaler,
                     );
                 }
                 SimEvent::CapacityRestore {
@@ -665,8 +685,8 @@ impl ClusterSimulation {
                         );
                     }
                     Self::apply_capacity_outcome(
-                        manager, &outcome, time, index_of, records, running, migrations, queue,
-                        autoscaler,
+                        manager, &outcome, workload, time, index_of, records, running, migrations,
+                        queue, autoscaler,
                     );
                 }
                 SimEvent::MigrationComplete { migration } => {
@@ -683,8 +703,8 @@ impl ClusterSimulation {
                         );
                     }
                     Self::apply_capacity_outcome(
-                        manager, &outcome, time, index_of, records, running, migrations, queue,
-                        autoscaler,
+                        manager, &outcome, workload, time, index_of, records, running, migrations,
+                        queue, autoscaler,
                     );
                 }
                 SimEvent::UtilizationTick => {
@@ -765,7 +785,9 @@ impl ClusterSimulation {
                         scaler.reconcile_lost(&*manager);
                     }
                     for server in touched {
-                        Self::record_allocations(manager, server, index_of, records, running, time);
+                        Self::record_allocations(
+                            manager, server, workload, index_of, records, running, time,
+                        );
                     }
                 }
                 SimEvent::ScaleIn { app } => {
@@ -781,7 +803,9 @@ impl ClusterSimulation {
                         continue;
                     };
                     for server in autoscaler.on_scale_in(app, time, manager) {
-                        Self::record_allocations(manager, server, index_of, records, running, time);
+                        Self::record_allocations(
+                            manager, server, workload, index_of, records, running, time,
+                        );
                     }
                 }
             }
@@ -850,15 +874,11 @@ impl ClusterSimulation {
             migrations,
             utilization,
             events_processed,
+            overcommitment,
             ..
         } = state;
         debug_assert!(manager.check_invariants());
         let _assembly = self.telemetry.span(Phase::ResultAssembly);
-        let overcommitment = crate::spec::overcommitment_of(
-            workload,
-            self.config.server_capacity,
-            self.config.num_servers,
-        );
         let autoscale = autoscaler.map(Autoscaler::into_stats).unwrap_or_default();
         // Final-state metrics are published exactly once, from settled
         // counters, so snapshots are deterministic at any shard count.
@@ -982,11 +1002,7 @@ impl ClusterSimulation {
                     w.put_f64(at_secs);
                 }
             }
-            w.put_usize(record.allocation_history.len());
-            for &(t, f) in &record.allocation_history {
-                w.put_f64(t);
-                w.put_f64(f);
-            }
+            record.usage.write_snapshot(&mut w);
         }
         w.put_usize(state.migrations.len());
         for m in &state.migrations {
@@ -1034,6 +1050,7 @@ impl ClusterSimulation {
         for _ in 0..queued {
             let time = r.get_f64()?;
             let event = SimEvent::read_snapshot(&mut r)?;
+            self.check_event(workload.len(), time, &event)?;
             events.push((time, event));
         }
         state.queue = ShardedEventQueue::build_with_workers(
@@ -1054,9 +1071,13 @@ impl ClusterSimulation {
         if let Some(autoscaler) = state.autoscaler.as_mut() {
             autoscaler.read_snapshot(&mut r)?;
         }
-        for i in 0..workload.len() {
-            state.running[i] = r.get_bool()?;
-            state.records[i].outcome = match r.get_u8()? {
+        let vms = workload
+            .iter()
+            .zip(&mut state.records)
+            .zip(&mut state.running);
+        for ((vm, record), running) in vms {
+            *running = r.get_bool()?;
+            record.outcome = match r.get_u8()? {
                 0 => VmOutcome::Completed,
                 1 => VmOutcome::Rejected,
                 2 => VmOutcome::Preempted {
@@ -1071,14 +1092,7 @@ impl ClusterSimulation {
                     )))
                 }
             };
-            let points = r.get_len(16)?;
-            let mut history = Vec::with_capacity(points);
-            for _ in 0..points {
-                let t = r.get_f64()?;
-                let f = r.get_f64()?;
-                history.push((t, f));
-            }
-            state.records[i].allocation_history = history;
+            record.usage = UsageSummary::read_snapshot(&mut r, vm.cpu_util.len())?;
         }
         // Time, vm, from, to, duration, volume and the back flag.
         let migrations = r.get_len(41)?;
@@ -1104,42 +1118,26 @@ impl ClusterSimulation {
         r.finish()
     }
 
-    /// Build the per-VM record skeletons, fanning the spec/trace clones out
-    /// to one worker per shard for large workloads. Record `i` depends only
-    /// on workload entry `i`, so chunked construction is trivially
-    /// bit-identical to the sequential pass.
-    fn initial_records(&self, workload: &[WorkloadVm], pool: Option<&WorkerPool>) -> Vec<VmRecord> {
-        let make = |vm: &WorkloadVm| VmRecord {
-            spec: vm.spec.clone(),
-            arrival_secs: vm.arrival_secs,
-            departure_secs: vm.departure_secs,
-            outcome: VmOutcome::Rejected,
-            allocation_history: Vec::new(),
-            cpu_util: vm.cpu_util.clone(),
-        };
-        if !self.shards.is_parallel() {
-            return workload.iter().map(make).collect();
+    /// Reject a decoded queue entry the engine could not dispatch: a
+    /// non-finite time, a VM event past the workload or a capacity event
+    /// past the cluster.
+    fn check_event(&self, num_vms: usize, time: f64, event: &SimEvent) -> CheckpointResult<()> {
+        let valid = time.is_finite()
+            && match *event {
+                SimEvent::Arrival(i) | SimEvent::Departure(i) => i < num_vms,
+                SimEvent::CapacityReclaim { server, .. }
+                | SimEvent::CapacityRestore { server, .. } => {
+                    (server.0 as usize) < self.config.num_servers
+                }
+                _ => true,
+            };
+        if valid {
+            Ok(())
+        } else {
+            Err(CheckpointError::Corrupt(format!(
+                "queued event {event:?} at {time} is outside the run"
+            )))
         }
-        let spans = self.shards.spans(workload.len());
-        let mut partials: Vec<Option<Vec<VmRecord>>> = (0..spans.len()).map(|_| None).collect();
-        {
-            let mut tasks: Vec<Task<'_>> = Vec::with_capacity(spans.len());
-            let mut slots = partials.as_mut_slice();
-            for span in &spans {
-                let (slot, rest) = slots.split_first_mut().expect("one slot per span");
-                slots = rest;
-                let chunk = &workload[span.clone()];
-                tasks.push(Box::new(move || {
-                    *slot = Some(chunk.iter().map(make).collect());
-                }));
-            }
-            run_tasks(pool, self.shards.count(), tasks);
-        }
-        let mut records = Vec::with_capacity(workload.len());
-        for partial in partials {
-            records.extend(partial.expect("record-init worker ran"));
-        }
-        records
     }
 
     /// Refresh every running VM's recent-utilisation sample from its trace
@@ -1206,14 +1204,15 @@ impl ClusterSimulation {
     /// Fold a capacity-change outcome into the per-VM bookkeeping: evicted
     /// VMs stop running, completed migrations are logged with their
     /// transfer cost, newly started transfers get a `MigrationComplete`
-    /// event scheduled, and allocation histories of every touched server
-    /// are brought up to date. Victims outside the workload are elastic
+    /// event scheduled, and the usage summaries of every VM on a touched
+    /// server are brought up to date. Victims outside the workload are elastic
     /// replicas — they have no record, but the autoscaler must drop them
     /// from its pool (and count the loss).
     #[allow(clippy::too_many_arguments)]
     fn apply_capacity_outcome(
         manager: &ClusterManager,
         outcome: &crate::manager::CapacityChangeOutcome,
+        workload: &[WorkloadVm],
         time: f64,
         index_of: &IdMap<VmId, usize>,
         records: &mut [VmRecord],
@@ -1250,15 +1249,17 @@ impl ClusterSimulation {
             );
         }
         for &server in &outcome.touched {
-            Self::record_allocations(manager, server, index_of, records, running, time);
+            Self::record_allocations(manager, server, workload, index_of, records, running, time);
         }
     }
 
-    /// Append allocation change-points for every VM on the touched server
-    /// whose CPU fraction changed since the last recorded value.
+    /// Feed the current CPU fraction of every running workload VM on the
+    /// touched server to its usage summary, which ignores unchanged
+    /// fractions.
     fn record_allocations(
         manager: &ClusterManager,
         server: deflate_core::vm::ServerId,
+        workload: &[WorkloadVm],
         index_of: &IdMap<VmId, usize>,
         records: &mut [VmRecord],
         running: &[bool],
@@ -1271,11 +1272,7 @@ impl ClusterSimulation {
             if !running[i] {
                 continue;
             }
-            let history = &mut records[i].allocation_history;
-            match history.last() {
-                Some(&(_, last)) if (last - fraction).abs() < 1e-9 => {}
-                _ => history.push((time, fraction)),
-            }
+            records[i].record_allocation(&workload[i].cpu_util, time, fraction);
         }
     }
 }
@@ -1385,26 +1382,46 @@ mod tests {
         }
     }
 
+    /// Stepping the engine to each arrival time: a VM that was admitted
+    /// has its last (so its first) change-point at its arrival, a
+    /// rejected one was never placed. At the end every completed VM was
+    /// placed, with change-points in time order and a fraction in (0, 1].
     #[test]
-    fn allocation_histories_start_at_admission() {
+    fn allocation_summaries_start_at_admission() {
         let workload = small_workload(80, 23);
         let servers =
             crate::spec::min_cluster_size(&workload, ResourceVector::cpu_mem(48_000.0, 131_072.0));
         let sim = ClusterSimulation::new(config(servers), proportional());
-        let result = sim.run(&workload);
+        let mut state = sim.boot(&workload);
+        let mut admitted = 0;
+        for (i, vm) in workload.iter().enumerate() {
+            sim.drive(&workload, &mut state, Some(vm.arrival_secs));
+            let record = &state.records[i];
+            match record.outcome {
+                VmOutcome::Rejected => assert!(!record.usage.placed()),
+                _ => {
+                    admitted += 1;
+                    let (t0, f0) = record.usage.last_change().expect("admitted VMs are placed");
+                    assert_eq!(t0, vm.arrival_secs);
+                    assert!(f0 > 0.0 && f0 <= 1.0 + 1e-9);
+                }
+            }
+        }
+        assert!(admitted > 0);
+        sim.drive(&workload, &mut state, None);
+        let result = sim.finish(&workload, state, std::time::Instant::now());
+        assert_eq!(result, sim.run(&workload));
         for record in result
             .records
             .iter()
             .filter(|r| matches!(r.outcome, VmOutcome::Completed))
         {
-            assert!(!record.allocation_history.is_empty());
-            let (t0, f0) = record.allocation_history[0];
-            assert!(t0 >= record.arrival_secs - 1e-9);
-            assert!(f0 > 0.0 && f0 <= 1.0 + 1e-9);
-            // Histories are time-ordered.
-            for w in record.allocation_history.windows(2) {
-                assert!(w[0].0 <= w[1].0);
-            }
+            let (t, f) = record
+                .usage
+                .last_change()
+                .expect("completed VMs were placed");
+            assert!(t >= record.arrival_secs && t <= record.departure_secs);
+            assert!(f > 0.0 && f <= 1.0 + 1e-9);
         }
     }
 

@@ -111,21 +111,28 @@ pub fn workload_from_azure(
 /// The peak simultaneous committed allocation of a workload — the capacity a
 /// cluster needs to run every VM undeflated.
 pub fn peak_committed(vms: &[WorkloadVm]) -> ResourceVector {
-    // Sweep arrival/departure events in time order, tracking the running sum.
-    let mut events: Vec<(f64, ResourceVector, bool)> = Vec::with_capacity(vms.len() * 2);
-    for vm in vms {
-        events.push((vm.arrival_secs, vm.spec.max_allocation, true));
-        events.push((vm.departure_secs, vm.spec.max_allocation, false));
+    // Sweep arrival/departure events in time order, tracking the running
+    // sum. Events are 16-byte `(time, VM index, is_arrival)` entries, and
+    // the key `(time, is_arrival, index)` is a total order for finite
+    // times: departures before arrivals at the same instant, then
+    // workload order.
+    let mut events: Vec<(f64, u32, bool)> = Vec::with_capacity(vms.len() * 2);
+    for (i, vm) in vms.iter().enumerate() {
+        // 2^32 workload VMs would take hundreds of GiB: the index fits.
+        let i = i as u32;
+        events.push((vm.arrival_secs, i, true));
+        events.push((vm.departure_secs, i, false));
     }
-    events.sort_by(|a, b| {
+    events.sort_unstable_by(|a, b| {
         a.0.partial_cmp(&b.0)
             .unwrap_or(std::cmp::Ordering::Equal)
-            // Process departures before arrivals at the same instant.
             .then(a.2.cmp(&b.2))
+            .then(a.1.cmp(&b.1))
     });
     let mut current = ResourceVector::ZERO;
     let mut peak = ResourceVector::ZERO;
-    for (_, alloc, is_arrival) in events {
+    for (_, i, is_arrival) in events {
+        let alloc = vms[i as usize].spec.max_allocation;
         if is_arrival {
             current += alloc;
             peak = peak.max(&current);
@@ -282,6 +289,75 @@ mod tests {
         // Back-to-back VMs do not stack (departure processed first).
         let vms2 = vec![make(1, 0.0, 100.0, 4.0), make(2, 100.0, 200.0, 4.0)];
         assert!((peak_committed(&vms2).cpu() - 4_000.0).abs() < 1e-9);
+    }
+
+    /// The sweep before it sorted 16-byte entries: a stable sort of
+    /// `(time, allocation, is_arrival)` tuples on `(time, is_arrival)`.
+    fn peak_committed_oracle(vms: &[WorkloadVm]) -> ResourceVector {
+        let mut events: Vec<(f64, ResourceVector, bool)> = Vec::with_capacity(vms.len() * 2);
+        for vm in vms {
+            events.push((vm.arrival_secs, vm.spec.max_allocation, true));
+            events.push((vm.departure_secs, vm.spec.max_allocation, false));
+        }
+        events.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.2.cmp(&b.2))
+        });
+        let mut current = ResourceVector::ZERO;
+        let mut peak = ResourceVector::ZERO;
+        for (_, alloc, is_arrival) in events {
+            if is_arrival {
+                current += alloc;
+                peak = peak.max(&current);
+            } else {
+                current = current.saturating_sub(&alloc);
+            }
+        }
+        peak
+    }
+
+    /// The compact sort reproduces the stable sweep bit for bit, on
+    /// workloads whose times sit on a 600 s grid so that most events tie
+    /// and the float sums depend on the tie order.
+    #[test]
+    fn peak_committed_matches_the_stable_sweep_bit_for_bit() {
+        let mut state: u64 = 0x9E37_79B9;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let mut ties = 0;
+        for case in 0..160u64 {
+            let vms: Vec<WorkloadVm> = (0..next(600) + 1)
+                .map(|i| {
+                    let arrival = next(24) as f64 * 600.0;
+                    let size = ResourceVector::cpu_mem(
+                        next(64_000) as f64 / 7.0,
+                        next(256_000) as f64 / 3.0,
+                    );
+                    WorkloadVm {
+                        spec: VmSpec::deflatable(VmId(i), VmClass::Interactive, size),
+                        arrival_secs: arrival,
+                        departure_secs: arrival + next(12) as f64 * 600.0,
+                        cpu_util: TimeSeries::five_minute(vec![]),
+                    }
+                })
+                .collect();
+            let mut times: Vec<f64> = vms
+                .iter()
+                .flat_map(|vm| [vm.arrival_secs, vm.departure_secs])
+                .collect();
+            times.sort_by(f64::total_cmp);
+            ties += times.windows(2).filter(|w| w[0] == w[1]).count();
+            let (got, want) = (peak_committed(&vms), peak_committed_oracle(&vms));
+            for (kind, value) in got.iter() {
+                assert_eq!(value.to_bits(), want[kind].to_bits(), "case {case}, {kind}");
+            }
+        }
+        assert!(ties > 10_000, "only {ties} tied events");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The contract (`ClusterSimulation::checkpoint` / `resume`): for any
 //! event boundary `T`, `resume(checkpoint(T))` is equal to the
-//! uninterrupted `run` in **every** `SimResult` field — per-VM records,
-//! allocation histories, migration log, utilisation series, all counters
+//! uninterrupted `run` in **every** `SimResult` field — per-VM records
+//! and their usage summaries, migration log, utilisation series, all counters
 //! and the deterministic event count; only the re-measured wall clock is
 //! exempt. Snapshot bytes themselves are versioned, little-endian,
 //! wall-clock-free and canonically ordered, so they are independent of
@@ -18,11 +18,11 @@
 
 use deflate_bench::autoscale_exp::{autoscale_profiles, elastic_app, AutoscaleVariant};
 use deflate_bench::transient_exp::{
-    default_migration_cost, profiles, transient_simulation, transient_workload, SchedulerVariant,
-    TransientMode, SCHEDULER_SWEEP_MBPS,
+    default_migration_cost, profiles, transient_capacity, transient_simulation, transient_workload,
+    SchedulerVariant, TransientMode, SCHEDULER_SWEEP_MBPS,
 };
 use deflate_bench::Scale;
-use vmdeflate::cluster::manager::{ClusterConfig, PlacementKind, ReclamationMode};
+use vmdeflate::cluster::manager::{ClusterConfig, ClusterManager, PlacementKind, ReclamationMode};
 use vmdeflate::cluster::sim::ClusterSimulation;
 use vmdeflate::cluster::spec::{
     paper_server_capacity, servers_for_transient_overcommitment, WorkloadVm,
@@ -306,6 +306,213 @@ fn inflated_length_prefixes_are_rejected() {
     }
 }
 
+/// Where the fields the restore path validates sit in a snapshot.
+#[derive(Default)]
+struct FieldOffsets {
+    /// Time of every queued event.
+    event_times: Vec<usize>,
+    /// Workload index of every queued arrival and departure.
+    vm_events: Vec<usize>,
+    /// Server id of every queued capacity event.
+    capacity_events: Vec<usize>,
+    /// Server index of every `vm_location` and `migration_origin` entry.
+    server_indices: Vec<usize>,
+    /// Source and destination of every in-flight transfer.
+    in_flight: Vec<usize>,
+    /// Each record's usage-summary frame, with its flags.
+    summaries: Vec<(usize, u32)>,
+}
+
+/// Walk a snapshot through the public decoders, noting field offsets.
+fn field_offsets(snapshot: &[u8], num_vms: usize) -> FieldOffsets {
+    let mut o = FieldOffsets::default();
+    let mut r = ByteReader::with_header(snapshot).unwrap();
+    let at = |r: &ByteReader<'_>| snapshot.len() - r.remaining();
+    r.get_f64().unwrap();
+    r.get_usize().unwrap();
+    r.get_u64().unwrap();
+    for _ in 0..r.get_usize().unwrap() {
+        o.event_times.push(at(&r));
+        r.get_f64().unwrap();
+        let payload = at(&r) + 1;
+        match SimEvent::read_snapshot(&mut r).unwrap() {
+            SimEvent::Arrival(_) | SimEvent::Departure(_) => o.vm_events.push(payload),
+            SimEvent::CapacityReclaim { .. } | SimEvent::CapacityRestore { .. } => {
+                o.capacity_events.push(payload)
+            }
+            _ => {}
+        }
+    }
+    // The manager, decoded by a manager of the snapshot's size; its maps
+    // are located by a second walk up to them.
+    let manager_at = at(&r);
+    let servers = r.get_usize().unwrap();
+    for _ in 0..servers {
+        r.get_resources().unwrap();
+        for _ in 0..r.get_usize().unwrap() {
+            Domain::read_snapshot(&mut r).unwrap();
+        }
+    }
+    r.get_f64_vec().unwrap();
+    for _ in 0..2 {
+        for _ in 0..r.get_usize().unwrap() {
+            r.get_u64().unwrap();
+            o.server_indices.push(at(&r));
+            r.get_u64().unwrap();
+        }
+    }
+    for _ in 0..r.get_usize().unwrap() {
+        r.take(16).unwrap();
+        o.in_flight.extend([at(&r), at(&r) + 8]);
+        r.take(49).unwrap();
+    }
+    let mut r = ByteReader::new(&snapshot[manager_at..]);
+    let at = |r: &ByteReader<'_>| snapshot.len() - r.remaining();
+    ClusterManager::new(
+        &ClusterConfig::paper_default(servers),
+        ReclamationMode::MigrationOnly,
+    )
+    .read_snapshot(&mut r)
+    .unwrap();
+    assert!(
+        !r.get_bool().unwrap(),
+        "no autoscaler in this configuration"
+    );
+    for _ in 0..num_vms {
+        r.get_bool().unwrap();
+        if r.get_u8().unwrap() >= 2 {
+            r.get_f64().unwrap();
+        }
+        let frame = at(&r);
+        r.take(12).unwrap();
+        o.summaries.push((frame, r.get_u32().unwrap()));
+        r.take(40).unwrap();
+    }
+    o
+}
+
+/// Every field the restore path validates, patched in a real snapshot to
+/// a value no run could have written, is a typed `Corrupt` error: queued
+/// VM events past the workload, capacity events past the cluster,
+/// non-finite event times, server indices past the cluster in the
+/// manager's maps and transfers, and usage summaries with a count other
+/// than three, a cursor past the trace, unknown or inconsistent flags or
+/// a non-finite accumulator.
+#[test]
+fn semantically_invalid_fields_are_rejected() {
+    let workload = transient_workload(Scale::Quick);
+    let profile = CapacityProfile::spot_market_default();
+    let sim = transient_simulation(
+        &workload,
+        Scale::Quick,
+        TransientMode::Deflation,
+        profile,
+        default_migration_cost(),
+        vmdeflate::core::policy::TransferPolicy::fifo(),
+    );
+    // A boundary just after a reclamation, so transfers are in flight.
+    let (schedule, servers) = transient_capacity(&workload, Scale::Quick, profile);
+    let (snapshot, offsets) = schedule
+        .changes()
+        .iter()
+        .filter(|c| c.is_reclaim)
+        .map(|c| {
+            let snapshot = sim.checkpoint(&workload, c.time_secs + 1.0);
+            let offsets = field_offsets(&snapshot, workload.len());
+            (snapshot, offsets)
+        })
+        .find(|(_, o)| !o.in_flight.is_empty())
+        .expect("some reclamation leaves transfers in flight");
+    for (what, fields) in [
+        ("event time", &offsets.event_times),
+        ("vm event", &offsets.vm_events),
+        ("capacity event", &offsets.capacity_events),
+        ("server index", &offsets.server_indices),
+        ("in-flight server", &offsets.in_flight),
+    ] {
+        assert!(!fields.is_empty(), "no {what} in the snapshot");
+    }
+    let placed = offsets
+        .summaries
+        .iter()
+        .find(|&&(_, flags)| flags == 3)
+        .expect("some VM has been deflated")
+        .0;
+    let trace_len = |frame: usize| {
+        let vm = offsets
+            .summaries
+            .iter()
+            .position(|&(f, _)| f == frame)
+            .unwrap();
+        workload[vm].cpu_util.len() as u64
+    };
+    let mut patches: Vec<(String, usize, Vec<u8>)> = Vec::new();
+    for &at in &offsets.event_times {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            patches.push((format!("event time {bad}"), at, bad.to_le_bytes().to_vec()));
+        }
+    }
+    for &at in &offsets.vm_events {
+        let bad = workload.len() as u64;
+        patches.push(("vm event index".into(), at, bad.to_le_bytes().to_vec()));
+    }
+    for &at in &offsets.capacity_events {
+        let bad = servers as u32;
+        patches.push(("capacity server".into(), at, bad.to_le_bytes().to_vec()));
+    }
+    for &at in offsets.server_indices.iter().chain(&offsets.in_flight) {
+        for bad in [servers as u64, u64::MAX] {
+            patches.push(("server index".into(), at, bad.to_le_bytes().to_vec()));
+        }
+    }
+    for &(frame, _) in &offsets.summaries {
+        patches.push(("usage count".into(), frame, 4u64.to_le_bytes().to_vec()));
+        let past = trace_len(frame) as u32 + 1;
+        patches.push((
+            "usage cursor".into(),
+            frame + 8,
+            past.to_le_bytes().to_vec(),
+        ));
+        patches.push((
+            "usage flags".into(),
+            frame + 12,
+            4u32.to_le_bytes().to_vec(),
+        ));
+        patches.push((
+            "usage flags".into(),
+            frame + 12,
+            2u32.to_le_bytes().to_vec(),
+        ));
+    }
+    for field in 0..5 {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let at = placed + 16 + 8 * field;
+            patches.push((
+                format!("usage field {field}"),
+                at,
+                bad.to_le_bytes().to_vec(),
+            ));
+        }
+    }
+    for (what, at, bytes) in patches {
+        let mut bad = snapshot.clone();
+        bad[at..at + bytes.len()].copy_from_slice(&bytes);
+        match sim.resume(&workload, &bad) {
+            Err(CheckpointError::Corrupt(_)) => {}
+            other => panic!("{what} patched at byte {at}: {other:?}"),
+        }
+    }
+    // The untouched snapshot and a cursor at the trace's end still restore.
+    let mut edge = snapshot.clone();
+    let past = trace_len(placed) as u32;
+    edge[placed + 8..placed + 12].copy_from_slice(&past.to_le_bytes());
+    assert!(sim.resume(&workload, &edge).is_ok());
+    assert_eq!(
+        sim.resume(&workload, &snapshot).unwrap(),
+        sim.run(&workload)
+    );
+}
+
 /// Byte offsets of two length prefixes in an engine snapshot: the event
 /// queue's and the cluster manager's VM-location map's. Walks the format
 /// through the public decoders up to each of them.
@@ -343,7 +550,7 @@ fn length_prefix_offsets(snapshot: &[u8]) -> (usize, usize) {
 #[test]
 fn snapshot_byte_format_is_golden_pinned() {
     assert_eq!(
-        SNAPSHOT_VERSION, 1,
+        SNAPSHOT_VERSION, 2,
         "version bump requires re-pinning SNAPSHOT_GOLDEN"
     );
     let snapshot = golden_snapshot();
@@ -358,8 +565,9 @@ fn snapshot_byte_format_is_golden_pinned() {
     );
 }
 
-/// Golden digest captured from the version-1 snapshot format.
-const SNAPSHOT_GOLDEN: u64 = 0xb271_e12b_b659_3bfa;
+/// Golden digest captured from the version-2 snapshot format (per-VM
+/// usage summaries instead of allocation histories).
+const SNAPSHOT_GOLDEN: u64 = 0x92ec_2a1d_9fd6_4bc4;
 
 fn golden_snapshot() -> Vec<u8> {
     let workload = transient_workload(Scale::Quick);

@@ -25,7 +25,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Bit-faithful digest of every deterministic `SimResult` field. Only the
 /// wall-clock reading (and the derived events/s) is excluded — everything
-/// else, down to per-VM allocation histories and the migration event log,
+/// else, down to per-VM usage summaries and the migration event log,
 /// feeds the hash (`Debug` for `f64` is the shortest round-trip form, so
 /// the hash is bit-faithful).
 pub fn sim_result_digest(result: &SimResult) -> u64 {

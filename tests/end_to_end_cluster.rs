@@ -161,9 +161,16 @@ fn every_record_is_consistent() {
     assert_eq!(result.records.len(), workload.len());
     for record in &result.records {
         match record.outcome {
-            VmOutcome::Rejected => assert!(record.allocation_history.is_empty()),
+            VmOutcome::Rejected => assert!(!record.usage.placed()),
             _ => {
-                assert!(!record.allocation_history.is_empty());
+                assert!(record.usage.placed());
+                // Placement records the first change-point at arrival; a
+                // VM never deflated keeps that one.
+                if !record.usage.ever_deflated() {
+                    let (t, f) = record.usage.last_change().unwrap();
+                    assert_eq!(t, record.arrival_secs);
+                    assert!(f >= 1.0 - 1e-9);
+                }
                 let f = record.mean_allocation_fraction();
                 assert!((0.0..=1.0 + 1e-9).contains(&f));
                 assert!((0.0..=1.0).contains(&record.throughput_loss()));

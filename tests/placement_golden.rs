@@ -17,6 +17,12 @@
 //! at quick scale. Any drift here means the index (or the engine knob's
 //! default) changed a placement decision.
 //!
+//! The digests were re-pinned once, when per-VM records replaced their
+//! allocation histories and trace copies with an online usage summary.
+//! That changed the records' `Debug` form only: before the histories were
+//! deleted, the summary ran beside them and matched the history formulas
+//! bit for bit on every configuration here, with these digests unmoved.
+//!
 //! To re-pin after an *intentional* semantic change:
 //! `cargo test --release --test placement_golden -- --ignored --nocapture`
 
@@ -76,50 +82,50 @@ fn scheduler_digests() -> Vec<(String, u64)> {
     out
 }
 
-/// Golden digests captured from the PR 6 full-rescan implementation on the
-/// `fig_transient` quick grid.
+/// Golden digests of the full-rescan implementation on the `fig_transient`
+/// quick grid (see the module docs for the one re-pin).
 const TRANSIENT_GOLDEN: [(&str, u64); 9] = [
-    ("square-wave/deflation", 0x04871dba993ed8ce),
-    ("square-wave/preemption", 0xbbd975d167662512),
-    ("square-wave/migration-only", 0x94541e60dbad4039),
-    ("diurnal/deflation", 0x18040e03f8e32443),
-    ("diurnal/preemption", 0xdd27dd19c481e0c6),
-    ("diurnal/migration-only", 0x806b5c4955a9bf67),
-    ("spot-market/deflation", 0xcc9689d60eac5797),
-    ("spot-market/preemption", 0x47a5024a364a59db),
-    ("spot-market/migration-only", 0x6c51742403d363be),
+    ("square-wave/deflation", 0x5366c46388f88895),
+    ("square-wave/preemption", 0xefafbecd367ab6f1),
+    ("square-wave/migration-only", 0x5cd547f42bc1a1ab),
+    ("diurnal/deflation", 0xc24e1ff5f4fed298),
+    ("diurnal/preemption", 0x5fb9afb025a9634a),
+    ("diurnal/migration-only", 0x6ef2655e74dcf6c4),
+    ("spot-market/deflation", 0xdd6ce3f6029267d6),
+    ("spot-market/preemption", 0x21da0b3426aa0d7a),
+    ("spot-market/migration-only", 0xfa11268d0a19e0ea),
 ];
 
-/// Golden digests captured from the PR 6 full-rescan implementation on the
-/// `fig_scheduler` quick grid.
+/// Golden digests of the full-rescan implementation on the `fig_scheduler`
+/// quick grid (see the module docs for the one re-pin).
 const SCHEDULER_GOLDEN: [(&str, u64); 27] = [
-    ("1250/deflation/fifo", 0xcc9689d60eac5797),
-    ("1250/deflation/fifo+dirty", 0xed91bba7ad1cd770),
-    ("1250/deflation/smallest-first", 0x0f6b3aded2480576),
-    ("1250/deflation/edf", 0x6530f250711fc916),
-    ("1250/deflation/edf+deflate", 0x74d5118bc81e756b),
-    ("1250/migration-only/fifo", 0x6c51742403d363be),
-    ("1250/migration-only/fifo+dirty", 0x45d7dbfa33adf2e5),
-    ("1250/migration-only/smallest-first", 0x6801c0e66c1d7239),
-    ("1250/migration-only/edf", 0x723005a1ae39601c),
-    ("625/deflation/fifo", 0x631c87e4f8f98f39),
-    ("625/deflation/fifo+dirty", 0x8d45c2e5d72dee83),
-    ("625/deflation/smallest-first", 0xdd179ba772e1dd32),
-    ("625/deflation/edf", 0x4675efc029dca5c3),
-    ("625/deflation/edf+deflate", 0x1b4704b68263f06b),
-    ("625/migration-only/fifo", 0xa51ea768bafdd004),
-    ("625/migration-only/fifo+dirty", 0x3a5952a674154bea),
-    ("625/migration-only/smallest-first", 0xbe250b707c2b5bb8),
-    ("625/migration-only/edf", 0x5b6f57ba9b9b5616),
-    ("312/deflation/fifo", 0xfb14e0fd4831917c),
-    ("312/deflation/fifo+dirty", 0x98d793547b33aeb2),
-    ("312/deflation/smallest-first", 0xd503f1c3f9fa7962),
-    ("312/deflation/edf", 0xe31feccfe03f1636),
-    ("312/deflation/edf+deflate", 0x7fc9149ca0aa51b6),
-    ("312/migration-only/fifo", 0xa7597dc77d99926e),
-    ("312/migration-only/fifo+dirty", 0x433523edc7746047),
-    ("312/migration-only/smallest-first", 0x07accb34500856e8),
-    ("312/migration-only/edf", 0x2cfe921db2db5f9f),
+    ("1250/deflation/fifo", 0xdd6ce3f6029267d6),
+    ("1250/deflation/fifo+dirty", 0xa70d96bd79122334),
+    ("1250/deflation/smallest-first", 0x58cc75070725ce91),
+    ("1250/deflation/edf", 0xcdef133859d736f6),
+    ("1250/deflation/edf+deflate", 0x8b7b1f8ca3c4b505),
+    ("1250/migration-only/fifo", 0xfa11268d0a19e0ea),
+    ("1250/migration-only/fifo+dirty", 0xe30478f4a7a202cc),
+    ("1250/migration-only/smallest-first", 0x94e7b4f5c9389835),
+    ("1250/migration-only/edf", 0x351d6cb749c5fc3b),
+    ("625/deflation/fifo", 0xac75786cbee9ae67),
+    ("625/deflation/fifo+dirty", 0xcb6e12de65ae8466),
+    ("625/deflation/smallest-first", 0xa09c4a64343aabc9),
+    ("625/deflation/edf", 0x7e1f9123fdc0c83a),
+    ("625/deflation/edf+deflate", 0x2d4019b918b4d6ba),
+    ("625/migration-only/fifo", 0x163434f211453172),
+    ("625/migration-only/fifo+dirty", 0x7ebb1416c3e49de9),
+    ("625/migration-only/smallest-first", 0xcf28af62d1213bb5),
+    ("625/migration-only/edf", 0xd9ebbe2ee5011c40),
+    ("312/deflation/fifo", 0x0c60e96cbe050b2b),
+    ("312/deflation/fifo+dirty", 0x6e0b1b9d6f745b02),
+    ("312/deflation/smallest-first", 0x4974b1e57fdc9efe),
+    ("312/deflation/edf", 0x076eb2fd04ed5e77),
+    ("312/deflation/edf+deflate", 0xda8fcdf39ca11d7b),
+    ("312/migration-only/fifo", 0xc8c15840e02ca13a),
+    ("312/migration-only/fifo+dirty", 0x06983962c32ad061),
+    ("312/migration-only/smallest-first", 0xb8fbe054c487e176),
+    ("312/migration-only/edf", 0x4f4345e74de3e9d2),
 ];
 
 fn assert_matches_golden(actual: &[(String, u64)], golden: &[(&str, u64)], what: &str) {

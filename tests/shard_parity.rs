@@ -1,7 +1,7 @@
 //! Determinism parity for the sharded engine: running any experiment with
 //! `--shards N` must produce a `SimResult` **bit-identical** to the
 //! sequential engine. `SimResult`'s equality covers the full per-VM
-//! records (specs, outcomes, allocation histories), migrations,
+//! records (specs, outcomes, usage summaries), migrations,
 //! utilisation samples, every counter and the deterministic event count —
 //! only the wall clock and the shard count itself are exempt.
 //!
@@ -258,7 +258,7 @@ fn audited_runs_are_bit_identical_across_shards() {
 /// × shard counts {2, 4} reproduces the sequential-default run **bit for
 /// bit** — the per-span argmax reduce preserves the exact first-best-score
 /// pick (and its score bits) of the sequential scan, so no placement
-/// decision, allocation history or counter may move.
+/// decision, usage summary or counter may move.
 ///
 /// [`PlacementEngine`]: vmdeflate::core::placement::PlacementEngine
 #[test]
