@@ -34,7 +34,7 @@ use deflate_cluster::spec::{
 };
 use deflate_core::audit::AuditSpec;
 use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
-use deflate_core::placement::{PartitionScheme, PlacementEngine};
+use deflate_core::placement::PartitionScheme;
 use deflate_core::policy::ProportionalDeflation;
 use deflate_core::shard::ShardConfig;
 use deflate_hypervisor::domain::DeflationMechanism;
@@ -66,23 +66,6 @@ pub struct ScaleRow {
     /// Whether this run's deterministic outputs matched the 1-shard
     /// baseline of the same cluster size.
     pub parity: bool,
-}
-
-/// The placement-ranking engine the sweep runs every cell under:
-/// sequential (the bit-identity-pinned default), unless the
-/// `DEFLATE_PLACEMENT_WORKERS` environment variable asks for the parallel
-/// fan-out with that many workers (e.g. `DEFLATE_PLACEMENT_WORKERS=4`).
-/// When the override is active the sweep's parity baseline is always an
-/// explicit sequential-engine run, so the parity column doubles as an
-/// at-scale spot check that the engine knob never changes results.
-pub fn sweep_placement_engine() -> PlacementEngine {
-    match std::env::var("DEFLATE_PLACEMENT_WORKERS") {
-        Ok(value) => match value.trim().parse::<usize>() {
-            Ok(workers) => PlacementEngine::parallel(workers),
-            Err(_) => PlacementEngine::default(),
-        },
-        Err(_) => PlacementEngine::default(),
-    }
 }
 
 /// The shard counts the sweep runs each size under: the scale preset's
@@ -135,26 +118,7 @@ pub fn run_scale_cell_with_telemetry(
     shards: ShardConfig,
     telemetry: TelemetrySink,
 ) -> (SimResult, usize) {
-    run_scale_cell_placed(
-        workload,
-        scale,
-        shards,
-        PlacementEngine::default(),
-        telemetry,
-    )
-}
-
-/// [`run_scale_cell_with_telemetry`] with an explicit placement-ranking
-/// engine — used by the sweep when `DEFLATE_PLACEMENT_WORKERS` is set
-/// and by the engine-parity tests.
-pub fn run_scale_cell_placed(
-    workload: &[WorkloadVm],
-    scale: Scale,
-    shards: ShardConfig,
-    engine: PlacementEngine,
-    telemetry: TelemetrySink,
-) -> (SimResult, usize) {
-    run_scale_cell_configured(workload, scale, shards, engine, telemetry, AuditSpec::off())
+    run_scale_cell_configured(workload, scale, shards, telemetry, AuditSpec::off())
 }
 
 /// [`run_scale_cell`] with the online invariant auditor on — the run
@@ -168,14 +132,7 @@ pub fn run_scale_cell_audited(
     shards: ShardConfig,
     audit: AuditSpec,
 ) -> (SimResult, usize) {
-    run_scale_cell_configured(
-        workload,
-        scale,
-        shards,
-        PlacementEngine::default(),
-        TelemetrySink::disabled(),
-        audit,
-    )
+    run_scale_cell_configured(workload, scale, shards, TelemetrySink::disabled(), audit)
 }
 
 /// The fully-parameterised cell behind every `run_scale_cell*` variant.
@@ -183,7 +140,6 @@ pub fn run_scale_cell_configured(
     workload: &[WorkloadVm],
     scale: Scale,
     shards: ShardConfig,
-    engine: PlacementEngine,
     telemetry: TelemetrySink,
     audit: AuditSpec,
 ) -> (SimResult, usize) {
@@ -218,7 +174,6 @@ pub fn run_scale_cell_configured(
     )
     .with_utilization_ticks(900.0)
     .with_shards(shards)
-    .with_placement_engine(engine)
     .with_telemetry(telemetry)
     .with_audit(audit)
     .run(workload);
@@ -272,7 +227,6 @@ pub fn scale_sweep_with_resume(
     mut flush: impl FnMut(&[ScaleRow]),
 ) -> Vec<ScaleRow> {
     let shard_counts = sweep_shard_counts(scale);
-    let engine = sweep_placement_engine();
     let mut rows = done;
     for &vms in scale.scale_sweep_vms() {
         let have = |rows: &[ScaleRow], shards: usize| {
@@ -284,31 +238,23 @@ pub fn scale_sweep_with_resume(
         let workload = scale_workload(scale, vms);
         // Parity baseline: the *sequential* engine's digest. Both presets
         // sweep shards = 1 first, so this is normally the first cell; a
-        // `DEFLATE_SHARDS` override without a 1, a parallel
-        // `DEFLATE_PLACEMENT_WORKERS` override, or a resume into a
-        // partially measured size pays one extra unreported sequential
-        // run. The column promises a comparison against the fully
-        // sequential engine (1 shard, sequential placement ranking), not
-        // against whichever cell happened to run first.
+        // `DEFLATE_SHARDS` override without a 1, or a resume into a
+        // partially measured size, pays one extra unreported sequential
+        // run. The column promises a comparison against the sequential
+        // engine, not against whichever cell happened to run first.
         let all_fresh = shard_counts.iter().all(|&s| !have(&rows, s));
-        let mut baseline_digest =
-            if all_fresh && shard_counts.first() == Some(&1) && !engine.is_parallel() {
-                None
-            } else {
-                let (baseline, _) = run_scale_cell(&workload, scale, ShardConfig::sequential());
-                Some(digest(&baseline))
-            };
+        let mut baseline_digest = if all_fresh && shard_counts.first() == Some(&1) {
+            None
+        } else {
+            let (baseline, _) = run_scale_cell(&workload, scale, ShardConfig::sequential());
+            Some(digest(&baseline))
+        };
         for &shards in &shard_counts {
             if have(&rows, shards) {
                 continue;
             }
-            let (result, servers) = run_scale_cell_placed(
-                &workload,
-                scale,
-                ShardConfig::with_shards(shards),
-                engine,
-                TelemetrySink::disabled(),
-            );
+            let (result, servers) =
+                run_scale_cell(&workload, scale, ShardConfig::with_shards(shards));
             let this_digest = digest(&result);
             let parity = match &baseline_digest {
                 None => {

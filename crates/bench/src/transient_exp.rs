@@ -27,7 +27,7 @@ use deflate_cluster::spec::{
     paper_server_capacity, servers_for_transient_overcommitment, workload_from_azure,
     MinAllocationRule,
 };
-use deflate_core::placement::{PartitionScheme, PlacementEngine};
+use deflate_core::placement::PartitionScheme;
 use deflate_core::policy::ProportionalDeflation;
 use deflate_core::policy::TransferPolicy;
 use deflate_core::pricing::{PricingPolicy, RateCard};
@@ -186,37 +186,8 @@ pub fn run_transient_engine(
     policy: TransferPolicy,
     shards: ShardConfig,
 ) -> SimResult {
-    run_transient_placed(
-        workload,
-        scale,
-        mode,
-        profile,
-        cost,
-        policy,
-        shards,
-        PlacementEngine::default(),
-    )
-}
-
-/// [`run_transient_engine`] with an explicit placement-ranking engine.
-/// Like sharding, the [`PlacementEngine`] is a performance knob only: the
-/// parallel fan-out produces a `SimResult` equal to the sequential
-/// default's, score bits included (`tests/shard_parity.rs` pins this on
-/// the same configurations).
-#[allow(clippy::too_many_arguments)]
-pub fn run_transient_placed(
-    workload: &[deflate_cluster::spec::WorkloadVm],
-    scale: Scale,
-    mode: TransientMode,
-    profile: CapacityProfile,
-    cost: MigrationCostModel,
-    policy: TransferPolicy,
-    shards: ShardConfig,
-    engine: PlacementEngine,
-) -> SimResult {
     transient_simulation(workload, scale, mode, profile, cost, policy)
         .with_shards(shards)
-        .with_placement_engine(engine)
         .run(workload)
 }
 

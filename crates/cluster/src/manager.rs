@@ -57,7 +57,7 @@ use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, Checkpoi
 use deflate_core::error::{DeflateError, Result};
 use deflate_core::placement::{
     BestFit, CosineFitness, FirstFit, PartitionScheme, PartitionedPlacement, PlacementDecision,
-    PlacementEngine, PlacementPolicy, ServerView, WorstFit,
+    PlacementPolicy, ServerView, WorstFit,
 };
 use deflate_core::policy::{DeflationPolicy, RestorePolicy, TransferPolicy};
 use deflate_core::resources::{ResourceKind, ResourceVector};
@@ -421,11 +421,8 @@ pub struct ClusterManager {
     /// view-affecting mutation must go through
     /// [`mark_server_dirty`](Self::mark_server_dirty).
     index: PlacementIndex,
-    /// How ranking passes are evaluated (sequential default, or the
-    /// parallel fan-out — a performance knob, never a semantic one).
-    engine: PlacementEngine,
-    /// Shared persistent worker pool for the ranking fan-out and the
-    /// utilisation sections; `None` falls back to per-section workers.
+    /// Shared persistent worker pool for the utilisation sections;
+    /// `None` falls back to per-section workers.
     pool: Option<Arc<WorkerPool>>,
 }
 
@@ -472,7 +469,6 @@ impl ClusterManager {
             transient: TransientCounters::default(),
             telemetry: TelemetrySink::disabled(),
             index,
-            engine: PlacementEngine::default(),
             pool: None,
         }
     }
@@ -487,25 +483,9 @@ impl ClusterManager {
         self
     }
 
-    /// Builder-style placement-engine override. The sequential default is
-    /// bit-identical to the pre-index full rescan (pinned by
-    /// `tests/placement_golden.rs`); [`PlacementEngine::Parallel`] fans
-    /// the scoring pass out to worker spans with a deterministic
-    /// span-order reduce, which `tests/shard_parity.rs` pins bit-identical
-    /// to the sequential pass.
-    pub fn with_placement_engine(mut self, engine: PlacementEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The placement engine in effect.
-    pub fn placement_engine(&self) -> PlacementEngine {
-        self.engine
-    }
-
-    /// Builder-style worker pool attachment. Shared by the
-    /// placement-ranking fan-out and the utilisation sections; without
-    /// one, parallel sections fall back to per-section throwaway workers.
+    /// Builder-style worker pool attachment, shared by the utilisation
+    /// sections; without one, parallel sections fall back to per-section
+    /// throwaway workers.
     pub fn with_worker_pool(mut self, pool: Option<Arc<WorkerPool>>) -> Self {
         self.pool = pool;
         self
@@ -528,23 +508,15 @@ impl ClusterManager {
     }
 
     /// Rank all servers for `vm` through the incremental index: re-derive
-    /// the views of servers dirtied since the last pass, then evaluate the
-    /// placement policy over the cached views (sequentially or fanned out,
-    /// per the [`PlacementEngine`]). `excluded` servers — already tried
-    /// and rejected within the current placement loop, or a migration's
-    /// own source — are skipped by the policy's own scan.
+    /// the views of servers dirtied since the last pass, then let the
+    /// placement policy descend the index's max tree. `excluded` servers —
+    /// already tried and rejected within the current placement loop, or a
+    /// migration's own source — are skipped at the tree's leaves.
     fn rank_servers(&mut self, vm: &VmSpec, excluded: &[ServerId]) -> Option<PlacementDecision> {
         let controllers = &self.controllers;
         self.index
             .refresh(&self.telemetry, |i| controllers[i].server().view());
-        self.index.rank(
-            self.placement.as_ref(),
-            vm,
-            excluded,
-            self.engine,
-            self.pool.as_deref(),
-            &self.telemetry,
-        )
+        self.index.rank(self.placement.as_ref(), vm, excluded)
     }
 
     /// Builder-style restore-policy override. The default is
@@ -1931,6 +1903,14 @@ impl ClusterManager {
     /// skipped, never refreshed (refreshing would mutate state the
     /// determinism contract says an auditor must not touch).
     pub(crate) fn audit_placement_index(&self) -> std::result::Result<(), AuditFinding> {
+        if !self.index.tree_is_consistent() {
+            return Err(AuditFinding {
+                server: None,
+                detail: "placement index tree inconsistent: a node is not the \
+                         maximum of its children, or a leaf disagrees with its view"
+                    .to_string(),
+            });
+        }
         let dirty = self.index.dirty_indices();
         for (idx, cached) in self.index.views().iter().enumerate() {
             if dirty.binary_search(&idx).is_ok() {

@@ -15,33 +15,37 @@
 //! demand vector of the VM being placed, so they cannot outlive a single
 //! ranking pass. What *is* demand-independent — and what was expensive —
 //! is the per-server `ServerView` itself (a sum over resident domains).
-//! With views cached, a ranking pass is a linear scan over `Copy` structs.
+//! The views live in a [`ViewTree`], a max tree over each server's
+//! feasibility headroom and projection row, so a ranking pass descends the
+//! tree instead of scanning every view: first fit finds the leftmost
+//! feasible server in close to O(log n) node visits, the cosine projection
+//! prunes by branch-and-bound, and best/worst fit skip infeasible
+//! subtrees.
 //!
 //! Two standing contracts, pinned by `tests/placement_equivalence.rs`,
-//! `tests/placement_golden.rs` and `tests/shard_parity.rs`:
+//! `tests/placement_golden.rs` and the `deflate-core` tree battery:
 //!
 //! 1. **Index == full rescan.** After any mutation sequence, ranking over
 //!    the cached views picks the *same server with the same score* as a
 //!    from-scratch rescan of every server. (This holds because the manager
 //!    marks every view-affecting mutation dirty; see
 //!    `ClusterManager::mark_server_dirty` for the taxonomy.)
-//! 2. **Parallel == sequential.** The opt-in [`PlacementEngine::Parallel`]
-//!    fan-out reduces per-span argmaxes in span order — strictly-greater
-//!    score replaces, ties keep the earlier span — reproducing the
-//!    sequential first-argmax bit for bit.
+//! 2. **Tree == slice scan.** Every policy's
+//!    [`PlacementPolicy::place_in_tree`] picks the server, and the score
+//!    bits, that its slice [`PlacementPolicy::place`] picks over the same
+//!    views.
 
-use deflate_core::placement::{PlacementDecision, PlacementEngine, PlacementPolicy, ServerView};
+use deflate_core::placement::{PlacementDecision, PlacementPolicy, ServerView, ViewTree};
 use deflate_core::vm::{ServerId, VmSpec};
 use deflate_telemetry::{Phase, TelemetrySink};
-use deflate_transient::pool::{run_tasks, Task, WorkerPool};
 
-/// Cached per-server [`ServerView`]s with dirty tracking, plus the ranking
-/// pass itself (sequential or parallel, per [`PlacementEngine`]).
+/// Cached per-server [`ServerView`]s in a [`ViewTree`], with dirty
+/// tracking, plus the ranking pass itself.
 #[derive(Debug, Clone)]
 pub struct PlacementIndex {
-    /// The resident view of every server, in server order. Entry `i` is
-    /// exact unless `i` is queued dirty.
-    views: Vec<ServerView>,
+    /// The resident view of every server, in server order, under the
+    /// max tree. Entry `i` is exact unless `i` is queued dirty.
+    tree: ViewTree,
     /// `dirty[i]` — whether server `i` is queued for re-derivation.
     /// Doubles as the dedup bit for `dirty_queue`.
     dirty: Vec<bool>,
@@ -55,7 +59,7 @@ impl PlacementIndex {
     pub fn new(views: Vec<ServerView>) -> Self {
         let n = views.len();
         PlacementIndex {
-            views,
+            tree: ViewTree::new(views),
             dirty: vec![false; n],
             dirty_queue: Vec::new(),
         }
@@ -63,12 +67,12 @@ impl PlacementIndex {
 
     /// Number of servers indexed.
     pub fn len(&self) -> usize {
-        self.views.len()
+        self.tree.len()
     }
 
     /// Whether the index covers no servers.
     pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
+        self.tree.is_empty()
     }
 
     /// Number of servers currently queued for re-derivation (telemetry /
@@ -92,9 +96,10 @@ impl PlacementIndex {
         }
     }
 
-    /// Re-derive every queued dirty view through `view_of` (under the
-    /// `placement_index` telemetry phase). No-op when nothing is dirty —
-    /// the common case between clustered mutations.
+    /// Re-derive every queued dirty view through `view_of` and rewrite
+    /// its tree leaf and ancestors (under the `placement_index` telemetry
+    /// phase). No-op when nothing is dirty — the common case between
+    /// clustered mutations.
     pub fn refresh<F>(&mut self, telemetry: &TelemetrySink, mut view_of: F)
     where
         F: FnMut(usize) -> ServerView,
@@ -104,7 +109,7 @@ impl PlacementIndex {
         }
         let _span = telemetry.span(Phase::PlacementIndex);
         for idx in self.dirty_queue.drain(..) {
-            self.views[idx] = view_of(idx);
+            self.tree.set(idx, view_of(idx));
             self.dirty[idx] = false;
         }
     }
@@ -125,14 +130,20 @@ impl PlacementIndex {
     ///
     /// [`refresh`]: PlacementIndex::refresh
     pub fn views(&self) -> &[ServerView] {
-        &self.views
+        self.tree.views()
     }
 
-    /// Owned heap bytes behind the index: the cached view table, the
-    /// dirty bitmap and the dirty queue (see `deflate_core::mem` for the
-    /// convention). Feeds the engine's `mem.placement_index` gauge.
+    /// Whether the tree's nodes agree with the cached views (an audit
+    /// probe; O(n)).
+    pub fn tree_is_consistent(&self) -> bool {
+        self.tree.is_consistent()
+    }
+
+    /// Owned heap bytes behind the index: the cached view table and tree
+    /// nodes, the dirty bitmap and the dirty queue (see `deflate_core::mem`
+    /// for the convention). Feeds the engine's `mem.placement_index` gauge.
     pub fn accounted_bytes(&self) -> u64 {
-        deflate_core::mem::vec_capacity_bytes(&self.views)
+        self.tree.accounted_bytes()
             + deflate_core::mem::vec_capacity_bytes(&self.dirty)
             + deflate_core::mem::vec_capacity_bytes(&self.dirty_queue)
     }
@@ -141,71 +152,20 @@ impl PlacementIndex {
     /// replacement for "rebuild all views, then `policy.place`". The
     /// caller must [`refresh`](PlacementIndex::refresh) first; `excluded`
     /// servers (already tried and rejected this placement loop, or a
-    /// migration's own source) are passed through to the policy, which
-    /// skips them while it scans, so the view table is never copied.
-    ///
-    /// Under [`PlacementEngine::Sequential`] this delegates to
-    /// `policy.place` over the cached views — literally the pre-index
-    /// code path over equal inputs, hence bit-identical by construction.
-    /// Under [`PlacementEngine::Parallel`] the views are split into
-    /// `workers` contiguous spans, each span ranked by the same policy
-    /// (with the same exclusions) on a pool worker, and the per-span
-    /// winners reduced in span order (strictly-greater replaces, ties keep
-    /// the earlier span) — the sequential first-argmax, reproduced
-    /// exactly.
+    /// migration's own source) are skipped at the tree's leaves, so the
+    /// view table is never copied. The answer is `policy.place` over the
+    /// cached views, score bits included.
     pub fn rank(
         &self,
         policy: &dyn PlacementPolicy,
         vm: &VmSpec,
         excluded: &[ServerId],
-        engine: PlacementEngine,
-        pool: Option<&WorkerPool>,
-        telemetry: &TelemetrySink,
     ) -> Option<PlacementDecision> {
         debug_assert!(
             self.dirty_queue.is_empty(),
             "rank() requires a refreshed index"
         );
-        let views: &[ServerView] = &self.views;
-        let workers = engine.workers();
-        // Spans below ~2 servers per worker cost more to fan out than to
-        // scan; the sequential pass is the exact same argmax either way.
-        if workers < 2 || views.len() < 2 * workers {
-            return policy.place(vm, views, excluded);
-        }
-        let span = views.len().div_ceil(workers);
-        let chunks: Vec<&[ServerView]> = views.chunks(span).collect();
-        let mut partials: Vec<Option<Option<PlacementDecision>>> = vec![None; chunks.len()];
-        {
-            let tasks: Vec<Task<'_>> = partials
-                .iter_mut()
-                .zip(&chunks)
-                .enumerate()
-                .map(|(shard, (slot, chunk))| {
-                    let chunk: &[ServerView] = chunk;
-                    let worker_sink = telemetry.clone();
-                    Box::new(move || {
-                        let _span = worker_sink.shard_span(shard, Phase::PlacementRank);
-                        *slot = Some(policy.place(vm, chunk, excluded));
-                    }) as Task<'_>
-                })
-                .collect();
-            run_tasks(pool, workers, tasks);
-        }
-        // Span-order reduce: strictly-greater score replaces, ties keep
-        // the earlier span — the same `b.score >= s` comparison the
-        // sequential `pick_best` applies server by server, so the winner
-        // (and its score bits) match the sequential scan exactly. A
-        // first-fit style policy scores every pick 0.0: the tie rule then
-        // keeps the earliest span's pick, which is the sequential answer.
-        let mut best: Option<PlacementDecision> = None;
-        for partial in partials.into_iter().flatten().flatten() {
-            match &best {
-                Some(b) if b.score >= partial.score => {}
-                _ => best = Some(partial),
-            }
-        }
-        best
+        policy.place_in_tree(vm, &self.tree, &|s| !excluded.contains(&s.id))
     }
 }
 
@@ -260,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_rank_matches_policy_place() {
+    fn rank_matches_policy_place() {
         let views: Vec<ServerView> = (0..20)
             .map(|i| view(i, 500.0 * (i + 1) as f64, 250.0 * (i % 3) as f64))
             .collect();
@@ -272,70 +232,30 @@ mod tests {
             Box::new(BestFit),
             Box::new(WorstFit),
         ] {
-            let direct = policy.place(&vm, &views, &[]);
-            let ranked = index.rank(
-                policy.as_ref(),
-                &vm,
-                &[],
-                PlacementEngine::Sequential,
-                None,
-                &sink(),
-            );
-            assert_eq!(direct, ranked, "policy {}", policy.name());
+            for excluded in [&[][..], &[ServerId(19), ServerId(1)]] {
+                let direct = policy.place(&vm, &views, excluded);
+                let ranked = index.rank(policy.as_ref(), &vm, excluded);
+                assert_eq!(direct, ranked, "policy {}", policy.name());
+                assert_eq!(
+                    direct.map(|d| d.score.to_bits()),
+                    ranked.map(|d| d.score.to_bits())
+                );
+            }
         }
     }
 
     #[test]
-    fn parallel_rank_is_bit_identical_to_sequential() {
-        let views: Vec<ServerView> = (0..53)
-            .map(|i| {
-                view(
-                    i,
-                    300.0 + 137.0 * ((i as f64 * 1.7).sin().abs()),
-                    90.0 * (i % 5) as f64,
-                )
-            })
-            .collect();
-        let index = PlacementIndex::new(views);
-        let pool = WorkerPool::new(4);
-        for cpu in [100.0, 350.0, 420.0] {
-            let vm = demand(cpu);
-            for policy in [
-                Box::new(CosineFitness::load_balancing()) as Box<dyn PlacementPolicy>,
-                Box::new(FirstFit),
-                Box::new(BestFit),
-                Box::new(WorstFit),
-            ] {
-                let sequential = index.rank(
-                    policy.as_ref(),
-                    &vm,
-                    &[],
-                    PlacementEngine::Sequential,
-                    None,
-                    &sink(),
-                );
-                for workers in [2, 3, 4, 7] {
-                    let parallel = index.rank(
-                        policy.as_ref(),
-                        &vm,
-                        &[],
-                        PlacementEngine::parallel(workers),
-                        Some(&pool),
-                        &sink(),
-                    );
-                    assert_eq!(
-                        sequential,
-                        parallel,
-                        "policy {} with {workers} workers",
-                        policy.name()
-                    );
-                    // Score bits, not just the pick.
-                    if let (Some(s), Some(p)) = (sequential, parallel) {
-                        assert_eq!(s.score.to_bits(), p.score.to_bits());
-                    }
-                }
-            }
-        }
+    fn refresh_rewrites_the_tree_ranking_reads() {
+        let mut index = PlacementIndex::new((0..9).map(|i| view(i, 1_000.0, 0.0)).collect());
+        let vm = demand(4_000.0);
+        assert!(index.rank(&FirstFit, &vm, &[]).is_none());
+        index.mark_dirty(6);
+        index.mark_dirty(3);
+        index.refresh(&sink(), |i| view(i as u32, 1_000.0 * i as f64, 0.0));
+        assert!(index.tree_is_consistent());
+        assert_eq!(index.rank(&FirstFit, &vm, &[]).unwrap().server, ServerId(6));
+        let best = index.rank(&CosineFitness::load_balancing(), &vm, &[]);
+        assert_eq!(best.unwrap().server, ServerId(6));
     }
 
     #[test]
@@ -347,59 +267,12 @@ mod tests {
         ]);
         let vm = demand(1_000.0);
         let policy = WorstFit;
-        let all = index
-            .rank(
-                &policy,
-                &vm,
-                &[],
-                PlacementEngine::Sequential,
-                None,
-                &sink(),
-            )
-            .unwrap();
+        let all = index.rank(&policy, &vm, &[]).unwrap();
         assert_eq!(all.server, ServerId(0));
-        let without_best = index
-            .rank(
-                &policy,
-                &vm,
-                &[ServerId(0)],
-                PlacementEngine::Sequential,
-                None,
-                &sink(),
-            )
-            .unwrap();
+        let without_best = index.rank(&policy, &vm, &[ServerId(0)]).unwrap();
         assert_eq!(without_best.server, ServerId(1));
         assert!(index
-            .rank(
-                &policy,
-                &vm,
-                &[ServerId(0), ServerId(1), ServerId(2)],
-                PlacementEngine::Sequential,
-                None,
-                &sink(),
-            )
+            .rank(&policy, &vm, &[ServerId(0), ServerId(1), ServerId(2)])
             .is_none());
-    }
-
-    #[test]
-    fn tiny_eligible_sets_skip_the_fan_out() {
-        // 3 eligible servers with 4 workers: the parallel path would fan
-        // out more tasks than servers; rank degrades to the sequential
-        // scan (no pool needed even with a parallel engine).
-        let index = PlacementIndex::new(vec![
-            view(0, 2_000.0, 0.0),
-            view(1, 3_000.0, 0.0),
-            view(2, 4_000.0, 0.0),
-        ]);
-        let vm = demand(500.0);
-        let got = index.rank(
-            &WorstFit,
-            &vm,
-            &[],
-            PlacementEngine::parallel(4),
-            None,
-            &sink(),
-        );
-        assert_eq!(got.unwrap().server, ServerId(2));
     }
 }

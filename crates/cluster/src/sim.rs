@@ -59,7 +59,6 @@ use crate::spec::WorkloadVm;
 use deflate_autoscale::{Autoscaler, ElasticApp};
 use deflate_core::audit::AuditSpec;
 use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
-use deflate_core::placement::PlacementEngine;
 use deflate_core::policy::{AutoscalePolicy, RestorePolicy, TransferPolicy};
 use deflate_core::shard::ShardConfig;
 use deflate_core::telemetry::TelemetrySpec;
@@ -87,7 +86,6 @@ pub struct ClusterSimulation {
     autoscale_policy: AutoscalePolicy,
     elastic_apps: Vec<ElasticApp>,
     shards: ShardConfig,
-    placement_engine: PlacementEngine,
     telemetry: TelemetrySink,
     audit: AuditSpec,
     /// Memory-ledger sampling cadence, in utilisation ticks (1 = every
@@ -140,7 +138,6 @@ impl ClusterSimulation {
             autoscale_policy: AutoscalePolicy::default(),
             elastic_apps: Vec::new(),
             shards: ShardConfig::sequential(),
-            placement_engine: PlacementEngine::default(),
             telemetry: TelemetrySink::disabled(),
             audit: AuditSpec::off(),
             memory_sample_every_ticks: 1,
@@ -206,17 +203,6 @@ impl ClusterSimulation {
     /// goes on multi-core hardware.
     pub fn with_shards(mut self, shards: ShardConfig) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Evaluate placement-ranking passes under the given
-    /// [`PlacementEngine`]: the sequential default is bit-identical to the
-    /// pre-index full rescan, and the parallel fan-out is bit-identical to
-    /// the sequential pass (pinned by `tests/placement_golden.rs` and
-    /// `tests/shard_parity.rs`) — like [`with_shards`](Self::with_shards),
-    /// a performance knob that never changes results.
-    pub fn with_placement_engine(mut self, engine: PlacementEngine) -> Self {
-        self.placement_engine = engine;
         self
     }
 
@@ -379,18 +365,16 @@ impl ClusterSimulation {
             self.config.num_servers,
         );
         // One persistent worker pool is shared by every parallel section of
-        // the run — shard heapify, utilisation sampling, snapshotting and
-        // the placement ranking fan-out — instead of each section
-        // respawning scoped threads. Sized for the wider of the two
-        // parallelism knobs; absent entirely for fully sequential runs.
-        let pool_threads = self.shards.count().max(self.placement_engine.workers());
+        // the run — shard heapify, utilisation sampling and snapshotting —
+        // instead of each section respawning scoped threads. Absent
+        // entirely for sequential runs.
+        let pool_threads = self.shards.count();
         let pool = (pool_threads > 1).then(|| Arc::new(WorkerPool::new(pool_threads)));
         let manager = ClusterManager::new(&self.config, self.mode.clone())
             .with_migration_cost(self.migration_cost)
             .with_transfer_policy(self.transfer_policy)
             .with_restore_policy(self.restore_policy)
             .with_cache_regrowth(self.cache_regrowth)
-            .with_placement_engine(self.placement_engine)
             .with_worker_pool(pool.clone())
             .with_telemetry(self.telemetry.clone());
         // The autoscaler exists only for enabled policies: a Disabled run

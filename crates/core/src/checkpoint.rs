@@ -333,6 +333,19 @@ impl<'a> ByteReader<'a> {
         };
         let max_allocation = self.get_resources()?;
         let min_allocation = self.get_resources()?;
+        // Later code clamps into `[min, max]`-derived ranges, and
+        // `f64::clamp` panics on a NaN or inverted bound.
+        let valid = |v: &ResourceVector| v.iter().all(|(_, c)| c.is_finite() && c >= 0.0);
+        let ordered = min_allocation
+            .iter()
+            .zip(max_allocation.iter())
+            .all(|((_, lo), (_, hi))| lo <= hi);
+        if !valid(&max_allocation) || !valid(&min_allocation) || !ordered {
+            return Err(CheckpointError::Corrupt(format!(
+                "VM {} spec has allocations min {min_allocation} / max {max_allocation}",
+                id.0
+            )));
+        }
         let priority = Priority::new(self.get_f64()?);
         let deflatable = self.get_bool()?;
         Ok(VmSpec {

@@ -22,10 +22,9 @@
 //! * [`policy`] — server-level deflation policies: proportional (Eq 1–2),
 //!   priority-weighted (Eq 3–4) and deterministic, plus reinflation.
 //! * [`placement`] — deflation-aware placement: cosine fitness, bin-packing
-//!   baselines, cluster partitions (§5.2) and the placement-ranking engine
-//!   knob ([`PlacementEngine`]): whether the cluster manager's incremental
-//!   score index evaluates ranking passes sequentially (the default) or
-//!   fans them out to worker spans with a deterministic reduce.
+//!   baselines, cluster partitions (§5.2) and the per-dimension max tree
+//!   ([`placement::ViewTree`]) the cluster manager ranks through, with the
+//!   same answer as the policies' slice scans.
 //! * [`pricing`] — static, priority-based and allocation-based pricing
 //!   (§5.2.2) and the revenue accounting behind Figure 22.
 //! * [`shard`] — the engine-sharding knob ([`ShardConfig`]): how many
@@ -84,7 +83,6 @@ pub use audit::AuditSpec;
 pub use checkpoint::{ByteReader, ByteWriter, CheckpointError, SNAPSHOT_VERSION};
 pub use error::{DeflateError, Result};
 pub use perfmodel::PerfModel;
-pub use placement::PlacementEngine;
 pub use resources::{ResourceKind, ResourceVector};
 pub use shard::ShardConfig;
 pub use telemetry::{TelemetryEventKind, TelemetryEventSet, TelemetrySpec};
@@ -96,8 +94,8 @@ pub mod prelude {
     pub use crate::error::{DeflateError, Result};
     pub use crate::perfmodel::PerfModel;
     pub use crate::placement::{
-        BestFit, CosineFitness, FirstFit, PartitionScheme, PartitionedPlacement, PlacementEngine,
-        PlacementPolicy, ServerView, WorstFit,
+        BestFit, CosineFitness, FirstFit, PartitionScheme, PartitionedPlacement, PlacementPolicy,
+        ServerView, WorstFit,
     };
     pub use crate::policy::{
         AllocationView, AutoscaleParams, AutoscalePolicy, DeflationPolicy, DeterministicDeflation,

@@ -7,7 +7,8 @@
 //! are also deflation-aware; setting a server's `deflatable` headroom to zero
 //! recovers the conventional non-deflatable behaviour.
 
-use super::{pick_best, PlacementDecision, PlacementPolicy, ServerView};
+use super::{pick_best, Eligible, PlacementDecision, PlacementPolicy, ServerView, ViewTree};
+use crate::resources::ResourceVector;
 use crate::vm::{ServerId, VmSpec};
 use serde::{Deserialize, Serialize};
 
@@ -30,12 +31,33 @@ impl PlacementPolicy for FirstFit {
         servers
             .iter()
             .find(|s| s.can_accommodate(&demand) && !excluded.contains(&s.id))
-            .map(|s| PlacementDecision {
-                server: s.id,
-                score: 0.0,
-                requires_deflation: !s.fits_without_deflation(&demand),
-            })
+            .map(|s| first_fit_decision(s, &demand))
     }
+
+    fn place_in_tree(
+        &self,
+        vm: &VmSpec,
+        tree: &ViewTree,
+        eligible: Eligible<'_>,
+    ) -> Option<PlacementDecision> {
+        let demand = vm.max_allocation;
+        tree.first_feasible(&demand, eligible)
+            .map(|i| first_fit_decision(&tree.views()[i], &demand))
+    }
+}
+
+fn first_fit_decision(server: &ServerView, demand: &ResourceVector) -> PlacementDecision {
+    PlacementDecision {
+        server: server.id,
+        score: 0.0,
+        requires_deflation: !server.fits_without_deflation(demand),
+    }
+}
+
+/// Availability left over after placing `demand` (best fit minimises it,
+/// worst fit maximises it).
+fn leftover(server: &ServerView, demand: &ResourceVector) -> f64 {
+    server.availability().saturating_sub(demand).total()
 }
 
 /// Best-fit: choose the feasible server with the *least* remaining
@@ -56,10 +78,18 @@ impl PlacementPolicy for BestFit {
         excluded: &[ServerId],
     ) -> Option<PlacementDecision> {
         let demand = vm.max_allocation;
-        pick_best(vm, servers, excluded, |s| {
-            // Smaller leftover == better, so negate for pick_best's argmax.
-            -(s.availability().saturating_sub(&demand).total())
-        })
+        // Smaller leftover == better, so negate for pick_best's argmax.
+        pick_best(vm, servers, excluded, |s| -leftover(s, &demand))
+    }
+
+    fn place_in_tree(
+        &self,
+        vm: &VmSpec,
+        tree: &ViewTree,
+        eligible: Eligible<'_>,
+    ) -> Option<PlacementDecision> {
+        let demand = vm.max_allocation;
+        tree.pick_best(vm, eligible, |s| -leftover(s, &demand))
     }
 }
 
@@ -80,9 +110,17 @@ impl PlacementPolicy for WorstFit {
         excluded: &[ServerId],
     ) -> Option<PlacementDecision> {
         let demand = vm.max_allocation;
-        pick_best(vm, servers, excluded, |s| {
-            s.availability().saturating_sub(&demand).total()
-        })
+        pick_best(vm, servers, excluded, |s| leftover(s, &demand))
+    }
+
+    fn place_in_tree(
+        &self,
+        vm: &VmSpec,
+        tree: &ViewTree,
+        eligible: Eligible<'_>,
+    ) -> Option<PlacementDecision> {
+        let demand = vm.max_allocation;
+        tree.pick_best(vm, eligible, |s| leftover(s, &demand))
     }
 }
 

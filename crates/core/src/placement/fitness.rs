@@ -7,7 +7,8 @@
 //! *shape* as the demand, which is the multi-resource packing heuristic of
 //! Tetris [Grandl et al., SIGCOMM'14] that the paper cites.
 
-use super::{pick_best, PlacementDecision, PlacementPolicy, ServerView};
+use super::{pick_best, Eligible, PlacementDecision, PlacementPolicy, ServerView, ViewTree};
+use crate::resources::ResourceVector;
 use crate::vm::{ServerId, VmSpec};
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +36,7 @@ impl CosineFitness {
     }
 
     /// Raw cosine fitness score of a server for a demand vector (§5.2).
-    pub fn fitness(server: &ServerView, demand: &crate::resources::ResourceVector) -> f64 {
+    pub fn fitness(server: &ServerView, demand: &ResourceVector) -> f64 {
         server.availability().cosine_similarity(demand)
     }
 
@@ -49,14 +50,20 @@ impl CosineFitness {
     /// free, so servers with real spare capacity are preferred. Feasibility
     /// checks ([`ServerView::can_accommodate`]) still count the full
     /// headroom.
-    pub fn projection(server: &ServerView, demand: &crate::resources::ResourceVector) -> f64 {
+    pub fn projection(server: &ServerView, demand: &ResourceVector) -> f64 {
         let norm = demand.norm();
         if norm <= f64::EPSILON {
             return 0.0;
         }
+        Self::scoring_availability(server).dot(demand) / norm
+    }
+
+    /// The demand-independent vector [`projection`](Self::projection)
+    /// dots with the demand: free capacity plus the deflatable headroom
+    /// at half weight, divided by the overcommitment factor.
+    pub fn scoring_availability(server: &ServerView) -> ResourceVector {
         let oc = server.overcommitment.max(1.0);
-        let scoring_availability = server.free() + server.deflatable * (0.5 / oc);
-        scoring_availability.dot(demand) / norm
+        server.free() + server.deflatable * (0.5 / oc)
     }
 }
 
@@ -80,6 +87,19 @@ impl PlacementPolicy for CosineFitness {
                 Self::fitness(s, &demand)
             }
         })
+    }
+
+    fn place_in_tree(
+        &self,
+        vm: &VmSpec,
+        tree: &ViewTree,
+        eligible: Eligible<'_>,
+    ) -> Option<PlacementDecision> {
+        if self.prefer_emptier_on_tie {
+            return tree.best_projection(vm, eligible);
+        }
+        let demand = vm.max_allocation;
+        tree.pick_best(vm, eligible, |s| Self::fitness(s, &demand))
     }
 }
 

@@ -17,16 +17,19 @@
 //! * [`PartitionedPlacement`] — the cluster
 //!   partitioning scheme of §5.2.1 that restricts each priority class to its
 //!   own pool of servers.
+//! * [`ViewTree`] — the views under a per-dimension max tree, which every
+//!   policy can rank through ([`PlacementPolicy::place_in_tree`]) with the
+//!   same answer as its slice scan.
 
 pub mod binpack;
-pub mod engine;
 pub mod fitness;
 pub mod partition;
+pub mod tree;
 
 pub use binpack::{BestFit, FirstFit, WorstFit};
-pub use engine::PlacementEngine;
 pub use fitness::CosineFitness;
 pub use partition::{PartitionScheme, PartitionedPlacement};
+pub use tree::{Eligible, ViewTree};
 
 use crate::resources::ResourceVector;
 use crate::vm::{Priority, ServerId, VmSpec};
@@ -83,10 +86,16 @@ impl ServerView {
         self.free() + self.deflatable / oc
     }
 
+    /// Free capacity plus every reclaimable resource: the most a VM placed
+    /// here could get (ignoring the overcommitment discount).
+    pub fn headroom(&self) -> ResourceVector {
+        self.free() + self.deflatable
+    }
+
     /// Whether the VM could be accommodated at all, counting both free space
     /// and every reclaimable resource (ignoring the overcommitment discount).
     pub fn can_accommodate(&self, demand: &ResourceVector) -> bool {
-        demand.fits_within(&(self.free() + self.deflatable))
+        demand.fits_within(&self.headroom())
     }
 
     /// Whether the VM fits without deflating anyone.
@@ -121,6 +130,17 @@ pub trait PlacementPolicy: Send + Sync {
         vm: &VmSpec,
         servers: &[ServerView],
         excluded: &[ServerId],
+    ) -> Option<PlacementDecision>;
+
+    /// Choose a server for `vm` among the views held by `tree`, skipping
+    /// every view `eligible` rejects. The answer, score bits included, is
+    /// the one [`place`](Self::place) gives over `tree.views()` with the
+    /// rejected views filtered out.
+    fn place_in_tree(
+        &self,
+        vm: &VmSpec,
+        tree: &ViewTree,
+        eligible: Eligible<'_>,
     ) -> Option<PlacementDecision>;
 }
 

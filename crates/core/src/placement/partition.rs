@@ -8,7 +8,9 @@
 //! pool is full even after deflating all of its VMs, the VM is rejected by
 //! admission control rather than spilling into another pool.
 
-use super::{partition_for_priority, PlacementDecision, PlacementPolicy, ServerView};
+use super::{
+    partition_for_priority, Eligible, PlacementDecision, PlacementPolicy, ServerView, ViewTree,
+};
 use crate::vm::{Priority, ServerId, VmSpec};
 use serde::{Deserialize, Serialize};
 
@@ -103,6 +105,23 @@ impl<P: PlacementPolicy> PlacementPolicy for PartitionedPlacement<P> {
                     })
                     .collect();
                 self.inner.place(vm, &eligible, &[])
+            }
+        }
+    }
+
+    fn place_in_tree(
+        &self,
+        vm: &VmSpec,
+        tree: &ViewTree,
+        eligible: Eligible<'_>,
+    ) -> Option<PlacementDecision> {
+        match self.scheme.partition_of(vm.deflatable, vm.priority) {
+            None => self.inner.place_in_tree(vm, tree, eligible),
+            Some(pool) => {
+                let in_pool = |s: &ServerView| {
+                    (s.partition == Some(pool) || s.partition.is_none()) && eligible(s)
+                };
+                self.inner.place_in_tree(vm, tree, &in_pool)
             }
         }
     }

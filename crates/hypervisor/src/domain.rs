@@ -279,6 +279,13 @@ impl Domain {
         let guest = GuestOs::read_snapshot(r)?;
         let usages = r.get_resources()?;
         let limits = r.get_resources()?;
+        // A NaN limit would become the bound of a later `f64::clamp`.
+        if !usages.is_finite() || !limits.is_finite() {
+            return Err(CheckpointError::Corrupt(format!(
+                "VM {} cgroup state is not finite: usages {usages}, limits {limits}",
+                spec.id.0
+            )));
+        }
         // Fresh set: limits start at the ceilings, so restoring usages
         // first leaves them unclamped; applying the saved limits after
         // does not touch usages.

@@ -19,7 +19,7 @@
 //! fact that the guest drops caches gracefully when it *knows* about the
 //! deflation (Figure 14).
 
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointResult};
+use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
 use deflate_core::resources::ResourceKind;
 use serde::{Deserialize, Serialize};
 
@@ -225,7 +225,7 @@ impl GuestOs {
     /// Rebuild a guest from [`write_snapshot`](Self::write_snapshot)
     /// bytes, bit-identically.
     pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
-        Ok(GuestOs {
+        let guest = GuestOs {
             boot_vcpus: r.get_u32()?,
             online_vcpus: r.get_u32()?,
             boot_memory_mb: r.get_f64()?,
@@ -234,7 +234,21 @@ impl GuestOs {
             page_cache_mb: r.get_f64()?,
             page_cache_target_mb: r.get_f64()?,
             cpu_busy_fraction: r.get_f64()?,
-        })
+        };
+        let floats = [
+            guest.boot_memory_mb,
+            guest.plugged_memory_mb,
+            guest.rss_mb,
+            guest.page_cache_mb,
+            guest.page_cache_target_mb,
+            guest.cpu_busy_fraction,
+        ];
+        if !floats.iter().all(|x| x.is_finite()) {
+            return Err(CheckpointError::Corrupt(format!(
+                "guest state has a non-finite value: {floats:?}"
+            )));
+        }
+        Ok(guest)
     }
 
     /// Regrow up to `mb` MiB of previously dropped page cache — the

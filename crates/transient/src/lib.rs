@@ -32,9 +32,9 @@
 //!   `docs/PERFORMANCE.md`.
 //! * [`pool`] — the **persistent worker pool** the engine's parallel
 //!   sections share ([`pool::WorkerPool`]): heapify, utilisation
-//!   sampling, usage snapshotting and the placement-ranking fan-out
-//!   submit borrowed task batches to long-lived workers instead of
-//!   respawning scoped threads per section.
+//!   sampling and usage snapshotting submit borrowed task batches to
+//!   long-lived workers instead of respawning scoped threads per
+//!   section.
 //!
 //! The cluster simulator (`deflate-cluster`) replays workloads through the
 //! event engine and reacts to capacity events by deflating, migrating or —

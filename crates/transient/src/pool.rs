@@ -2,8 +2,8 @@
 //!
 //! The sharded engine fans several kinds of embarrassingly-parallel work
 //! out to worker threads: heapifying the per-shard event queues, applying
-//! trace-utilisation batches, reading per-server usage at ticks, and the
-//! placement-ranking fan-out. Historically each section spawned fresh
+//! trace-utilisation batches and reading per-server usage at ticks.
+//! Historically each section spawned fresh
 //! `std::thread::scope` workers and joined them — a respawn per section,
 //! thousands of times per run. [`WorkerPool`] keeps the threads alive for
 //! the whole run instead: sections submit borrowed closures, the pool

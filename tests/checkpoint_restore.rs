@@ -321,6 +321,8 @@ struct FieldOffsets {
     in_flight: Vec<usize>,
     /// Each record's usage-summary frame, with its flags.
     summaries: Vec<(usize, u32)>,
+    /// Each resident domain's frame (its `VmSpec` comes first).
+    domains: Vec<usize>,
 }
 
 /// Walk a snapshot through the public decoders, noting field offsets.
@@ -350,6 +352,7 @@ fn field_offsets(snapshot: &[u8], num_vms: usize) -> FieldOffsets {
     for _ in 0..servers {
         r.get_resources().unwrap();
         for _ in 0..r.get_usize().unwrap() {
+            o.domains.push(at(&r));
             Domain::read_snapshot(&mut r).unwrap();
         }
     }
@@ -511,6 +514,80 @@ fn semantically_invalid_fields_are_rejected() {
         sim.resume(&workload, &snapshot).unwrap(),
         sim.run(&workload)
     );
+}
+
+/// A resident domain whose decoded state would reach an `f64::clamp`
+/// with a NaN or inverted bound is a typed `Corrupt` error, raised before
+/// the cgroups are built: a spec allocation that is NaN, infinite or
+/// negative, a minimum above its maximum, a non-finite guest float, and
+/// a non-finite cgroup usage or limit.
+#[test]
+fn invalid_domain_specs_and_guest_floats_are_rejected() {
+    let workload = transient_workload(Scale::Quick);
+    let sim = transient_simulation(
+        &workload,
+        Scale::Quick,
+        TransientMode::Deflation,
+        CapacityProfile::spot_market_default(),
+        default_migration_cost(),
+        vmdeflate::core::policy::TransferPolicy::fifo(),
+    );
+    let snapshot = sim.checkpoint(&workload, 3600.0);
+    let domains = field_offsets(&snapshot, workload.len()).domains;
+    assert!(domains.len() > 3, "too few resident domains");
+    // Frame layout: id u64, class u8, max and min allocations (4 × f64
+    // each), priority f64, deflatable u8, mechanism u8, two u32 vCPU
+    // counts, six guest f64s, then the usage and limit vectors.
+    let (max_at, min_at, guest_at, cgroups_at) = (9, 41, 91, 139);
+    let f64_at =
+        |bytes: &[u8], at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let mut patches: Vec<(String, usize, f64)> = Vec::new();
+    for &d in [domains[0], domains[1], domains[domains.len() - 1]].iter() {
+        for k in 0..4 {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                patches.push((
+                    format!("max allocation {k} = {bad}"),
+                    d + max_at + 8 * k,
+                    bad,
+                ));
+                patches.push((
+                    format!("min allocation {k} = {bad}"),
+                    d + min_at + 8 * k,
+                    bad,
+                ));
+            }
+            let above = f64_at(&snapshot, d + max_at + 8 * k) + 1.0;
+            patches.push((
+                format!("min allocation {k} above max"),
+                d + min_at + 8 * k,
+                above,
+            ));
+        }
+        for j in 0..6 {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                patches.push((
+                    format!("guest float {j} = {bad}"),
+                    d + guest_at + 8 * j,
+                    bad,
+                ));
+            }
+        }
+        for k in 0..8 {
+            patches.push((
+                format!("cgroup value {k} = NaN"),
+                d + cgroups_at + 8 * k,
+                f64::NAN,
+            ));
+        }
+    }
+    for (what, at, bad) in patches {
+        let mut patched = snapshot.clone();
+        patched[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        match sim.resume(&workload, &patched) {
+            Err(CheckpointError::Corrupt(_)) => {}
+            other => panic!("{what} patched at byte {at}: {other:?}"),
+        }
+    }
 }
 
 /// Byte offsets of two length prefixes in an engine snapshot: the event

@@ -13,10 +13,11 @@
 //! utilisation observations — and after **every** mutation compare the
 //! index's pick ([`ClusterManager::placement_preview`]) against a
 //! from-scratch full rescan ([`ClusterManager::placement_full_rescan`])
-//! for a panel of probe VMs, across every placement policy, every
-//! reclamation mode and every partition scheme. A separate sequence runs
-//! the parallel [`PlacementEngine`] and pins it to the same full-rescan
-//! picks, score bits included.
+//! for a panel of probe VMs — with nothing excluded, and with the rescan's
+//! own pick excluded — across every placement policy, every reclamation
+//! mode and every partition scheme, score bits included. The index ranks
+//! by descending a per-server max tree; a sequence on a 1,000-server
+//! cluster puts ten levels under its root.
 //!
 //! [`PlacementIndex`]: vmdeflate::cluster::placement::PlacementIndex
 //! [`ClusterManager::placement_preview`]: vmdeflate::cluster::manager::ClusterManager::placement_preview
@@ -27,13 +28,12 @@ use vmdeflate::cluster::manager::{
     ClusterConfig, ClusterManager, PendingMigration, PlacementKind, PlacementResult,
     ReclamationMode,
 };
-use vmdeflate::core::placement::{PartitionScheme, PlacementDecision, PlacementEngine};
+use vmdeflate::core::placement::{PartitionScheme, PlacementDecision};
 use vmdeflate::core::policy::ProportionalDeflation;
 use vmdeflate::core::resources::ResourceVector;
 use vmdeflate::core::vm::{Priority, ServerId, VmClass, VmId, VmSpec};
 use vmdeflate::hypervisor::domain::DeflationMechanism;
 use vmdeflate::hypervisor::migration::MigrationCostModel;
-use vmdeflate::transient::pool::WorkerPool;
 
 /// Tiny deterministic xorshift64 PRNG — no external dependency, stable
 /// across platforms, so every CI run replays the same mutation sequences.
@@ -118,6 +118,23 @@ fn assert_same_pick(
          was not marked dirty",
         probe.id
     );
+}
+
+/// Compare the index with the full rescan on every probe: once with
+/// nothing excluded, once with the rescan's pick excluded (so the
+/// runner-up must agree too).
+fn check_probes(label: &str, step: usize, manager: &mut ClusterManager, probes: &[VmSpec]) {
+    for probe in probes {
+        let rescan = manager.placement_full_rescan(probe, &[]);
+        let index = manager.placement_preview(probe, &[]);
+        assert_same_pick(label, step, probe, index, rescan);
+        if let Some(first) = rescan {
+            let excluded = [first.server];
+            let rescan = manager.placement_full_rescan(probe, &excluded);
+            let index = manager.placement_preview(probe, &excluded);
+            assert_same_pick(label, step, probe, index, rescan);
+        }
+    }
 }
 
 /// Drive one randomized mutation sequence against `manager`, asserting
@@ -223,22 +240,14 @@ fn drive(label: &str, manager: &mut ClusterManager, seed: u64, steps: usize) {
             }
         }
 
-        for probe in &probes {
-            let rescan = manager.placement_full_rescan(probe, &[]);
-            let index = manager.placement_preview(probe, &[]);
-            assert_same_pick(label, step, probe, index, rescan);
-        }
+        check_probes(label, step, manager, &probes);
     }
 
     // Settle every still-pending transfer and re-check once more.
     for flight in pending.drain(..) {
         now = now.max(flight.event_secs);
         manager.complete_migration(flight.id, now);
-        for probe in &probes {
-            let rescan = manager.placement_full_rescan(probe, &[]);
-            let index = manager.placement_preview(probe, &[]);
-            assert_same_pick(label, steps, probe, index, rescan);
-        }
+        check_probes(label, steps, manager, &probes);
     }
 }
 
@@ -316,25 +325,31 @@ fn index_matches_full_rescan_under_partitioning() {
     }
 }
 
-/// The parallel ranking fan-out (workers on a shared persistent pool)
-/// picks exactly what the sequential full rescan picks — same server,
-/// same score bits — after every mutation. This is the manager-level pin
-/// that `PlacementEngine::parallel` is a pure performance knob.
+/// On 1,000 servers the tree has ten levels under its root, so pruning
+/// and the tie rule act deep in it. Each placement policy first fills the
+/// cluster to about three VMs a server, so the views differ, then runs a
+/// mutation sequence; the index must agree with the full rescan after
+/// every mutation.
 #[test]
-fn parallel_engine_matches_sequential_full_rescan() {
-    let pool = Arc::new(WorkerPool::new(4));
-    for (mode_name, mode) in modes() {
-        let label = format!("parallel(4)/{mode_name}");
-        // 32 servers so the fan-out path (not its small-cluster sequential
-        // fallback) is actually exercised: 32 ≥ 2 × 4 workers.
+fn index_matches_full_rescan_on_a_thousand_servers() {
+    let policies = [
+        PlacementKind::CosineFitness,
+        PlacementKind::FirstFit,
+        PlacementKind::BestFit,
+        PlacementKind::WorstFit,
+    ];
+    for (p, policy) in policies.into_iter().enumerate() {
+        let label = format!("{policy:?}/deflation/1000 servers");
         let mut manager = ClusterManager::new(
-            &config(32, PlacementKind::CosineFitness, PartitionScheme::None),
-            mode,
+            &config(1_000, policy, PartitionScheme::None),
+            ReclamationMode::Deflation(Arc::new(ProportionalDeflation::default())),
         )
-        .with_migration_cost(MigrationCostModel::lan_default())
-        .with_placement_engine(PlacementEngine::parallel(4))
-        .with_worker_pool(Some(pool.clone()));
-        assert!(manager.placement_engine().is_parallel());
-        drive(&label, &mut manager, 0xFA20u64, 120);
+        .with_migration_cost(MigrationCostModel::lan_default());
+        let mut rng = XorShift64::new(0x7EE + p as u64);
+        for id in 0..3_000 {
+            manager.place_vm(random_spec(&mut rng, 5_000_000 + id));
+        }
+        check_probes(&label, 0, &mut manager, &probe_specs());
+        drive(&label, &mut manager, 0x1000 + p as u64, 60);
     }
 }

@@ -2,20 +2,20 @@
 //!
 //! The cluster manager no longer rescans every server on each placement:
 //! it keeps an **incremental score index** of cached [`ServerView`]s and
-//! re-views only servers whose state changed since the last ranking pass.
-//! That rewrite — and the opt-in parallel ranking fan-out behind
-//! [`PlacementEngine`] — is purely a performance change. These tests pin
-//! the contract: `PlacementEngine::default()` (the sequential index)
-//! reproduces the pre-index `SimResult`s **byte for byte** on the
-//! `fig_transient` and `fig_scheduler` quick configurations.
+//! re-views only servers whose state changed since the last ranking pass,
+//! and ranks by descending a per-server max tree over those views instead
+//! of scanning them. Both rewrites are purely performance changes. These
+//! tests pin the contract: the default engine reproduces the pre-index
+//! `SimResult`s **byte for byte** on the `fig_transient` and
+//! `fig_scheduler` quick configurations.
 //!
 //! The pinned values are FNV-1a hashes over the `Debug` rendering of every
 //! deterministic `SimResult` field (per-VM records, counters, scheduler
 //! stats, migration events, utilisation series, …; `Debug` for `f64` is
 //! the shortest round-trip form, so the hash is bit-faithful). They were
 //! captured from the PR 6 implementation — the full from-scratch rescan —
-//! at quick scale. Any drift here means the index (or the engine knob's
-//! default) changed a placement decision.
+//! at quick scale. Any drift here means the index (or its tree) changed a
+//! placement decision.
 //!
 //! The digests were re-pinned once, when per-VM records replaced their
 //! allocation histories and trace copies with an online usage summary.
@@ -31,7 +31,6 @@ use deflate_bench::transient_exp::{
     transient_workload, SchedulerVariant, TransientMode, SCHEDULER_SWEEP_MBPS,
 };
 use deflate_bench::Scale;
-use vmdeflate::core::placement::PlacementEngine;
 use vmdeflate::transient::signal::CapacityProfile;
 
 mod common;
@@ -140,16 +139,15 @@ fn assert_matches_golden(actual: &[(String, u64)], golden: &[(&str, u64)], what:
     }
 }
 
-/// The incremental index under `PlacementEngine::default()` reproduces the
-/// PR 6 `fig_transient` results byte for byte.
+/// The incremental index and its tree reproduce the full-rescan
+/// `fig_transient` results byte for byte.
 #[test]
 fn default_engine_reproduces_pr6_fig_transient() {
-    assert_eq!(PlacementEngine::default(), PlacementEngine::sequential());
     assert_matches_golden(&transient_digests(), &TRANSIENT_GOLDEN, "fig_transient");
 }
 
-/// The incremental index under `PlacementEngine::default()` reproduces the
-/// PR 6 `fig_scheduler` results byte for byte.
+/// The incremental index and its tree reproduce the full-rescan
+/// `fig_scheduler` results byte for byte.
 #[test]
 fn default_engine_reproduces_pr6_fig_scheduler() {
     assert_eq!(default_migration_cost().reclaim_deadline_secs, 30.0);

@@ -13,8 +13,8 @@
 
 use deflate_bench::scale::Scale;
 use deflate_bench::transient_exp::{
-    default_migration_cost, profiles, run_transient_engine, run_transient_placed,
-    transient_workload, SchedulerVariant, TransientMode, SCHEDULER_SWEEP_MBPS,
+    default_migration_cost, profiles, run_transient_engine, transient_workload, SchedulerVariant,
+    TransientMode, SCHEDULER_SWEEP_MBPS,
 };
 use proptest::prelude::*;
 use vmdeflate::cluster::manager::{ClusterConfig, PlacementKind, ReclamationMode};
@@ -250,90 +250,6 @@ fn audited_runs_are_bit_identical_across_shards() {
             baseline, observed,
             "auditor-enabled run diverged at {shards} shards"
         );
-    }
-}
-
-/// The parallel placement-ranking fan-out is a pure performance knob:
-/// running the `fig_transient` rows under a parallel [`PlacementEngine`]
-/// × shard counts {2, 4} reproduces the sequential-default run **bit for
-/// bit** — the per-span argmax reduce preserves the exact first-best-score
-/// pick (and its score bits) of the sequential scan, so no placement
-/// decision, usage summary or counter may move.
-///
-/// [`PlacementEngine`]: vmdeflate::core::placement::PlacementEngine
-#[test]
-fn parallel_placement_engine_rows_are_bit_identical_to_sequential_default() {
-    use vmdeflate::core::placement::PlacementEngine;
-    let scale = Scale::Quick;
-    let workload = transient_workload(scale);
-    let cost = default_migration_cost();
-    for profile in profiles() {
-        for mode in TransientMode::ALL {
-            let sequential = run_transient_engine(
-                &workload,
-                scale,
-                mode,
-                profile,
-                cost,
-                TransferPolicy::fifo(),
-                ShardConfig::sequential(),
-            );
-            for shards in [2, 4] {
-                let parallel = run_transient_placed(
-                    &workload,
-                    scale,
-                    mode,
-                    profile,
-                    cost,
-                    TransferPolicy::fifo(),
-                    ShardConfig::with_shards(shards),
-                    PlacementEngine::parallel(4),
-                );
-                assert_eq!(
-                    sequential,
-                    parallel,
-                    "fig_transient {} / {} diverged under parallel placement at {} shards",
-                    profile.name(),
-                    mode.name(),
-                    shards
-                );
-            }
-        }
-    }
-}
-
-/// Same contract with every telemetry sink on: parallel placement ranking
-/// × shards {2, 4} × in-memory profiling/event-log/trace sinks still
-/// reproduces the sequential, telemetry-off run bit for bit, and the
-/// profiler actually attributed time to the worker shards (non-vacuous).
-#[test]
-fn parallel_placement_engine_with_telemetry_is_bit_identical() {
-    use deflate_bench::scale_exp::{run_scale_cell, run_scale_cell_placed, scale_workload};
-    use vmdeflate::core::placement::PlacementEngine;
-    use vmdeflate::telemetry::{TelemetryEventSet, TelemetrySink, TelemetrySpec};
-    let scale = Scale::Quick;
-    let workload = scale_workload(scale, 400);
-    let (baseline, _) = run_scale_cell(&workload, scale, ShardConfig::sequential());
-    for shards in [2, 4] {
-        let spec = TelemetrySpec::profiling()
-            .with_event_log("unused.jsonl")
-            .with_event_kinds(TelemetryEventSet::all())
-            .with_chrome_trace("unused.trace.json");
-        let sink = TelemetrySink::in_memory(&spec);
-        let (observed, _) = run_scale_cell_placed(
-            &workload,
-            scale,
-            ShardConfig::with_shards(shards),
-            PlacementEngine::parallel(4),
-            sink.clone(),
-        );
-        assert_eq!(
-            baseline, observed,
-            "parallel-placement telemetry-enabled run diverged at {shards} shards"
-        );
-        let report = sink.report();
-        assert!(!report.phases.is_empty(), "profiler collected nothing");
-        assert!(report.event_lines > 0, "event log collected nothing");
     }
 }
 
