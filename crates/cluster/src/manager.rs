@@ -921,7 +921,7 @@ impl ClusterManager {
             // Admission deflates residents and/or adds a domain; a failed
             // attempt can still have deflated, so mark unconditionally.
             self.mark_server_dirty(idx);
-            match self.controllers[idx].try_admit(spec.clone()) {
+            match self.admit(idx, spec) {
                 Ok(AdmissionOutcome::AdmittedWithoutDeflation) => {
                     self.vm_location.insert(spec.id, idx);
                     return PlacementResult::Placed {
@@ -946,6 +946,13 @@ impl ClusterManager {
                 return PlacementResult::Rejected;
             }
         }
+    }
+
+    /// Admit a VM on server `idx` through its local controller, timed as
+    /// its own phase so local deflation shows apart from the ranking.
+    fn admit(&mut self, idx: usize, spec: &VmSpec) -> Result<AdmissionOutcome> {
+        let _admission = self.telemetry.span(Phase::Admission);
+        self.controllers[idx].try_admit(spec.clone())
     }
 
     fn place_with_preemption(&mut self, spec: &VmSpec) -> PlacementResult {
@@ -1082,13 +1089,7 @@ impl ClusterManager {
         // `idx`; marking unconditionally (deduped) covers both that
         // mutation and any reinflation below.
         self.mark_server_dirty(idx);
-        if self.controllers[idx]
-            .server()
-            .check_capacity_invariant()
-            .is_ok()
-        {
-            self.controllers[idx].reinflate();
-        }
+        self.controllers[idx].reinflate_if_fits(1.0);
     }
 
     /// The restitution-response variant of
@@ -1107,15 +1108,7 @@ impl ClusterManager {
         if now_secs - self.last_reclaim_secs[idx] < self.restore_policy.hysteresis_secs {
             return;
         }
-        if self.restore_policy.step_fraction >= 1.0 {
-            self.reinflate_if_fits(idx);
-        } else if self.controllers[idx]
-            .server()
-            .check_capacity_invariant()
-            .is_ok()
-        {
-            self.controllers[idx].reinflate_partial(self.restore_policy.step_fraction);
-        }
+        self.controllers[idx].reinflate_if_fits(self.restore_policy.step_fraction);
     }
 
     /// Advance the time-based page-cache regrowth of every guest on one
@@ -1677,7 +1670,7 @@ impl ClusterManager {
             self.mark_server_dirty(idx);
             let admitted = if deflation_aware {
                 matches!(
-                    self.controllers[idx].try_admit(spec.clone()),
+                    self.admit(idx, spec),
                     Ok(AdmissionOutcome::AdmittedWithoutDeflation)
                         | Ok(AdmissionOutcome::AdmittedWithDeflation { .. })
                 )

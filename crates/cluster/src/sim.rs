@@ -324,7 +324,7 @@ impl ClusterSimulation {
     pub fn resume(&self, workload: &[WorkloadVm], snapshot: &[u8]) -> CheckpointResult<SimResult> {
         let started_at = std::time::Instant::now();
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
-        let mut state = self.boot(workload);
+        let mut state = self.boot_unscheduled(workload);
         self.restore_state(workload, &mut state, snapshot)?;
         self.drive(workload, &mut state, None);
         Ok(self.finish(workload, state, started_at))
@@ -342,7 +342,7 @@ impl ClusterSimulation {
         at_secs: f64,
     ) -> CheckpointResult<Vec<u8>> {
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
-        let mut state = self.boot(workload);
+        let mut state = self.boot_unscheduled(workload);
         self.restore_state(workload, &mut state, snapshot)?;
         self.drive(workload, &mut state, Some(at_secs));
         Ok(self.serialize_state(workload, &state, at_secs))
@@ -354,11 +354,18 @@ impl ClusterSimulation {
         r.get_f64()
     }
 
-    /// Build the engine's working state: the cluster manager, the optional
-    /// autoscaler, the fully scheduled event queue and the per-VM
-    /// bookkeeping — everything `drive` advances, and everything a
-    /// snapshot restores over.
+    /// Build the engine's working state for a fresh run: the cluster
+    /// manager, the optional autoscaler, the fully scheduled event queue
+    /// and the per-VM bookkeeping — everything `drive` advances.
     fn boot(&self, workload: &[WorkloadVm]) -> EngineState {
+        let mut state = self.boot_unscheduled(workload);
+        state.queue = self.schedule(workload, state.autoscaler.as_ref(), state.pool.as_deref());
+        state
+    }
+
+    /// [`boot`](Self::boot) with an empty event queue: the state a
+    /// snapshot restores over, which brings its own queue.
+    fn boot_unscheduled(&self, workload: &[WorkloadVm]) -> EngineState {
         let overcommitment = crate::spec::overcommitment_of(
             workload,
             self.config.server_capacity,
@@ -384,6 +391,46 @@ impl ClusterSimulation {
         let autoscaler = (self.autoscale_policy.is_enabled() && !self.elastic_apps.is_empty())
             .then(|| Autoscaler::new(self.autoscale_policy, self.elastic_apps.clone()));
 
+        let queue = ShardedEventQueue::new(self.shards, self.config.num_servers, workload.len());
+
+        // Working state.
+        let (index_of, records) = {
+            let _init = self.telemetry.span(Phase::RecordInit);
+            let index_of: IdMap<VmId, usize> = workload
+                .iter()
+                .enumerate()
+                .map(|(i, vm)| (vm.spec.id, i))
+                .collect();
+            let records = workload
+                .iter()
+                .map(|vm| VmRecord::new(vm.spec.clone(), vm.arrival_secs, vm.departure_secs))
+                .collect();
+            (index_of, records)
+        };
+        EngineState {
+            pool,
+            manager,
+            autoscaler,
+            queue,
+            index_of,
+            records,
+            running: vec![false; workload.len()],
+            migrations: Vec::new(),
+            utilization: Vec::new(),
+            events_processed: 0,
+            overcommitment,
+            auditor: (!self.audit.is_off()).then(|| Auditor::new(self.audit)),
+        }
+    }
+
+    /// Schedule every workload, capacity, tick and bootstrap event of a
+    /// fresh run into a new queue.
+    fn schedule(
+        &self,
+        workload: &[WorkloadVm],
+        autoscaler: Option<&Autoscaler>,
+        pool: Option<&WorkerPool>,
+    ) -> ShardedEventQueue {
         // Schedule every event up front. The queue's deterministic total
         // order (time, then kind, then id) makes the run independent of
         // insertion order: departures precede capacity changes precede
@@ -423,49 +470,20 @@ impl ClusterSimulation {
                     t += interval;
                 }
             }
-            if let Some(autoscaler) = &autoscaler {
+            if let Some(autoscaler) = autoscaler {
                 // Bootstrap scale-outs launch each app's initial pool.
                 events.extend(autoscaler.initial_events());
             }
             events
         };
-        let queue = ShardedEventQueue::build_with_workers(
+        ShardedEventQueue::build_with_workers(
             self.shards,
             self.config.num_servers,
             workload.len(),
             events,
             &self.telemetry,
-            pool.as_deref(),
-        );
-
-        // Working state.
-        let (index_of, records) = {
-            let _init = self.telemetry.span(Phase::RecordInit);
-            let index_of: IdMap<VmId, usize> = workload
-                .iter()
-                .enumerate()
-                .map(|(i, vm)| (vm.spec.id, i))
-                .collect();
-            let records = workload
-                .iter()
-                .map(|vm| VmRecord::new(vm.spec.clone(), vm.arrival_secs, vm.departure_secs))
-                .collect();
-            (index_of, records)
-        };
-        EngineState {
             pool,
-            manager,
-            autoscaler,
-            queue,
-            index_of,
-            records,
-            running: vec![false; workload.len()],
-            migrations: Vec::new(),
-            utilization: Vec::new(),
-            events_processed: 0,
-            overcommitment,
-            auditor: (!self.audit.is_off()).then(|| Auditor::new(self.audit)),
-        }
+        )
     }
 
     /// The main event loop: pop events in the queue's global total order
@@ -1006,8 +1024,9 @@ impl ClusterSimulation {
         w.into_bytes()
     }
 
-    /// Overwrite a freshly booted engine state with a snapshot's contents.
-    /// The queue is rebuilt through the ordinary sharded construction —
+    /// Overwrite an [unscheduled](Self::boot_unscheduled) engine state
+    /// with a snapshot's contents. The queue is built through the
+    /// ordinary sharded construction —
     /// snapshot bytes store events in the canonical pop order, and routing
     /// is content-addressed, so restoring under any shard count reproduces
     /// the same pops.
@@ -1669,6 +1688,29 @@ mod tests {
         assert_eq!(advanced, sim.checkpoint(&workload, 9.0 * 3600.0));
         let resumed = sim.resume(&workload, &advanced).unwrap();
         assert_eq!(full, resumed);
+    }
+
+    /// A resume builds only the queue its snapshot brings, never the
+    /// fresh schedule, and still ends where the uninterrupted run does.
+    #[test]
+    fn resume_skips_the_fresh_schedule() {
+        let workload = small_workload(80, 23);
+        let servers =
+            crate::spec::min_cluster_size(&workload, ResourceVector::cpu_mem(48_000.0, 131_072.0));
+        let sim = || {
+            ClusterSimulation::new(config(servers), proportional()).with_utilization_ticks(1800.0)
+        };
+        let snapshot = sim().checkpoint(&workload, 3.0 * 3600.0);
+        let sink = TelemetrySink::from_spec(&TelemetrySpec::profiling()).unwrap();
+        let resumed = sim()
+            .with_telemetry(sink.clone())
+            .resume(&workload, &snapshot)
+            .unwrap();
+        assert_eq!(resumed, sim().run(&workload));
+        let phases = sink.finish().unwrap().phases.phases;
+        let entered = |phase| phases.iter().any(|row| row.phase == phase);
+        assert!(!entered(Phase::ScheduleBuild), "resume built a schedule");
+        assert!(entered(Phase::Heapify), "the restored queue is built");
     }
 
     #[test]

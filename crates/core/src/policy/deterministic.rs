@@ -7,7 +7,7 @@
 //! (§7.4.2 explains that "the lower priority VMs ... are penalized more").
 //! Reinflation restores the highest-priority deflated VMs first.
 
-use super::{build_plan, DeflationPolicy, ScalarPlan, VmResourceState};
+use super::{build_targets, DeflationPolicy, PlanScratch, VmResourceState};
 use serde::{Deserialize, Serialize};
 
 /// Deterministic deflation policy.
@@ -46,13 +46,25 @@ impl DeflationPolicy for DeterministicDeflation {
         "deterministic"
     }
 
-    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan {
+    fn plan_into(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        scratch: &mut PlanScratch,
+        targets: &mut [f64],
+    ) -> (f64, f64) {
         let n = vms.len();
-        let mut reclaim = vec![0.0f64; n];
+        scratch.zero_take(n);
+        let PlanScratch {
+            take: reclaim,
+            active: order,
+            ..
+        } = scratch;
+        order.clear();
+        order.extend(0..n);
         if demand >= 0.0 {
             // Deflate lowest priority first (ties broken by larger deflatable
             // amount so fewer VMs are disturbed).
-            let mut order: Vec<usize> = (0..n).collect();
             order.sort_by(|&a, &b| {
                 vms[a]
                     .priority
@@ -65,7 +77,7 @@ impl DeflationPolicy for DeterministicDeflation {
                     })
             });
             let mut remaining = demand;
-            for &i in &order {
+            for &i in order.iter() {
                 if remaining <= 1e-9 {
                     break;
                 }
@@ -85,13 +97,12 @@ impl DeflationPolicy for DeterministicDeflation {
                 }
             }
             let shortfall = remaining.max(0.0);
-            build_plan(vms, &reclaim, demand, shortfall)
+            (build_targets(vms, reclaim, targets), shortfall)
         } else {
             // Reinflation: "the highest priority VMs are reinflated first"
             // (§5.1.3). Binary as well: a VM is restored to its full size if
             // the freed resources cover it.
             let give = -demand;
-            let mut order: Vec<usize> = (0..n).collect();
             order.sort_by(|&a, &b| {
                 vms[b]
                     .priority
@@ -99,7 +110,7 @@ impl DeflationPolicy for DeterministicDeflation {
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             let mut remaining = give;
-            for &i in &order {
+            for &i in order.iter() {
                 if remaining <= 1e-9 {
                     break;
                 }
@@ -115,7 +126,7 @@ impl DeflationPolicy for DeterministicDeflation {
                     remaining = 0.0;
                 }
             }
-            build_plan(vms, &reclaim, demand, -remaining.max(0.0))
+            (build_targets(vms, reclaim, targets), -remaining.max(0.0))
         }
     }
 }

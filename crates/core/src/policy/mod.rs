@@ -116,6 +116,64 @@ impl ScalarPlan {
     }
 }
 
+/// Caller-owned working buffers of one scalar planning call.
+///
+/// [`DeflationPolicy::plan_into`] overwrites whatever a previous call left
+/// here, so one scratch can serve any sequence of calls, of any size;
+/// after the first few calls it has grown to the largest input and a
+/// planning step allocates nothing. Holds no state between calls.
+#[derive(Debug, Clone, Default)]
+pub struct PlanScratch {
+    /// Per-VM weight (or, for the priority policy, deflatable span).
+    weights: Vec<f64>,
+    /// Per-VM headroom in the direction of the demand.
+    headrooms: Vec<f64>,
+    /// Per-VM amount taken (positive) or returned (negative).
+    take: Vec<f64>,
+    /// Indices of the VMs still taking part (or, for the deterministic
+    /// policy, the visiting order).
+    active: Vec<usize>,
+}
+
+impl PlanScratch {
+    /// An empty scratch; allocates nothing until first used.
+    pub const fn new() -> Self {
+        PlanScratch {
+            weights: Vec::new(),
+            headrooms: Vec::new(),
+            take: Vec::new(),
+            active: Vec::new(),
+        }
+    }
+
+    /// Fill `headrooms` and `weights` with one entry per VM.
+    fn load(
+        &mut self,
+        vms: &[VmResourceState],
+        headroom: impl Fn(&VmResourceState) -> f64,
+        weight: impl Fn(&VmResourceState) -> f64,
+    ) {
+        self.headrooms.clear();
+        self.headrooms.extend(vms.iter().map(headroom));
+        self.weights.clear();
+        self.weights.extend(vms.iter().map(weight));
+    }
+
+    /// Reset `take` to `n` zeros.
+    fn zero_take(&mut self, n: usize) {
+        self.take.clear();
+        self.take.resize(n, 0.0);
+    }
+
+    /// Flip the sign of every `take` entry: a returned amount is a negative
+    /// reclaim.
+    fn negate_take(&mut self) {
+        for r in &mut self.take {
+            *r = -*r;
+        }
+    }
+}
+
 /// A server-level deflation policy operating on a single resource dimension.
 pub trait DeflationPolicy: Send + Sync {
     /// Short policy name used in experiment output.
@@ -123,37 +181,72 @@ pub trait DeflationPolicy: Send + Sync {
 
     /// Compute new allocation targets so that `demand` units of the resource
     /// are reclaimed from (positive demand) or returned to (negative demand)
-    /// the given VMs.
+    /// the given VMs, writing `targets[i]` for `vms[i]` and using `scratch`
+    /// for every intermediate buffer. Returns `(reclaimed, shortfall)`.
     ///
     /// Invariants every implementation upholds:
-    /// * `targets` holds one entry per input VM, in input order;
+    /// * `targets` has one entry per input VM (`targets.len() == vms.len()`);
     /// * each target lies in `[min, max]` of its VM;
-    /// * `sum(current − target) == demand − shortfall` (up to rounding);
+    /// * `sum(current − target) == reclaimed`, and
+    ///   `reclaimed == demand − shortfall` up to rounding (binary policies
+    ///   may over-reclaim);
     /// * `shortfall` is non-negative for deflation and non-positive for
-    ///   reinflation, and zero when the demand was fully met.
-    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan;
+    ///   reinflation, and zero when the demand was fully met;
+    /// * the result depends only on `vms` and `demand`, never on what an
+    ///   earlier call left in `scratch`.
+    fn plan_into(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        scratch: &mut PlanScratch,
+        targets: &mut [f64],
+    ) -> (f64, f64);
+
+    /// [`plan_into`](Self::plan_into) with fresh buffers, collected into a
+    /// [`ScalarPlan`]. Convenient for tests and one-off calls; hot paths
+    /// keep a [`PlanScratch`] (or a [`VectorPlanner`]) and call
+    /// `plan_into` directly.
+    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan {
+        let mut targets = vec![0.0; vms.len()];
+        let (reclaimed, shortfall) =
+            self.plan_into(vms, demand, &mut PlanScratch::new(), &mut targets);
+        ScalarPlan {
+            kind: None,
+            targets: vms.iter().map(|vm| vm.id).zip(targets).collect(),
+            reclaimed,
+            shortfall,
+        }
+    }
 }
 
-/// Distribute `demand ≥ 0` across VMs proportionally to `weights`, honouring
-/// each VM's headroom, using iterative water-filling.
+/// Distribute `demand ≥ 0` across VMs proportionally to `scratch.weights`,
+/// honouring each VM's `scratch.headrooms`, using iterative water-filling.
 ///
-/// Returns the per-VM reclaim amounts (same order as `vms`) and the
-/// unsatisfied remainder. This is the computational core shared by the
-/// proportional and priority-weighted policies once their per-VM weights have
-/// been fixed: the paper's closed-form α only applies when no VM hits its
-/// bound, so the water-filling loop re-solves the closed form over the
-/// unsaturated set until a fixed point is reached.
-pub(crate) fn weighted_fill(headrooms: &[f64], weights: &[f64], demand: f64) -> (Vec<f64>, f64) {
+/// Leaves the per-VM reclaim amounts in `scratch.take` (same order as the
+/// loaded VMs) and returns the unsatisfied remainder. This is the
+/// computational core shared by the proportional and priority-weighted
+/// policies once their per-VM weights have been fixed: the paper's
+/// closed-form α only applies when no VM hits its bound, so the
+/// water-filling loop re-solves the closed form over the unsaturated set
+/// until a fixed point is reached. Reinflation uses it unchanged, with
+/// reinflatable headrooms and the amount to give back as the demand.
+pub(crate) fn weighted_fill(scratch: &mut PlanScratch, demand: f64) -> f64 {
+    let PlanScratch {
+        weights,
+        headrooms,
+        take,
+        active,
+    } = scratch;
     debug_assert_eq!(headrooms.len(), weights.len());
     let n = headrooms.len();
-    let mut take = vec![0.0f64; n];
+    take.clear();
+    take.resize(n, 0.0);
     if demand <= 0.0 || n == 0 {
-        return (take, demand.max(0.0));
+        return demand.max(0.0);
     }
     let mut remaining = demand;
-    let mut active: Vec<usize> = (0..n)
-        .filter(|&i| headrooms[i] > 1e-12 && weights[i] > 0.0)
-        .collect();
+    active.clear();
+    active.extend((0..n).filter(|&i| headrooms[i] > 1e-12 && weights[i] > 0.0));
     // Each round either satisfies the remaining demand or saturates at least
     // one VM, so the loop terminates in at most `n` rounds.
     while remaining > 1e-9 && !active.is_empty() {
@@ -162,7 +255,7 @@ pub(crate) fn weighted_fill(headrooms: &[f64], weights: &[f64], demand: f64) -> 
             break;
         }
         let mut progressed = false;
-        for &i in &active {
+        for &i in active.iter() {
             let share = remaining * weights[i] / total_weight;
             let capacity = headrooms[i] - take[i];
             let grant = share.min(capacity);
@@ -178,15 +271,7 @@ pub(crate) fn weighted_fill(headrooms: &[f64], weights: &[f64], demand: f64) -> 
         }
         active.retain(|&i| headrooms[i] - take[i] > 1e-12);
     }
-    (take, remaining.max(0.0))
-}
-
-/// Distribute `give ≥ 0` units back to VMs proportionally to `weights`,
-/// honouring each VM's reinflatable headroom. Mirror image of
-/// [`weighted_fill`]; returns per-VM returned amounts and the surplus that
-/// could not be placed.
-pub(crate) fn weighted_return(headrooms: &[f64], weights: &[f64], give: f64) -> (Vec<f64>, f64) {
-    weighted_fill(headrooms, weights, give)
+    remaining.max(0.0)
 }
 
 /// Anything that exposes a VM spec plus its currently granted allocation.
@@ -219,10 +304,50 @@ impl<T: AllocationView + ?Sized> AllocationView for &T {
     }
 }
 
-/// Builds [`VmResourceState`] slices out of full [`VmAllocation`]s and lifts a
-/// scalar policy to all four resource dimensions.
+/// Lifts a scalar policy to all four resource dimensions: gathers the
+/// deflatable VMs' bounds and current allocations once, then plans each
+/// dimension with a non-zero demand.
+///
+/// A planner is a set of reusable buffers — it keeps no state between
+/// calls — so a long-lived one plans without allocating once its buffers
+/// have grown to the largest input.
 #[derive(Debug, Clone, Default)]
-pub struct VectorPlanner;
+pub struct VectorPlanner {
+    /// Bounds of each deflatable input, parallel to `targets`.
+    bounds: Vec<Bounds>,
+    /// Each deflatable input's id and allocation: the current one after
+    /// the gather, the planned one once its kind has been planned.
+    targets: Vec<(VmId, ResourceVector)>,
+    /// One kind's scalar states.
+    states: Vec<VmResourceState>,
+    /// One kind's scalar targets.
+    scalar: Vec<f64>,
+    scratch: PlanScratch,
+}
+
+/// The per-VM spec fields a scalar state needs, copied out once per call.
+#[derive(Debug, Clone, Copy)]
+struct Bounds {
+    max: ResourceVector,
+    min: ResourceVector,
+    priority: f64,
+}
+
+/// Per-resource totals of one vector planning call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanTotals {
+    /// Total reclaimed per resource (negative when reinflating).
+    pub reclaimed: ResourceVector,
+    /// Unmet demand per resource.
+    pub shortfall: ResourceVector,
+}
+
+impl PlanTotals {
+    /// True when every resource dimension was fully satisfied.
+    pub fn satisfied(&self) -> bool {
+        self.shortfall.iter().all(|(_, v)| v.abs() <= 1e-6)
+    }
+}
 
 /// A full multi-resource deflation plan: one target vector per VM plus
 /// per-resource shortfalls.
@@ -239,104 +364,129 @@ pub struct VectorPlan {
 impl VectorPlan {
     /// True when every resource dimension was fully satisfied.
     pub fn satisfied(&self) -> bool {
-        self.shortfall.iter().all(|(_, v)| v.abs() <= 1e-6)
+        PlanTotals {
+            reclaimed: self.reclaimed,
+            shortfall: self.shortfall,
+        }
+        .satisfied()
     }
 }
 
 impl VectorPlanner {
-    /// Extract the scalar state of one resource kind from a set of VM
-    /// allocations (deflatable VMs only; non-deflatable VMs are skipped).
-    pub fn scalar_states<V: AllocationView>(vms: &[V], kind: ResourceKind) -> Vec<VmResourceState> {
-        Self::deflatable_states(vms, kind).collect()
+    /// A planner with empty buffers; allocates nothing until first used.
+    pub const fn new() -> Self {
+        VectorPlanner {
+            bounds: Vec::new(),
+            targets: Vec::new(),
+            states: Vec::new(),
+            scalar: Vec::new(),
+            scratch: PlanScratch::new(),
+        }
     }
 
-    fn deflatable_states<V: AllocationView>(
-        vms: &[V],
-        kind: ResourceKind,
-    ) -> impl Iterator<Item = VmResourceState> + '_ {
-        vms.iter()
-            .filter(|vm| vm.spec().deflatable)
-            .map(move |vm| VmResourceState {
-                id: vm.spec().id,
-                max: vm.spec().max_allocation[kind],
-                min: vm.spec().min_allocation[kind],
-                current: vm.current_allocation()[kind],
-                priority: vm.spec().priority.value(),
-            })
-    }
-
-    /// Plan deflation (or reinflation) of every resource dimension using the
-    /// given scalar policy. `demand` holds, per resource, the amount that
-    /// must be reclaimed (positive) or can be returned (negative).
+    /// Plan deflation (or reinflation) of every resource dimension of
+    /// `vms` using the given scalar policy, into the planner's buffers.
+    /// `demand` holds, per resource, the amount that must be reclaimed
+    /// (positive) or can be returned (negative). Non-deflatable VMs are
+    /// skipped.
     ///
-    /// The plan's targets are the deflatable `vms` in input order. The
-    /// scalar plans come back in that same order (a [`ScalarPlan`]
-    /// contract), so each resource kind is merged positionally.
-    pub fn plan<V: AllocationView>(
+    /// The planned allocations are then read from
+    /// [`targets`](Self::targets): the deflatable `vms` in input order.
+    pub fn plan_into<V: AllocationView>(
+        &mut self,
         policy: &dyn DeflationPolicy,
-        vms: &[V],
+        vms: impl IntoIterator<Item = V>,
         demand: ResourceVector,
-    ) -> VectorPlan {
-        let mut targets: Vec<(VmId, ResourceVector)> = vms
-            .iter()
-            .filter(|vm| vm.spec().deflatable)
-            .map(|vm| (vm.spec().id, vm.current_allocation()))
-            .collect();
-        let mut reclaimed = ResourceVector::ZERO;
-        let mut shortfall = ResourceVector::ZERO;
-        let mut states = Vec::new();
+    ) -> PlanTotals {
+        self.bounds.clear();
+        self.targets.clear();
+        for vm in vms {
+            let spec = vm.spec();
+            if !spec.deflatable {
+                continue;
+            }
+            self.bounds.push(Bounds {
+                max: spec.max_allocation,
+                min: spec.min_allocation,
+                priority: spec.priority.value(),
+            });
+            self.targets.push((spec.id, vm.current_allocation()));
+        }
+        let mut totals = PlanTotals {
+            reclaimed: ResourceVector::ZERO,
+            shortfall: ResourceVector::ZERO,
+        };
         for kind in ResourceKind::ALL {
             let d = demand[kind];
             if d.abs() <= 1e-12 {
                 continue;
             }
-            states.clear();
-            states.extend(Self::deflatable_states(vms, kind));
-            let plan = policy.plan(&states, d);
-            debug_assert_eq!(plan.targets.len(), targets.len());
-            for ((id, target), (planned, v)) in plan.targets.iter().zip(targets.iter_mut()) {
-                debug_assert_eq!(id, planned, "scalar plan out of input order");
+            // Each kind is written back once, after it is planned, so this
+            // kind's entry of every target still holds the current value.
+            self.states.clear();
+            self.states
+                .extend(
+                    self.bounds
+                        .iter()
+                        .zip(&self.targets)
+                        .map(|(bounds, &(id, current))| VmResourceState {
+                            id,
+                            max: bounds.max[kind],
+                            min: bounds.min[kind],
+                            current: current[kind],
+                            priority: bounds.priority,
+                        }),
+                );
+            self.scalar.clear();
+            self.scalar.resize(self.states.len(), 0.0);
+            let (reclaimed, shortfall) =
+                policy.plan_into(&self.states, d, &mut self.scratch, &mut self.scalar);
+            for (target, (_, v)) in self.scalar.iter().zip(self.targets.iter_mut()) {
                 v[kind] = *target;
             }
-            reclaimed[kind] = plan.reclaimed;
-            shortfall[kind] = plan.shortfall;
+            totals.reclaimed[kind] = reclaimed;
+            totals.shortfall[kind] = shortfall;
         }
+        totals
+    }
+
+    /// The targets of the last [`plan_into`](Self::plan_into) call: one
+    /// allocation per deflatable input VM, in input order. Dimensions
+    /// without demand keep the current allocation.
+    pub fn targets(&self) -> &[(VmId, ResourceVector)] {
+        &self.targets
+    }
+
+    /// [`plan_into`](Self::plan_into) with a fresh planner, collected
+    /// into a [`VectorPlan`].
+    pub fn plan<V: AllocationView>(
+        policy: &dyn DeflationPolicy,
+        vms: &[V],
+        demand: ResourceVector,
+    ) -> VectorPlan {
+        let mut planner = VectorPlanner::new();
+        let totals = planner.plan_into(policy, vms, demand);
         VectorPlan {
-            targets,
-            reclaimed,
-            shortfall,
+            targets: planner.targets,
+            reclaimed: totals.reclaimed,
+            shortfall: totals.shortfall,
         }
     }
 }
 
-/// Shared plumbing for building a [`ScalarPlan`] out of per-VM reclaim /
-/// return amounts.
-///
-/// The reported `reclaimed` figure is the *actual* change in total
-/// allocation, `Σ (current − target)`, which can exceed the demand for
-/// binary policies that over-reclaim, and is negative when reinflating.
-pub(crate) fn build_plan(
-    vms: &[VmResourceState],
-    reclaim: &[f64],
-    _demand: f64,
-    shortfall: f64,
-) -> ScalarPlan {
+/// Write each VM's target `current − reclaim`, clamped to its bounds, and
+/// return the *actual* change in total allocation, `Σ (current − target)`.
+/// That figure can exceed the demand for binary policies that
+/// over-reclaim, and is negative when reinflating.
+pub(crate) fn build_targets(vms: &[VmResourceState], reclaim: &[f64], targets: &mut [f64]) -> f64 {
+    debug_assert_eq!(targets.len(), vms.len());
     let mut reclaimed = 0.0;
-    let targets = vms
-        .iter()
-        .zip(reclaim.iter())
-        .map(|(vm, r)| {
-            let target = (vm.current - r).clamp(vm.min, vm.max);
-            reclaimed += vm.current - target;
-            (vm.id, target)
-        })
-        .collect();
-    ScalarPlan {
-        kind: None,
-        targets,
-        reclaimed,
-        shortfall,
+    for ((vm, r), slot) in vms.iter().zip(reclaim).zip(targets.iter_mut()) {
+        let target = (vm.current - r).clamp(vm.min, vm.max);
+        reclaimed += vm.current - target;
+        *slot = target;
     }
+    reclaimed
 }
 
 #[cfg(test)]
@@ -362,9 +512,29 @@ mod tests {
         assert_eq!(s.deflatable_span(), 8.0);
     }
 
+    /// `weighted_fill` through `scratch`, with its inputs loaded the way
+    /// the policies load them; returns the take and the remainder.
+    fn fill_with(
+        scratch: &mut PlanScratch,
+        headrooms: &[f64],
+        weights: &[f64],
+        demand: f64,
+    ) -> (Vec<f64>, f64) {
+        scratch.headrooms.clear();
+        scratch.headrooms.extend_from_slice(headrooms);
+        scratch.weights.clear();
+        scratch.weights.extend_from_slice(weights);
+        let rem = weighted_fill(scratch, demand);
+        (scratch.take.clone(), rem)
+    }
+
+    fn fill(headrooms: &[f64], weights: &[f64], demand: f64) -> (Vec<f64>, f64) {
+        fill_with(&mut PlanScratch::new(), headrooms, weights, demand)
+    }
+
     #[test]
     fn weighted_fill_simple_proportional() {
-        let (take, rem) = weighted_fill(&[10.0, 10.0], &[1.0, 3.0], 4.0);
+        let (take, rem) = fill(&[10.0, 10.0], &[1.0, 3.0], 4.0);
         assert!(rem.abs() < 1e-9);
         assert!((take[0] - 1.0).abs() < 1e-9);
         assert!((take[1] - 3.0).abs() < 1e-9);
@@ -373,7 +543,7 @@ mod tests {
     #[test]
     fn weighted_fill_respects_headroom_and_redistributes() {
         // VM 0 can only give 1.0; the rest must come from VM 1.
-        let (take, rem) = weighted_fill(&[1.0, 100.0], &[1.0, 1.0], 10.0);
+        let (take, rem) = fill(&[1.0, 100.0], &[1.0, 1.0], 10.0);
         assert!(rem.abs() < 1e-9);
         assert!((take[0] - 1.0).abs() < 1e-9);
         assert!((take[1] - 9.0).abs() < 1e-9);
@@ -381,7 +551,7 @@ mod tests {
 
     #[test]
     fn weighted_fill_reports_shortfall() {
-        let (take, rem) = weighted_fill(&[1.0, 2.0], &[1.0, 1.0], 10.0);
+        let (take, rem) = fill(&[1.0, 2.0], &[1.0, 1.0], 10.0);
         assert!((take[0] - 1.0).abs() < 1e-9);
         assert!((take[1] - 2.0).abs() < 1e-9);
         assert!((rem - 7.0).abs() < 1e-9);
@@ -445,6 +615,7 @@ mod tests {
             2 => 1.0,
             _ => 100.0 * u,
         };
+        let mut reused = PlanScratch::new();
         for case in 0..2_000 {
             let n = case % 33;
             let headrooms: Vec<f64> = (0..n).map(|_| pick(next())).collect();
@@ -455,20 +626,26 @@ mod tests {
                 1 => total,
                 _ => 2.0 * total * next(),
             };
-            let (take, rem) = weighted_fill(&headrooms, &weights, demand);
             let (want, want_rem) = weighted_fill_oracle(&headrooms, &weights, demand);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&take), bits(&want), "case {case}");
-            assert_eq!(rem.to_bits(), want_rem.to_bits(), "case {case}");
+            // A fresh scratch, and one reused across every case so far:
+            // sizes shrink and grow, so a stale entry would show here.
+            for (take, rem) in [
+                fill(&headrooms, &weights, demand),
+                fill_with(&mut reused, &headrooms, &weights, demand),
+            ] {
+                assert_eq!(bits(&take), bits(&want), "case {case}");
+                assert_eq!(rem.to_bits(), want_rem.to_bits(), "case {case}");
+            }
         }
     }
 
     #[test]
     fn weighted_fill_zero_demand_or_empty() {
-        let (take, rem) = weighted_fill(&[], &[], 5.0);
+        let (take, rem) = fill(&[], &[], 5.0);
         assert!(take.is_empty());
         assert_eq!(rem, 5.0);
-        let (take, rem) = weighted_fill(&[1.0], &[1.0], 0.0);
+        let (take, rem) = fill(&[1.0], &[1.0], 0.0);
         assert_eq!(take, vec![0.0]);
         assert_eq!(rem, 0.0);
     }
@@ -538,10 +715,6 @@ mod tests {
             ResourceVector::cpu_mem(4000.0, 8192.0),
         ));
         let vms = vec![&deflatable, &on_demand];
-        let states = VectorPlanner::scalar_states(&vms, ResourceKind::Cpu);
-        assert_eq!(states.len(), 1);
-        assert_eq!(states[0].id, VmId(1));
-
         let policy = ProportionalDeflation::default();
         let plan = VectorPlanner::plan(
             &policy,

@@ -18,7 +18,7 @@
 //! active-set treatment whose fixed point coincides with the paper's closed
 //! form whenever no bound is hit.
 
-use super::{build_plan, weighted_return, DeflationPolicy, ScalarPlan, VmResourceState};
+use super::{build_targets, weighted_fill, DeflationPolicy, PlanScratch, VmResourceState};
 use serde::{Deserialize, Serialize};
 
 /// How the per-VM deflation floor interacts with the priority level.
@@ -78,24 +78,38 @@ impl PriorityDeflation {
         (vm.max - self.floor(vm)).max(0.0)
     }
 
-    /// Solve the clamped affine system for deflation.
-    fn solve_deflation(&self, vms: &[VmResourceState], demand: f64) -> (Vec<f64>, f64) {
+    /// Solve the clamped affine system for deflation, leaving the per-VM
+    /// reclaim in `scratch.take`. Returns the shortfall.
+    fn solve_deflation(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        scratch: &mut PlanScratch,
+    ) -> f64 {
         let n = vms.len();
-        let mut reclaim = vec![0.0f64; n];
+        scratch.zero_take(n);
         if n == 0 || demand <= 0.0 {
-            return (reclaim, demand.max(0.0));
+            return demand.max(0.0);
         }
-        // Headroom relative to the *current* allocation and the mode's floor.
-        let headroom: Vec<f64> = vms
-            .iter()
-            .map(|vm| (vm.current - self.floor(vm)).max(0.0))
-            .collect();
-        let span: Vec<f64> = vms.iter().map(|vm| self.span(vm)).collect();
-        let mut fixed = vec![false; n];
+        // Headroom relative to the *current* allocation and the mode's
+        // floor; the span `D_i` is the weight.
+        scratch.load(
+            vms,
+            |vm| (vm.current - self.floor(vm)).max(0.0),
+            |vm| self.span(vm),
+        );
+        let PlanScratch {
+            weights: span,
+            headrooms: headroom,
+            take: reclaim,
+            active,
+        } = scratch;
+        // The VMs not yet fixed at a bound, in input order.
+        active.clear();
+        active.extend(0..n);
         let mut fixed_total = 0.0f64;
 
         for _round in 0..n {
-            let active: Vec<usize> = (0..n).filter(|&i| !fixed[i]).collect();
             if active.is_empty() {
                 break;
             }
@@ -108,43 +122,47 @@ impl PriorityDeflation {
             if sum_span <= 1e-12 {
                 break;
             }
-            // Degenerate case: all priorities ~0 → plain proportional split.
-            let raw: Vec<(usize, f64)> = if sum_pri_span <= 1e-12 {
-                active
-                    .iter()
-                    .map(|&i| (i, residual * span[i] / sum_span))
-                    .collect()
+            // This round's unclamped solution, parked in `reclaim` (an
+            // active VM's entry is zero until it is fixed or accepted).
+            if sum_pri_span <= 1e-12 {
+                // Degenerate case: all priorities ~0 → plain proportional
+                // split.
+                for &i in active.iter() {
+                    reclaim[i] = residual * span[i] / sum_span;
+                }
             } else {
                 let alpha = (sum_span - residual) / sum_pri_span;
-                active
-                    .iter()
-                    .map(|&i| (i, span[i] * (1.0 - alpha * vms[i].priority)))
-                    .collect()
-            };
-            // Clamp violators to their bounds and fix them; if nobody
-            // violated, accept the solution.
-            let mut violated = false;
-            for &(i, x) in &raw {
-                if x < -1e-12 {
-                    reclaim[i] = 0.0;
-                    fixed[i] = true;
-                    violated = true;
-                } else if x > headroom[i] + 1e-12 {
-                    reclaim[i] = headroom[i];
-                    fixed[i] = true;
-                    fixed_total += headroom[i];
-                    violated = true;
+                for &i in active.iter() {
+                    reclaim[i] = span[i] * (1.0 - alpha * vms[i].priority);
                 }
             }
-            if !violated {
-                for (i, x) in raw {
-                    reclaim[i] = x.clamp(0.0, headroom[i]);
+            // If nobody violated a bound, accept the solution.
+            let violates = |i: usize| reclaim[i] < -1e-12 || reclaim[i] > headroom[i] + 1e-12;
+            if !active.iter().any(|&i| violates(i)) {
+                for &i in active.iter() {
+                    reclaim[i] = reclaim[i].clamp(0.0, headroom[i]);
                 }
                 break;
             }
+            // Clamp violators to their bounds and fix them; the others go
+            // back to zero and are re-solved next round.
+            active.retain(|&i| {
+                let x = reclaim[i];
+                if x < -1e-12 {
+                    reclaim[i] = 0.0;
+                    false
+                } else if x > headroom[i] + 1e-12 {
+                    reclaim[i] = headroom[i];
+                    fixed_total += headroom[i];
+                    false
+                } else {
+                    reclaim[i] = 0.0;
+                    true
+                }
+            });
         }
         let total: f64 = reclaim.iter().sum();
-        (reclaim, (demand - total).max(0.0))
+        (demand - total).max(0.0)
     }
 }
 
@@ -156,25 +174,26 @@ impl DeflationPolicy for PriorityDeflation {
         }
     }
 
-    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan {
+    fn plan_into(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        scratch: &mut PlanScratch,
+        targets: &mut [f64],
+    ) -> (f64, f64) {
         if demand >= 0.0 {
-            let (reclaim, shortfall) = self.solve_deflation(vms, demand);
-            build_plan(vms, &reclaim, demand, shortfall)
+            let shortfall = self.solve_deflation(vms, demand, scratch);
+            (build_targets(vms, &scratch.take, targets), shortfall)
         } else {
             // Reinflation: resources flow back preferentially to high
             // priority VMs — the reverse of the deflation ordering — in
             // proportion to π_i times the headroom to their full size.
-            let give = -demand;
-            let headroom: Vec<f64> = vms.iter().map(|vm| vm.reinflatable_headroom()).collect();
-            let weights: Vec<f64> = vms
-                .iter()
-                .map(|vm| vm.priority * vm.max.max(1e-12))
-                .collect();
-            let (mut reclaim, surplus) = weighted_return(&headroom, &weights, give);
-            for r in &mut reclaim {
-                *r = -*r;
-            }
-            build_plan(vms, &reclaim, demand, -surplus)
+            scratch.load(vms, VmResourceState::reinflatable_headroom, |vm| {
+                vm.priority * vm.max.max(1e-12)
+            });
+            let surplus = weighted_fill(scratch, -demand);
+            scratch.negate_take();
+            (build_targets(vms, &scratch.take, targets), -surplus)
         }
     }
 }

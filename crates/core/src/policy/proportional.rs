@@ -15,9 +15,7 @@
 //! remaining VMs (water-filling), which is exactly the fixed point of
 //! re-solving the closed form over the unsaturated set.
 
-use super::{
-    build_plan, weighted_fill, weighted_return, DeflationPolicy, ScalarPlan, VmResourceState,
-};
+use super::{build_targets, weighted_fill, DeflationPolicy, PlanScratch, VmResourceState};
 use serde::{Deserialize, Serialize};
 
 /// Which weight the proportional share uses.
@@ -61,13 +59,13 @@ impl ProportionalDeflation {
         }
     }
 
-    fn weights(&self, vms: &[VmResourceState]) -> Vec<f64> {
-        vms.iter()
-            .map(|vm| match self.mode {
-                ProportionalMode::BySize => vm.max.max(0.0),
-                ProportionalMode::ByDeflatableSpan => vm.deflatable_span(),
-            })
-            .collect()
+    /// The proportional weight of one VM: `M_i` (Eq 1) or `M_i − m_i`
+    /// (Eq 2).
+    fn weight(&self, vm: &VmResourceState) -> f64 {
+        match self.mode {
+            ProportionalMode::BySize => vm.max.max(0.0),
+            ProportionalMode::ByDeflatableSpan => vm.deflatable_span(),
+        }
     }
 }
 
@@ -79,22 +77,25 @@ impl DeflationPolicy for ProportionalDeflation {
         }
     }
 
-    fn plan(&self, vms: &[VmResourceState], demand: f64) -> ScalarPlan {
-        let weights = self.weights(vms);
+    fn plan_into(
+        &self,
+        vms: &[VmResourceState],
+        demand: f64,
+        scratch: &mut PlanScratch,
+        targets: &mut [f64],
+    ) -> (f64, f64) {
+        let weight = |vm: &VmResourceState| self.weight(vm);
         if demand >= 0.0 {
-            let headrooms: Vec<f64> = vms.iter().map(|v| v.deflatable_headroom()).collect();
-            let (take, shortfall) = weighted_fill(&headrooms, &weights, demand);
-            build_plan(vms, &take, demand, shortfall)
+            scratch.load(vms, VmResourceState::deflatable_headroom, weight);
+            let shortfall = weighted_fill(scratch, demand);
+            (build_targets(vms, &scratch.take, targets), shortfall)
         } else {
             // Reinflation: run the proportional policy backwards (§5.1.3),
             // returning resources in proportion to the same weights.
-            let give = -demand;
-            let headrooms: Vec<f64> = vms.iter().map(|v| v.reinflatable_headroom()).collect();
-            let (mut reclaim, surplus) = weighted_return(&headrooms, &weights, give);
-            for r in &mut reclaim {
-                *r = -*r;
-            }
-            build_plan(vms, &reclaim, demand, -surplus)
+            scratch.load(vms, VmResourceState::reinflatable_headroom, weight);
+            let surplus = weighted_fill(scratch, -demand);
+            scratch.negate_take();
+            (build_targets(vms, &scratch.take, targets), -surplus)
         }
     }
 }

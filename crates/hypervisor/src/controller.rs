@@ -13,12 +13,22 @@
 
 use crate::domain::DeflationMechanism;
 use crate::server::SimServer;
-use deflate_core::error::{DeflateError, Result};
-use deflate_core::policy::{DeflationPolicy, VectorPlanner};
+use deflate_core::error::Result;
+use deflate_core::policy::{DeflationPolicy, PlanTotals, VectorPlanner};
 use deflate_core::resources::ResourceVector;
 use deflate_core::vm::{VmId, VmSpec};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::sync::Arc;
+
+thread_local! {
+    /// The planning buffers every controller on this thread shares. A
+    /// planner keeps no state between calls, so sharing one changes no
+    /// result; it grows to the largest server once and then plans without
+    /// allocating, and it costs one set of buffers per thread rather than
+    /// one per server.
+    static PLANNER: RefCell<VectorPlanner> = const { RefCell::new(VectorPlanner::new()) };
+}
 
 /// Outcome of an admission attempt on one server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,14 +103,11 @@ impl LocalController {
         let demand = spec.max_allocation;
         let free = self.server.free();
         if demand.fits_within(&free) {
-            self.server.create_domain(spec, self.mechanism)?;
+            self.server.launch(spec, self.mechanism, free)?;
             return Ok(AdmissionOutcome::AdmittedWithoutDeflation);
         }
 
-        // Step 2: compute the deflation required to accommodate the new VM.
-        let needed = demand.saturating_sub(&free);
-        let domains: Vec<_> = self.server.domains().collect();
-        let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, needed);
+        let plan = self.make_room(demand.saturating_sub(&free))?;
         if !plan.satisfied() {
             // "If this violates any resource constraint, then the server
             // rejects the VM."
@@ -108,25 +115,33 @@ impl LocalController {
                 shortfall: plan.shortfall,
             });
         }
-
-        // Step 3: perform the actual deflation and launch the VM.
-        self.server.apply_targets(&plan.targets)?;
         let reclaimed = plan.reclaimed;
-        match self.server.create_domain(spec.clone(), self.mechanism) {
-            Ok(_) => Ok(AdmissionOutcome::AdmittedWithDeflation { reclaimed }),
-            Err(DeflateError::PlacementFailed { .. }) => {
-                // Deflation mechanisms are granular (hotplug rounds up), so
-                // the freed amount can fall marginally short of the plan.
-                // Admit the VM slightly deflated to fit the space actually
-                // available rather than rejecting it.
-                let free = self.server.free();
-                let initial = demand.min(&free);
-                self.server
-                    .create_domain_deflated(spec, self.mechanism, initial)?;
-                Ok(AdmissionOutcome::AdmittedWithDeflation { reclaimed })
-            }
-            Err(e) => Err(e),
+        let free = self.server.free();
+        if demand.fits_within(&free) {
+            self.server.launch(spec, self.mechanism, free)?;
+        } else {
+            // Deflation mechanisms are granular (hotplug rounds up), so
+            // the freed amount can fall marginally short of the plan.
+            // Admit the VM slightly deflated to fit the space actually
+            // available rather than rejecting it.
+            self.server
+                .launch_deflated(spec, self.mechanism, demand.min(&free), free)?;
         }
+        Ok(AdmissionOutcome::AdmittedWithDeflation { reclaimed })
+    }
+
+    /// The deflation half of [`try_admit`](Self::try_admit): step 2
+    /// computes the deflation that frees `needed` more room, and step 3
+    /// applies it — only if the plan meets the whole demand, so a
+    /// rejected admission deflates nobody.
+    pub fn make_room(&mut self, needed: ResourceVector) -> Result<PlanTotals> {
+        PLANNER.with_borrow_mut(|planner| {
+            let plan = planner.plan_into(self.policy.as_ref(), self.server.domains(), needed);
+            if plan.satisfied() {
+                self.server.apply_targets(planner.targets())?;
+            }
+            Ok(plan)
+        })
     }
 
     /// Handle a VM departure: destroy the domain and redistribute the freed
@@ -160,9 +175,10 @@ impl LocalController {
         if over.is_zero() {
             return ResourceVector::ZERO;
         }
-        let domains: Vec<_> = self.server.domains().collect();
-        let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, over);
-        let _ = self.server.apply_targets(&plan.targets);
+        PLANNER.with_borrow_mut(|planner| {
+            planner.plan_into(self.policy.as_ref(), self.server.domains(), over);
+            let _ = self.server.apply_targets(planner.targets());
+        });
         self.server
             .effective_used()
             .saturating_sub(&self.server.capacity)
@@ -173,26 +189,41 @@ impl LocalController {
     /// are skipped — their deflation is deliberate and must stick until
     /// the autoscaler unparks them.
     pub fn reinflate(&mut self) {
-        self.reinflate_fraction(1.0);
+        let used = self.server.effective_used();
+        self.reinflate_into(used, 1.0);
     }
 
-    /// Reinflate residents into only `fraction` of the currently free
-    /// capacity — the spread-out half of the restore-hysteresis policy.
-    /// `1.0` is the full greedy hand-back of [`reinflate`](Self::reinflate).
-    pub fn reinflate_partial(&mut self, fraction: f64) {
-        self.reinflate_fraction(fraction.clamp(0.0, 1.0));
+    /// Reinflate residents into only `fraction` (clamped to `[0, 1]`) of
+    /// the currently free capacity, and only while the residents fit the
+    /// capacity; returns whether they did. A server kept over capacity (by
+    /// in-flight outbound transfers, say) has no room to hand out. A
+    /// fraction below one is the spread-out half of the restore-hysteresis
+    /// policy. One walk over the residents serves both the check and the
+    /// free room.
+    pub fn reinflate_if_fits(&mut self, fraction: f64) -> bool {
+        let used = self.server.effective_used();
+        if !used.fits_within(&self.server.capacity) {
+            return false;
+        }
+        self.reinflate_into(used, fraction);
+        true
     }
 
-    fn reinflate_fraction(&mut self, fraction: f64) {
-        let free = self.server.free() * fraction;
+    /// Hand `fraction` of the room left by `used` back to the unparked
+    /// residents.
+    fn reinflate_into(&mut self, used: ResourceVector, fraction: f64) {
+        let free = self.server.capacity.saturating_sub(&used) * fraction.clamp(0.0, 1.0);
         if free.is_zero() {
             return;
         }
-        let domains: Vec<_> = self.server.domains().filter(|d| !d.is_parked()).collect();
-        let plan = VectorPlanner::plan(self.policy.as_ref(), &domains, -free);
-        // Ignore the (negative) shortfall: not being able to place all freed
-        // resources simply means residents are already fully inflated.
-        let _ = self.server.apply_targets(&plan.targets);
+        PLANNER.with_borrow_mut(|planner| {
+            let residents = self.server.domains().filter(|d| !d.is_parked());
+            planner.plan_into(self.policy.as_ref(), residents, -free);
+            // Ignore the (negative) shortfall: not being able to place all
+            // freed resources simply means residents are already fully
+            // inflated.
+            let _ = self.server.apply_targets(planner.targets());
+        });
         debug_assert!(self.server.check_capacity_invariant().is_ok());
     }
 }
@@ -392,7 +423,7 @@ mod tests {
         let d1 = c.server_mut().domain_mut(VmId(1)).unwrap();
         let half = d1.spec.max_allocation * 0.5;
         d1.deflate_to(half);
-        c.reinflate_partial(0.25);
+        assert!(c.reinflate_if_fits(0.25));
         let cpu = c
             .server()
             .domain(VmId(1))
@@ -407,6 +438,26 @@ mod tests {
             c.server().domain(VmId(1)).unwrap().effective_allocation(),
             c.server().domain(VmId(1)).unwrap().spec.max_allocation
         );
+    }
+
+    #[test]
+    fn reinflation_waits_while_over_capacity() {
+        let mut c = controller();
+        c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
+        c.try_admit(vm(2, 6.0, 8_192.0)).unwrap();
+        let full = c.server().capacity;
+        c.server_mut().set_capacity(full * 0.5);
+        assert!(c.deflate_into_capacity().is_zero());
+        let deflated = allocations(&c);
+        // Over capacity (as with transfers still in flight): nothing moves.
+        c.server_mut().set_capacity(full * 0.25);
+        assert!(!c.reinflate_if_fits(1.0));
+        assert_eq!(allocations(&c), deflated);
+        c.server_mut().set_capacity(full);
+        assert!(c.reinflate_if_fits(1.0));
+        for d in c.server().domains() {
+            assert_eq!(d.effective_allocation(), d.spec.max_allocation);
+        }
     }
 
     #[test]

@@ -316,21 +316,23 @@ impl Domain {
     /// The allocation currently granted on each dimension, i.e. the tighter
     /// of the hotplug state and the cgroup limit.
     pub fn effective_allocation(&self) -> ResourceVector {
-        let cpu_hotplug = self.guest.online_vcpus() as f64 * 1000.0;
-        let mem_hotplug = self.guest.plugged_memory_mb();
-        let limits = self.cgroups.limits();
         ResourceVector::new(
-            limits
-                .cpu()
-                .min(cpu_hotplug)
-                .min(self.spec.max_allocation.cpu()),
-            limits
-                .memory()
-                .min(mem_hotplug)
-                .min(self.spec.max_allocation.memory()),
-            limits.disk_bw(),
-            limits.net_bw(),
+            self.effective(ResourceKind::Cpu),
+            self.effective(ResourceKind::Memory),
+            self.effective(ResourceKind::DiskBw),
+            self.effective(ResourceKind::NetBw),
         )
+    }
+
+    /// One component of [`effective_allocation`](Self::effective_allocation).
+    fn effective(&self, kind: ResourceKind) -> f64 {
+        let limit = self.cgroups.controller(kind).limit();
+        match kind {
+            ResourceKind::Cpu | ResourceKind::Memory => limit
+                .min(self.hotplug_level(kind))
+                .min(self.spec.max_allocation[kind]),
+            ResourceKind::DiskBw | ResourceKind::NetBw => limit,
+        }
     }
 
     /// Deflation fraction of one resource relative to the maximum allocation.
@@ -339,7 +341,7 @@ impl Domain {
         if max <= 0.0 {
             0.0
         } else {
-            (1.0 - self.effective_allocation()[kind] / max).clamp(0.0, 1.0)
+            (1.0 - self.effective(kind) / max).clamp(0.0, 1.0)
         }
     }
 
@@ -373,7 +375,7 @@ impl Domain {
     }
 
     fn deflate_resource(&mut self, kind: ResourceKind, target: f64) -> DeflationOutcome {
-        let before = self.effective_allocation()[kind];
+        let before = self.effective(kind);
         match (self.mechanism, kind) {
             (DeflationMechanism::Transparent, _)
             | (_, ResourceKind::DiskBw)
@@ -382,7 +384,7 @@ impl Domain {
                 // state does not cap the allocation tighter than the target.
                 self.undo_hotplug_below(kind, target);
                 self.cgroups.controller_mut(kind).set_limit(target);
-                let effective = self.effective_allocation()[kind];
+                let effective = self.effective(kind);
                 DeflationOutcome {
                     kind,
                     requested: target,
@@ -398,7 +400,7 @@ impl Domain {
                 // threshold or split hotplug units.
                 let hotplugged = self.hotplug_level(kind);
                 self.cgroups.controller_mut(kind).set_limit(hotplugged);
-                let effective = self.effective_allocation()[kind];
+                let effective = self.effective(kind);
                 DeflationOutcome {
                     kind,
                     requested: target,
@@ -414,7 +416,7 @@ impl Domain {
                 let outcome = self.hotplug_towards(kind, hotplug_val);
                 // Multiplexing covers the rest of the way to the target.
                 self.cgroups.controller_mut(kind).set_limit(target);
-                let effective = self.effective_allocation()[kind];
+                let effective = self.effective(kind);
                 let via_hotplug = -outcome.applied_in_units(kind);
                 DeflationOutcome {
                     kind,

@@ -163,13 +163,21 @@ impl SimServer {
         mechanism: DeflationMechanism,
     ) -> Result<&Domain> {
         spec.validate()?;
-        if self.domains.contains_key(&spec.id) {
-            return Err(DeflateError::InvalidSpec {
-                vm: spec.id,
-                reason: "a domain with this id already exists on the server".into(),
-            });
-        }
-        if !spec.max_allocation.fits_within(&self.free()) {
+        let free = self.free();
+        self.launch(spec, mechanism, free)
+    }
+
+    /// [`create_domain`](Self::create_domain) for a spec the caller has
+    /// already validated, against the `free` capacity it has already
+    /// computed.
+    pub(crate) fn launch(
+        &mut self,
+        spec: VmSpec,
+        mechanism: DeflationMechanism,
+        free: ResourceVector,
+    ) -> Result<&Domain> {
+        self.check_new_id(spec.id)?;
+        if !spec.max_allocation.fits_within(&free) {
             return Err(DeflateError::PlacementFailed { vm: spec.id });
         }
         let id = spec.id;
@@ -188,13 +196,21 @@ impl SimServer {
         initial_target: ResourceVector,
     ) -> Result<&Domain> {
         spec.validate()?;
-        if self.domains.contains_key(&spec.id) {
-            return Err(DeflateError::InvalidSpec {
-                vm: spec.id,
-                reason: "a domain with this id already exists on the server".into(),
-            });
-        }
         let free = self.free();
+        self.launch_deflated(spec, mechanism, initial_target, free)
+    }
+
+    /// [`create_domain_deflated`](Self::create_domain_deflated) for a spec
+    /// the caller has already validated, against the `free` capacity it
+    /// has already computed.
+    pub(crate) fn launch_deflated(
+        &mut self,
+        spec: VmSpec,
+        mechanism: DeflationMechanism,
+        initial_target: ResourceVector,
+        free: ResourceVector,
+    ) -> Result<&Domain> {
+        self.check_new_id(spec.id)?;
         let mut target = initial_target.clamp(&spec.min_allocation, &spec.max_allocation);
         if !target.fits_within(&free) {
             return Err(DeflateError::PlacementFailed { vm: spec.id });
@@ -226,6 +242,17 @@ impl SimServer {
         Ok(&self.domains[&id])
     }
 
+    /// Refuse an id that already has a domain here.
+    fn check_new_id(&self, id: VmId) -> Result<()> {
+        if self.domains.contains_key(&id) {
+            return Err(DeflateError::InvalidSpec {
+                vm: id,
+                reason: "a domain with this id already exists on the server".into(),
+            });
+        }
+        Ok(())
+    }
+
     /// Insert a domain restored from an engine checkpoint, bypassing
     /// [`create_domain`](Self::create_domain)'s admission checks: a
     /// restored domain carries live guest state (it must not re-boot
@@ -246,6 +273,24 @@ impl SimServer {
     /// deflation policy). An unknown VM id stops the walk with an error;
     /// known domains are updated through their configured mechanism.
     pub fn apply_targets(&mut self, targets: &[(VmId, ResourceVector)]) -> Result<()> {
+        // A plan over this server's domains lists them in map (id) order,
+        // so one merged walk of the map finds every target. The first
+        // target out of that order hands the rest to per-id lookups.
+        let mut domains = self.domains.iter_mut().peekable();
+        for (applied, &(id, target)) in targets.iter().enumerate() {
+            while domains.next_if(|(resident, _)| **resident < id).is_some() {}
+            match domains.next_if(|(resident, _)| **resident == id) {
+                Some((_, domain)) => {
+                    domain.deflate_to(target);
+                }
+                None => return self.apply_targets_by_id(&targets[applied..]),
+            }
+        }
+        Ok(())
+    }
+
+    /// [`apply_targets`](Self::apply_targets) by one map lookup per target.
+    fn apply_targets_by_id(&mut self, targets: &[(VmId, ResourceVector)]) -> Result<()> {
         for &(id, target) in targets {
             let domain = self
                 .domains
@@ -418,6 +463,43 @@ mod tests {
         ));
         // The walk stops at the unknown id: later targets are not applied.
         assert_eq!(s.domain(VmId(1)).unwrap().effective_allocation(), before);
+    }
+
+    /// The merged walk and the per-id fallback apply the same targets:
+    /// in map order with gaps, out of order, and with a repeated id (the
+    /// last target wins, as in slice order).
+    #[test]
+    fn apply_targets_in_any_order() {
+        let mut s = SimServer::new(ServerId(1), capacity());
+        for id in 1..=5 {
+            s.create_domain(spec(id, 4.0, 8192.0), DeflationMechanism::Transparent)
+                .unwrap();
+        }
+        let to = |cores: f64| ResourceVector::new(cores * 1000.0, 4096.0, 50.0, 250.0);
+        let cpu = |s: &SimServer, id: u64| s.domain(VmId(id)).unwrap().effective_allocation().cpu();
+        s.apply_targets(&[(VmId(2), to(1.0)), (VmId(4), to(2.0))])
+            .unwrap();
+        assert_eq!(
+            (cpu(&s, 2), cpu(&s, 4), cpu(&s, 3)),
+            (1000.0, 2000.0, 4000.0)
+        );
+        s.apply_targets(&[
+            (VmId(5), to(3.0)),
+            (VmId(1), to(1.5)),
+            (VmId(5), to(2.5)),
+            (VmId(3), to(0.5)),
+        ])
+        .unwrap();
+        assert_eq!(
+            (cpu(&s, 1), cpu(&s, 3), cpu(&s, 5)),
+            (1500.0, 500.0, 2500.0)
+        );
+        // An unknown id after a positional match still stops the walk.
+        assert!(matches!(
+            s.apply_targets(&[(VmId(1), to(1.0)), (VmId(9), to(1.0)), (VmId(2), to(3.0))]),
+            Err(DeflateError::UnknownVm(VmId(9)))
+        ));
+        assert_eq!((cpu(&s, 1), cpu(&s, 2)), (1000.0, 1000.0));
     }
 
     #[test]

@@ -49,6 +49,11 @@ pub enum Phase {
     /// — the incremental score index's maintenance cost, nested inside
     /// [`Phase::PlacementRank`] so the two rows stay disjoint.
     PlacementIndex,
+    /// A server's local controller admitting a VM the ranking chose: the
+    /// deflation planning and apply of §6, nested inside
+    /// [`Phase::PlacementRank`] (or whichever handler placed the VM) so
+    /// tree ranking and local deflation are attributed separately.
+    Admission,
     /// VM departure handling.
     Departure,
     /// The deflate → migrate → evict reclaim ladder for one capacity
@@ -68,7 +73,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in report order.
-    pub const ALL: [Phase; 15] = [
+    pub const ALL: [Phase; 16] = [
         Phase::EngineTotal,
         Phase::RecordInit,
         Phase::ScheduleBuild,
@@ -77,6 +82,7 @@ impl Phase {
         Phase::Arrival,
         Phase::PlacementRank,
         Phase::PlacementIndex,
+        Phase::Admission,
         Phase::Departure,
         Phase::ReclaimLadder,
         Phase::TransferBooking,
@@ -98,6 +104,7 @@ impl Phase {
             Phase::Arrival => "arrival",
             Phase::PlacementRank => "placement_rank",
             Phase::PlacementIndex => "placement_index",
+            Phase::Admission => "admission",
             Phase::Departure => "departure",
             Phase::ReclaimLadder => "reclaim_ladder",
             Phase::TransferBooking => "transfer_booking",
@@ -307,5 +314,6 @@ mod tests {
         }
         assert_eq!(Phase::PlacementRank.name(), "placement_rank");
         assert_eq!(Phase::PlacementIndex.name(), "placement_index");
+        assert_eq!(Phase::Admission.name(), "admission");
     }
 }

@@ -121,12 +121,15 @@ impl TelemetrySink {
             Some(inner) if inner.profile || inner.chrome_enabled => inner,
             _ => return SpanGuard { live: None },
         };
-        inner_chrome_begin(live, phase, 0);
+        // One clock read per span edge serves both sinks. The span's own
+        // entry bookkeeping below is timed as part of it.
+        let start = Instant::now();
+        inner_chrome_begin(live, phase, 0, start);
         if live.profile {
             live.profiler.lock().expect("profiler lock").enter(phase);
         }
         SpanGuard {
-            live: Some((Arc::clone(live), phase, Instant::now())),
+            live: Some((Arc::clone(live), phase, start)),
         }
     }
 
@@ -140,9 +143,10 @@ impl TelemetrySink {
             _ => return ShardSpanGuard { live: None },
         };
         let tid = (shard + 1) as u32;
-        inner_chrome_begin(live, phase, tid);
+        let start = Instant::now();
+        inner_chrome_begin(live, phase, tid, start);
         ShardSpanGuard {
-            live: Some((Arc::clone(live), phase, shard, Instant::now())),
+            live: Some((Arc::clone(live), phase, shard, start)),
         }
     }
 
@@ -306,9 +310,9 @@ impl TelemetrySink {
     }
 }
 
-fn inner_chrome_begin(inner: &Arc<SinkInner>, phase: Phase, tid: u32) {
+fn inner_chrome_begin(inner: &Arc<SinkInner>, phase: Phase, tid: u32, now: Instant) {
     if let Some(chrome) = &inner.chrome {
-        let ts_us = inner.epoch.elapsed().as_micros() as u64;
+        let ts_us = now.duration_since(inner.epoch).as_micros() as u64;
         chrome.lock().expect("chrome lock").push(ChromeEvent {
             name: phase.name(),
             ph: b'B',
@@ -318,9 +322,9 @@ fn inner_chrome_begin(inner: &Arc<SinkInner>, phase: Phase, tid: u32) {
     }
 }
 
-fn inner_chrome_end(inner: &Arc<SinkInner>, phase: Phase, tid: u32) {
+fn inner_chrome_end(inner: &Arc<SinkInner>, phase: Phase, tid: u32, now: Instant) {
     if let Some(chrome) = &inner.chrome {
-        let ts_us = inner.epoch.elapsed().as_micros() as u64;
+        let ts_us = now.duration_since(inner.epoch).as_micros() as u64;
         chrome.lock().expect("chrome lock").push(ChromeEvent {
             name: phase.name(),
             ph: b'E',
@@ -339,7 +343,8 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((inner, phase, start)) = self.live.take() {
-            let elapsed = start.elapsed();
+            let now = Instant::now();
+            let elapsed = now.duration_since(start);
             if inner.profile {
                 inner
                     .profiler
@@ -347,7 +352,7 @@ impl Drop for SpanGuard {
                     .expect("profiler lock")
                     .exit(phase, elapsed);
             }
-            inner_chrome_end(&inner, phase, 0);
+            inner_chrome_end(&inner, phase, 0, now);
         }
     }
 }
@@ -361,7 +366,8 @@ pub struct ShardSpanGuard {
 impl Drop for ShardSpanGuard {
     fn drop(&mut self) {
         if let Some((inner, phase, shard, start)) = self.live.take() {
-            let elapsed = start.elapsed();
+            let now = Instant::now();
+            let elapsed = now.duration_since(start);
             if inner.profile {
                 inner
                     .profiler
@@ -369,7 +375,7 @@ impl Drop for ShardSpanGuard {
                     .expect("profiler lock")
                     .record_shard(shard, phase, elapsed);
             }
-            inner_chrome_end(&inner, phase, (shard + 1) as u32);
+            inner_chrome_end(&inner, phase, (shard + 1) as u32, now);
         }
     }
 }

@@ -2,9 +2,10 @@
 //! deflation policies and the performance-response model.
 
 use proptest::prelude::*;
+use std::ops::Range;
 use vmdeflate::core::perfmodel::PerfModel;
 use vmdeflate::core::policy::{
-    DeflationPolicy, DeterministicDeflation, PriorityDeflation, ProportionalDeflation,
+    DeflationPolicy, DeterministicDeflation, PlanScratch, PriorityDeflation, ProportionalDeflation,
     VmResourceState,
 };
 use vmdeflate::core::resources::{ResourceKind, ResourceVector};
@@ -22,6 +23,11 @@ fn arb_vector() -> impl Strategy<Value = ResourceVector> {
 
 /// A set of deflatable-VM scalar states with consistent `min ≤ current ≤ max`.
 fn arb_vm_states(max_vms: usize) -> impl Strategy<Value = Vec<VmResourceState>> {
+    arb_vm_states_in(1..max_vms)
+}
+
+/// [`arb_vm_states`] with a VM count drawn from `count`.
+fn arb_vm_states_in(count: Range<usize>) -> impl Strategy<Value = Vec<VmResourceState>> {
     prop::collection::vec(
         (
             1.0f64..32_000.0, // max
@@ -29,7 +35,7 @@ fn arb_vm_states(max_vms: usize) -> impl Strategy<Value = Vec<VmResourceState>> 
             0.0f64..1.0,      // current as a fraction of the [min, max] span
             0.05f64..1.0,     // priority
         ),
-        1..max_vms,
+        count,
     )
     .prop_map(|raw| {
         raw.into_iter()
@@ -94,8 +100,68 @@ fn check_plan_invariants(
     Ok(())
 }
 
+/// Every policy variant the engine can be configured with.
+fn all_policies() -> Vec<Box<dyn DeflationPolicy>> {
+    vec![
+        Box::new(ProportionalDeflation::by_size()),
+        Box::new(ProportionalDeflation::by_deflatable_span()),
+        Box::new(PriorityDeflation::weighted()),
+        Box::new(PriorityDeflation::with_priority_floor()),
+        Box::new(DeterministicDeflation::binary()),
+        Box::new(DeterministicDeflation::with_partial_last()),
+    ]
+}
+
+/// Plan `calls` in sequence through one reused [`PlanScratch`] and target
+/// buffer, and compare each call bit for bit with a fresh `plan`. Each
+/// call's demand is its fraction times the VMs' total deflatable span.
+fn check_scratch_reuse(
+    policy: &dyn DeflationPolicy,
+    calls: &[(Vec<VmResourceState>, f64)],
+) -> Result<(), TestCaseError> {
+    let mut scratch = PlanScratch::new();
+    let mut targets = Vec::new();
+    for (call, (vms, fraction)) in calls.iter().enumerate() {
+        let span: f64 = vms.iter().map(|v| v.deflatable_span()).sum();
+        let demand = fraction * span;
+        // Poisoned, so a slot the policy fails to write shows up.
+        targets.clear();
+        targets.resize(vms.len(), f64::NAN);
+        let (reclaimed, shortfall) = policy.plan_into(vms, demand, &mut scratch, &mut targets);
+        let fresh = policy.plan(vms, demand);
+        let name = policy.name();
+        prop_assert_eq!(
+            reclaimed.to_bits(),
+            fresh.reclaimed.to_bits(),
+            "{} call {}",
+            name,
+            call
+        );
+        prop_assert_eq!(
+            shortfall.to_bits(),
+            fresh.shortfall.to_bits(),
+            "{} call {}",
+            name,
+            call
+        );
+        for (got, (_, want)) in targets.iter().zip(&fresh.targets) {
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} call {}", name, call);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn reused_scratch_plans_match_fresh_plans(
+        calls in prop::collection::vec((arb_vm_states_in(0..33), -1.5f64..1.5), 1..12),
+    ) {
+        for policy in all_policies() {
+            check_scratch_reuse(policy.as_ref(), &calls)?;
+        }
+    }
 
     #[test]
     fn proportional_plan_invariants(vms in arb_vm_states(12), demand in -50_000.0f64..100_000.0) {
