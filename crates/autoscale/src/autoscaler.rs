@@ -4,8 +4,8 @@
 //! it observes each application at `UtilizationTick` events, schedules
 //! `ScaleOut` / `ScaleIn` events for decisions (after the policy's
 //! actuation delay), and executes them when the engine delivers those
-//! events — all at the coordinator, in the engine's global event order, so
-//! autoscale-enabled runs are bit-identical across shard counts.
+//! events — all in the engine's event order, so autoscale-enabled runs
+//! are deterministic.
 //!
 //! The autoscaler talks to the cluster through the [`ElasticCluster`]
 //! trait rather than a concrete manager type: every replica it creates,

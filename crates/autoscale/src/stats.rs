@@ -10,7 +10,8 @@ pub const LATENCY_CAP_SECS: f64 = 60.0;
 
 /// What the autoscaler did — and how well the application fared — over one
 /// simulation run. Every field is deterministic and joins `SimResult`'s
-/// bit-identity contract (the sharded engine must reproduce it exactly).
+/// bit-identity contract (a resumed or observed run must reproduce it
+/// exactly).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AutoscaleStats {
     /// Scale-out decisions scheduled (one `ScaleOut` event each).

@@ -2,9 +2,8 @@
 //! checkpoint-bisection diagnoser of `deflate-cluster::bisect` against a
 //! matrix of run pairs with known ground truth.
 //!
-//! Three pairs must be bit-identical by the repo's standing determinism
-//! contracts — sharded vs sequential, telemetry on vs off, auditor on
-//! vs off — and one pair carries an injected single-knob divergence (FIFO
+//! Two pairs must be bit-identical by the repo's standing determinism
+//! contracts — telemetry on vs off, auditor on vs off — and one pair carries an injected single-knob divergence (FIFO
 //! vs smallest-first transfer ordering under contended migration slots).
 //! The binary bisects every pair and exits non-zero when an identical
 //! pair diverges (a determinism regression) or the injected pair fails
@@ -19,7 +18,6 @@
 use deflate_cluster::prelude::*;
 use deflate_core::audit::AuditSpec;
 use deflate_core::checkpoint::CheckpointError;
-use deflate_core::shard::ShardConfig;
 use deflate_telemetry::{TelemetrySink, TelemetrySpec};
 use deflate_traces::azure::{AzureTraceConfig, AzureTraceGenerator};
 use deflate_transient::signal::{CapacityProfile, CapacitySchedule, TransientConfig};
@@ -36,7 +34,7 @@ pub const AUDIT_RESOLUTION_SECS: f64 = 60.0;
 /// One bisected run pair with its ground-truth expectation.
 #[derive(Debug)]
 pub struct AuditCase {
-    /// What distinguishes the pair (e.g. `"shards 1 vs 4"`).
+    /// What distinguishes the pair (e.g. `"auditor off vs all checkers on"`).
     pub name: String,
     /// Ground truth: whether the pair is expected to diverge.
     pub expect_divergence: bool,
@@ -168,12 +166,6 @@ pub fn audit_matrix() -> std::io::Result<Vec<AuditCase>> {
     };
 
     run_case(
-        "shards 1 vs 4 (identical)",
-        false,
-        audit_sim(servers, schedule.clone(), fifo()),
-        audit_sim(servers, schedule.clone(), fifo()).with_shards(ShardConfig::with_shards(4)),
-    )?;
-    run_case(
         "telemetry off vs metrics on (identical)",
         false,
         audit_sim(servers, schedule.clone(), fifo()),
@@ -264,7 +256,7 @@ mod tests {
     #[test]
     fn matrix_matches_ground_truth() {
         let cases = audit_matrix().expect("bisection infrastructure");
-        assert_eq!(cases.len(), 4);
+        assert_eq!(cases.len(), 3);
         let failures: Vec<String> = cases.iter().flat_map(|c| c.failures()).collect();
         assert!(failures.is_empty(), "{failures:?}");
         let injected = cases.last().unwrap();
@@ -287,7 +279,7 @@ mod tests {
         assert!(missed.failures()[0].contains("not detected"));
 
         let regressed = AuditCase {
-            name: "shards".to_string(),
+            name: "telemetry".to_string(),
             expect_divergence: false,
             report: Some(DivergenceReport {
                 window_secs: (0.0, 60.0),

@@ -1,9 +1,8 @@
 //! Checkpoint-bisection divergence diagnosis (`deflate-audit`): bisect
-//! a matrix of run pairs with known ground truth — four pairs that the
-//! repo's determinism contracts require to be bit-identical (sharded vs
-//! sequential, telemetry on vs off, auditor on vs off, placement
-//! sequential vs parallel) and one pair with an injected single-knob
-//! divergence (FIFO vs smallest-first transfer ordering under contended
+//! a matrix of run pairs with known ground truth — two pairs that the
+//! repo's determinism contracts require to be bit-identical (telemetry
+//! on vs off, auditor on vs off) and one pair with an injected
+//! single-knob divergence (FIFO vs smallest-first transfer ordering under contended
 //! migration slots).
 //!
 //! Exits non-zero when an identical pair diverges (a determinism

@@ -12,7 +12,7 @@
 //! the 40 % ceiling (the incremental-placement regression gate), and the
 //! written trace must validate (parseable JSON array, matched begin/end
 //! pairs). CI runs the quick profile as a smoke step and relies on this.
-use deflate_bench::profile_exp::{phase_table, profile_sweep, shard_table};
+use deflate_bench::profile_exp::{phase_table, profile_sweep};
 use deflate_bench::Scale;
 
 fn main() {
@@ -27,10 +27,6 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
     for run in &runs {
         phase_table(run).print();
-        let shards = shard_table(run);
-        if !shards.is_empty() {
-            shards.print();
-        }
         println!("trace: {}", run.trace_path.display());
         failures.extend(run.failures());
     }

@@ -17,7 +17,7 @@
 //! | [`cluster_exp`] | 20, 21, 22 |
 //! | [`transient_exp`] | transient-capacity reclamation comparison + migration-bandwidth sweep + transfer-scheduler sweep |
 //! | [`autoscale_exp`] | elastic autoscaling under transient capacity: launch-only vs deflation-aware (`fig_autoscale`) |
-//! | [`scale_exp`] | engine-scaling sweep: cluster size × shard count (`fig_scale`) |
+//! | [`scale_exp`] | engine-scaling sweep: events/s and peak RSS per cluster size (`fig_scale`) |
 //! | [`whatif_exp`] | what-if meta-scheduler: checkpoint/fork model-predictive transfer-policy selection (`fig_whatif`) |
 //! | [`profile_exp`] | engine phase profile: per-phase self time + Chrome trace (`fig_profile`) |
 //! | [`memory_exp`] | per-subsystem memory accounting vs procfs RSS (`fig_memory`) |

@@ -214,12 +214,10 @@ mod tests {
         tally.add(RunStats {
             wall_clock_secs: 2.0,
             events_processed: 100,
-            shards: 1,
         });
         tally.add(RunStats {
             wall_clock_secs: 2.0,
             events_processed: 100,
-            shards: 1,
         });
         // Live `footer()` samples the process RSS; pin the rest of the
         // line through the deterministic explicit-RSS variant.

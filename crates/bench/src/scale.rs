@@ -94,22 +94,11 @@ impl Scale {
     /// Cluster sizes (VM counts) the `fig_scale` engine-scaling sweep
     /// replays. Quick mode still includes a 100,000-VM row — the point of
     /// the sweep is scale, and CI exercises exactly this list; full mode
-    /// adds the million-VM row the sharded engine exists for.
+    /// adds the million-VM row.
     pub fn scale_sweep_vms(&self) -> &'static [usize] {
         match self {
             Scale::Quick => &[10_000, 100_000],
             Scale::Full => &[10_000, 100_000, 1_000_000],
-        }
-    }
-
-    /// Engine shard counts the `fig_scale` sweep runs each cluster size
-    /// under (override with the `DEFLATE_SHARDS` environment variable).
-    /// Quick mode stops at 2 — enough to exercise the parallel path and
-    /// its parity column on every CI push; full mode sweeps to 8.
-    pub fn scale_sweep_shards(&self) -> &'static [usize] {
-        match self {
-            Scale::Quick => &[1, 2],
-            Scale::Full => &[1, 2, 4, 8],
         }
     }
 

@@ -31,7 +31,6 @@ use deflate_core::placement::PartitionScheme;
 use deflate_core::policy::ProportionalDeflation;
 use deflate_core::policy::TransferPolicy;
 use deflate_core::pricing::{PricingPolicy, RateCard};
-use deflate_core::shard::ShardConfig;
 use deflate_hypervisor::domain::DeflationMechanism;
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_traces::azure::{AzureTraceConfig, AzureTraceGenerator};
@@ -159,36 +158,7 @@ pub fn run_transient_scheduled(
     cost: MigrationCostModel,
     policy: TransferPolicy,
 ) -> SimResult {
-    run_transient_engine(
-        workload,
-        scale,
-        mode,
-        profile,
-        cost,
-        policy,
-        ShardConfig::sequential(),
-    )
-}
-
-/// [`run_transient_scheduled`] with an explicit engine-shard count — the
-/// fully-parameterised entry point, used by the shard-parity tests and the
-/// `fig_scale` sweep. Sharding is a performance knob only: any
-/// [`ShardConfig`] produces a `SimResult` equal to the sequential engine's
-/// (`tests/shard_parity.rs` pins this on the `fig_transient` and
-/// `fig_scheduler` configurations).
-#[allow(clippy::too_many_arguments)]
-pub fn run_transient_engine(
-    workload: &[deflate_cluster::spec::WorkloadVm],
-    scale: Scale,
-    mode: TransientMode,
-    profile: CapacityProfile,
-    cost: MigrationCostModel,
-    policy: TransferPolicy,
-    shards: ShardConfig,
-) -> SimResult {
-    transient_simulation(workload, scale, mode, profile, cost, policy)
-        .with_shards(shards)
-        .run(workload)
+    transient_simulation(workload, scale, mode, profile, cost, policy).run(workload)
 }
 
 /// The capacity schedule and server count every transient experiment runs
@@ -216,7 +186,7 @@ pub fn transient_capacity(
 }
 
 /// Build — without running — the fully configured [`ClusterSimulation`]
-/// behind [`run_transient_placed`]. `fig_whatif` needs the simulation
+/// behind [`run_transient_scheduled`]. `fig_whatif` needs the simulation
 /// itself rather than its result: the meta-scheduler checkpoints it,
 /// forks the snapshot under sibling simulations that differ only in
 /// [`TransferPolicy`], and resumes the winner.

@@ -1,8 +1,8 @@
 //! Checkpoint-bisection divergence diagnosis — the post-mortem half of
 //! the audit observatory.
 //!
-//! Two runs that are *expected* bit-identical (sequential vs sharded,
-//! telemetry on vs off, or a refactor against its baseline) sometimes are
+//! Two runs that are *expected* bit-identical (telemetry on vs off,
+//! auditor on vs off, or a refactor against its baseline) sometimes are
 //! not. Eyeballing two multi-megabyte final states tells you *that* they
 //! differ, not *where the run first went wrong*. This module answers the
 //! second question with the checkpoint machinery itself:
@@ -626,10 +626,12 @@ mod tests {
         let workload = scenario_workload();
         let (servers, schedule) = scenario_cluster(&workload);
         let a = scenario_sim(servers, schedule.clone(), TransferPolicy::fifo());
-        let b = scenario_sim(servers, schedule, TransferPolicy::fifo())
-            .with_shards(deflate_core::shard::ShardConfig::with_shards(4));
+        let b = scenario_sim(servers, schedule, TransferPolicy::fifo());
         let report = bisect_divergence(&a, &b, &workload, HORIZON_SECS, 60.0).unwrap();
-        assert!(report.is_none(), "shard count must not diverge: {report:?}");
+        assert!(
+            report.is_none(),
+            "identical configs must not diverge: {report:?}"
+        );
     }
 
     // The checked-in localization scenario: two runs differing only in

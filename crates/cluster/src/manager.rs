@@ -61,14 +61,12 @@ use deflate_core::placement::{
 };
 use deflate_core::policy::{DeflationPolicy, RestorePolicy, TransferPolicy};
 use deflate_core::resources::{ResourceKind, ResourceVector};
-use deflate_core::shard::ShardConfig;
 use deflate_core::vm::{IdMap, ServerId, VmId, VmSpec};
 use deflate_hypervisor::controller::{AdmissionOutcome, LocalController};
 use deflate_hypervisor::domain::{CacheRegrowthModel, DeflationMechanism, Domain};
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_hypervisor::server::SimServer;
 use deflate_telemetry::{MemoryLedger, Phase, TelemetrySink};
-use deflate_transient::pool::{run_tasks, Task, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -421,9 +419,6 @@ pub struct ClusterManager {
     /// view-affecting mutation must go through
     /// [`mark_server_dirty`](Self::mark_server_dirty).
     index: PlacementIndex,
-    /// Shared persistent worker pool for the utilisation sections;
-    /// `None` falls back to per-section workers.
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl ClusterManager {
@@ -469,7 +464,6 @@ impl ClusterManager {
             transient: TransientCounters::default(),
             telemetry: TelemetrySink::disabled(),
             index,
-            pool: None,
         }
     }
 
@@ -480,14 +474,6 @@ impl ClusterManager {
     /// without ever influencing a decision.
     pub fn with_telemetry(mut self, telemetry: TelemetrySink) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Builder-style worker pool attachment, shared by the utilisation
-    /// sections; without one, parallel sections fall back to per-section
-    /// throwaway workers.
-    pub fn with_worker_pool(mut self, pool: Option<Arc<WorkerPool>>) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -775,112 +761,27 @@ impl ClusterManager {
     }
 
     /// [`observe_vm_utilization`](Self::observe_vm_utilization) for a whole
-    /// batch of samples, partitioned by shard: samples are grouped by the
-    /// shard owning each VM's server, and each shard's group is applied by
-    /// a worker of the persistent [`WorkerPool`] (or a per-call fallback
-    /// pool) holding a disjoint `&mut` slice of the per-server
-    /// controllers. Bit-identical to applying the batch sequentially —
-    /// every domain is owned by exactly one shard, and a VM appears at
-    /// most once per batch, so no ordering between shards is observable.
-    /// Sequential configurations (`shards == 1`) submit no task at all.
+    /// batch of samples, applied in batch order.
     ///
     /// Utilisation observations feed only the dirty-rate history — they
     /// never change a `ServerView` — so no placement-index mark is needed.
-    pub fn observe_vm_utilizations(&mut self, samples: &[(VmId, f64)], shards: ShardConfig) {
-        if !shards.is_parallel() {
-            for &(vm, sample) in samples {
-                self.observe_vm_utilization(vm, sample);
-            }
-            return;
-        }
-        let num_servers = self.controllers.len();
-        let mut buckets: Vec<Vec<(usize, VmId, f64)>> = vec![Vec::new(); shards.count()];
+    pub fn observe_vm_utilizations(&mut self, samples: &[(VmId, f64)]) {
         for &(vm, sample) in samples {
-            if let Some(&idx) = self.vm_location.get(&vm) {
-                buckets[shards.shard_of(idx, num_servers)].push((idx, vm, sample));
-            }
+            self.observe_vm_utilization(vm, sample);
         }
-        let spans = shards.spans(num_servers);
-        let pool = self.pool.clone();
-        let mut tasks: Vec<Task<'_>> = Vec::with_capacity(spans.len());
-        let mut rest: &mut [LocalController] = &mut self.controllers;
-        let mut offset = 0;
-        for (span, bucket) in spans.into_iter().zip(buckets) {
-            let (shard_controllers, tail) = rest.split_at_mut(span.end - offset);
-            rest = tail;
-            let base = offset;
-            offset = span.end;
-            tasks.push(Box::new(move || {
-                for (idx, vm, sample) in bucket {
-                    if let Some(domain) = shard_controllers[idx - base].server_mut().domain_mut(vm)
-                    {
-                        domain.observe_cpu_utilization(sample);
-                    }
-                }
-            }));
-        }
-        run_tasks(pool.as_deref(), shards.count(), tasks);
     }
 
     /// Cluster-wide `(effective CPU used, CPU capacity)` totals — the
-    /// quantities behind each `UtilizationTick` sample. Per-server values
-    /// are evaluated shard-parallel (each worker reads a disjoint span of
-    /// servers), then folded **sequentially in server order**, so the
-    /// floating-point sum is bit-identical for every shard count — f64
-    /// addition is not associative, and a per-shard partial-sum tree would
-    /// silently break the engine's determinism contract.
-    pub fn cpu_usage_snapshot(&self, shards: ShardConfig) -> (f64, f64) {
-        let per_server: Vec<(f64, f64)> = if shards.is_parallel() {
-            let spans = shards.spans(self.controllers.len());
-            let mut partials: Vec<Option<Vec<(f64, f64)>>> = vec![None; spans.len()];
-            {
-                let tasks: Vec<Task<'_>> = partials
-                    .iter_mut()
-                    .zip(&spans)
-                    .enumerate()
-                    .map(|(shard, (slot, span))| {
-                        let controllers = &self.controllers[span.clone()];
-                        let worker_sink = self.telemetry.clone();
-                        Box::new(move || {
-                            let _span = worker_sink.shard_span(shard, Phase::UtilizationSampling);
-                            *slot = Some(
-                                controllers
-                                    .iter()
-                                    .map(|c| {
-                                        let server = c.server();
-                                        (
-                                            server.effective_used()[ResourceKind::Cpu],
-                                            server.capacity[ResourceKind::Cpu],
-                                        )
-                                    })
-                                    .collect::<Vec<_>>(),
-                            );
-                        }) as Task<'_>
-                    })
-                    .collect();
-                run_tasks(self.pool.as_deref(), shards.count(), tasks);
-            }
-            // Flatten in span order — the same server order the sequential
-            // branch reads, so the fold below is bit-identical.
-            partials
-                .into_iter()
-                .flat_map(|slot| slot.expect("snapshot task completed"))
-                .collect()
-        } else {
-            self.controllers
-                .iter()
-                .map(|c| {
-                    let server = c.server();
-                    (
-                        server.effective_used()[ResourceKind::Cpu],
-                        server.capacity[ResourceKind::Cpu],
-                    )
-                })
-                .collect()
-        };
-        per_server
-            .into_iter()
-            .fold((0.0, 0.0), |(used, cap), (u, c)| (used + u, cap + c))
+    /// quantities behind each `UtilizationTick` sample, summed in server
+    /// order.
+    pub fn cpu_usage_snapshot(&self) -> (f64, f64) {
+        self.controllers.iter().fold((0.0, 0.0), |(used, cap), c| {
+            let server = c.server();
+            (
+                used + server.effective_used()[ResourceKind::Cpu],
+                cap + server.capacity[ResourceKind::Cpu],
+            )
+        })
     }
 
     /// Place a new VM, reclaiming resources if necessary.
@@ -2012,11 +1913,11 @@ impl ClusterManager {
     /// ledgers, the admission/transient counters and the placement index's
     /// queued dirty marks. Static configuration (placement policy,
     /// partitions, mechanism, cost model, restore policy, cache regrowth,
-    /// telemetry, engine, pool) is **not** written — the restoring side
-    /// rebuilds it from the same [`ClusterConfig`] and builder calls,
+    /// telemetry) is **not** written — the restoring side rebuilds it
+    /// from the same [`ClusterConfig`] and builder calls,
     /// which is also what lets a fork restore under a *different*
     /// [`TransferPolicy`]. Every map is emitted in sorted order, so the
-    /// bytes are independent of `HashMap` layout, shard count and host.
+    /// bytes are independent of `HashMap` layout and host.
     ///
     /// Must be called at an event boundary: `staged` transfers only exist
     /// within one capacity event and are never snapshotted.

@@ -331,8 +331,7 @@ pub struct MigrationEvent {
 
 /// Engine accounting for one simulation run: how long the run took and
 /// how many events it processed. `events_processed` is deterministic —
-/// part of the engine's bit-identity contract across shard counts —
-/// while `wall_clock_secs` is a measurement and is therefore **excluded
+/// part of the engine's bit-identity contract across runs — while `wall_clock_secs` is a measurement and is therefore **excluded
 /// from [`SimResult`]'s equality** (two otherwise identical runs never
 /// take exactly the same wall-clock time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -342,8 +341,6 @@ pub struct RunStats {
     /// Total events the engine delivered (arrivals, departures, capacity
     /// changes, migration completions, utilisation ticks).
     pub events_processed: u64,
-    /// Shard count the engine ran with (1 = sequential).
-    pub shards: usize,
 }
 
 impl RunStats {
@@ -362,10 +359,11 @@ impl RunStats {
 ///
 /// Equality compares the *simulation output* — records, counters,
 /// migrations, utilisation samples and the deterministic event count —
-/// and deliberately ignores the wall-clock time and shard count in
-/// [`runtime`](Self::runtime): a sharded run is required to be
-/// `==` the sequential run (the engine's bit-identity contract, pinned
-/// by `tests/shard_parity.rs`) even though it was timed differently.
+/// and deliberately ignores the wall-clock time in
+/// [`runtime`](Self::runtime): a resumed or observed run is required to
+/// be `==` the plain run (the engine's bit-identity contract, pinned by
+/// `tests/checkpoint_restore.rs` and `tests/telemetry_determinism.rs`)
+/// even though it was timed differently.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
     /// Per-VM records, in arrival order.
@@ -395,7 +393,7 @@ pub struct SimResult {
     pub overcommitment: f64,
     /// Human-readable name of the reclamation mode / policy that ran.
     pub policy_name: String,
-    /// Engine accounting: wall-clock duration, events processed, shards.
+    /// Engine accounting: wall-clock duration and events processed.
     pub runtime: RunStats,
 }
 
@@ -428,7 +426,7 @@ impl PartialEq for SimResult {
             && *overcommitment == other.overcommitment
             && *policy_name == other.policy_name
             // Deterministic part of the runtime stats only: the event
-            // count must match, the wall clock and shard count must not.
+            // count must match, the wall clock must not.
             && runtime.events_processed == other.runtime.events_processed
     }
 }
@@ -968,12 +966,10 @@ mod tests {
             runtime: RunStats {
                 wall_clock_secs: 1.0,
                 events_processed: 42,
-                shards: 1,
             },
         };
         let mut timed_differently = base.clone();
         timed_differently.runtime.wall_clock_secs = 9.0;
-        timed_differently.runtime.shards = 4;
         assert_eq!(base, timed_differently);
         let mut different_events = base.clone();
         different_events.runtime.events_processed = 43;
@@ -985,7 +981,6 @@ mod tests {
         let stats = RunStats {
             wall_clock_secs: 2.0,
             events_processed: 100,
-            shards: 2,
         };
         assert!((stats.events_per_sec() - 50.0).abs() < 1e-9);
         assert_eq!(RunStats::default().events_per_sec(), 0.0);

@@ -9,9 +9,8 @@
 //! (Figure 20), throughput loss (Figure 21) and revenue (Figure 22).
 //!
 //! The simulation runs on the generalized event engine of
-//! `deflate-transient`: a deterministic binary-heap event queue
-//! ([`ShardedEventQueue`] — one heap per engine shard) over typed
-//! [`SimEvent`]s. Besides VM arrivals and departures it understands
+//! `deflate-transient`: a deterministic binary-heap [`EventQueue`] over
+//! typed [`SimEvent`]s. Besides VM arrivals and departures it understands
 //! provider-side **capacity events** — attach a [`CapacitySchedule`] with
 //! [`ClusterSimulation::with_capacity_schedule`] and every reclamation is
 //! absorbed by deflation, then deflation-aware migration, and only then by
@@ -37,20 +36,9 @@
 //! (the default) schedules nothing and is bit-identical to a run without
 //! the call.
 //!
-//! # Sharded engine
-//!
-//! For large traces the simulator can run its engine **sharded**
-//! ([`ClusterSimulation::with_shards`], default 1 = sequential): the event
-//! queue splits into per-shard heaps built in parallel
-//! ([`ShardedEventQueue`]), and the embarrassingly-parallel per-server
-//! passes — trace-utilisation sampling ahead of capacity events and the
-//! per-server sums behind each `UtilizationTick` — fan out to one
-//! `std::thread` worker per shard.
-//! Event *handling* (placement, reclamation ladders, transfer booking)
-//! stays serialized at the coordinator in the queue's global total order,
-//! which is what makes a sharded run **bit-identical** to the sequential
-//! one (pinned by `tests/shard_parity.rs`, documented in
-//! `docs/PERFORMANCE.md`).
+//! The engine is sequential: one thread pops one queue, and every handler
+//! runs to completion before the next pop. `docs/PERFORMANCE.md` ("No
+//! sharded engine") records why, and what a parallel design must beat.
 
 use crate::audit::Auditor;
 use crate::manager::{ClusterConfig, ClusterManager, PlacementResult, ReclamationMode};
@@ -60,17 +48,13 @@ use deflate_autoscale::{Autoscaler, ElasticApp};
 use deflate_core::audit::AuditSpec;
 use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
 use deflate_core::policy::{AutoscalePolicy, RestorePolicy, TransferPolicy};
-use deflate_core::shard::ShardConfig;
 use deflate_core::telemetry::TelemetrySpec;
 use deflate_core::vm::{IdMap, ServerId, VmId};
 use deflate_hypervisor::domain::CacheRegrowthModel;
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_telemetry::{EventField, MemoryLedger, Phase, TelemetryEventKind, TelemetrySink};
-use deflate_transient::events::SimEvent;
-use deflate_transient::pool::{run_tasks, Task, WorkerPool};
-use deflate_transient::sharded::ShardedEventQueue;
+use deflate_transient::events::{EventQueue, SimEvent};
 use deflate_transient::signal::CapacitySchedule;
-use std::sync::Arc;
 
 /// The trace-driven cluster simulator.
 pub struct ClusterSimulation {
@@ -85,7 +69,6 @@ pub struct ClusterSimulation {
     cache_regrowth: CacheRegrowthModel,
     autoscale_policy: AutoscalePolicy,
     elastic_apps: Vec<ElasticApp>,
-    shards: ShardConfig,
     telemetry: TelemetrySink,
     audit: AuditSpec,
     /// Memory-ledger sampling cadence, in utilisation ticks (1 = every
@@ -100,10 +83,9 @@ pub struct ClusterSimulation {
 /// serializable as a versioned snapshot
 /// ([`ClusterSimulation::checkpoint`]).
 struct EngineState {
-    pool: Option<Arc<WorkerPool>>,
     manager: ClusterManager,
     autoscaler: Option<Autoscaler>,
-    queue: ShardedEventQueue,
+    queue: EventQueue,
     index_of: IdMap<VmId, usize>,
     records: Vec<VmRecord>,
     running: Vec<bool>,
@@ -137,7 +119,6 @@ impl ClusterSimulation {
             cache_regrowth: CacheRegrowthModel::default(),
             autoscale_policy: AutoscalePolicy::default(),
             elastic_apps: Vec::new(),
-            shards: ShardConfig::sequential(),
             telemetry: TelemetrySink::disabled(),
             audit: AuditSpec::off(),
             memory_sample_every_ticks: 1,
@@ -177,8 +158,7 @@ impl ClusterSimulation {
     /// the sink's [`TelemetrySpec`]. The disabled default costs one
     /// branch per call site, and an enabled sink **never changes
     /// results**: every `SimResult` field is bit-identical to a
-    /// telemetry-off run at any shard count (pinned by
-    /// `tests/telemetry_determinism.rs`).
+    /// telemetry-off run (pinned by `tests/telemetry_determinism.rs`).
     pub fn with_telemetry(mut self, telemetry: TelemetrySink) -> Self {
         self.telemetry = telemetry;
         self
@@ -193,17 +173,6 @@ impl ClusterSimulation {
     /// The sink the run will feed (disabled unless configured).
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.telemetry
-    }
-
-    /// Run the engine with the given shard count ([`ShardConfig`]): per-
-    /// shard event queues built in parallel, per-server passes fanned out
-    /// to `std::thread` workers, one coordinator preserving the global
-    /// event order. Sharding never changes results — any shard count is
-    /// bit-identical to the sequential default — only how fast the run
-    /// goes on multi-core hardware.
-    pub fn with_shards(mut self, shards: ShardConfig) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Charge migrations with the given cost model: transfers take
@@ -299,11 +268,11 @@ impl ClusterSimulation {
     /// equal to the uninterrupted `run` in **every** field (wall-clock
     /// time excepted — it is re-measured, never serialized, so snapshot
     /// bytes are machine-independent). The bytes are also independent of
-    /// the shard count and of telemetry: queue contents are written in
-    /// the queue's deterministic pop order and every map in sorted order.
+    /// telemetry: queue contents are written in the queue's deterministic
+    /// pop order and every map in sorted order.
     ///
     /// A snapshot holds only *dynamic* state. Configuration — the cluster
-    /// layout, policies, cost models, telemetry sinks, shard count — is
+    /// layout, policies, cost models, telemetry sinks — is
     /// re-supplied by the [`ClusterSimulation`] that restores it, which is
     /// what lets a **fork** replay the same snapshot under a different
     /// [`TransferPolicy`] (the scheduler's ledgers persist; its policy is
@@ -319,8 +288,8 @@ impl ClusterSimulation {
     /// remaining events to completion. The receiver must be configured
     /// identically to the checkpointing simulation — except for knobs
     /// that are *deliberately* part of a fork (the transfer policy) and
-    /// knobs that never affect results (shards, placement engine,
-    /// telemetry — sinks are re-attached here, never serialized).
+    /// knobs that never affect results (telemetry and auditing — sinks
+    /// are re-attached here, never serialized).
     pub fn resume(&self, workload: &[WorkloadVm], snapshot: &[u8]) -> CheckpointResult<SimResult> {
         let started_at = std::time::Instant::now();
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
@@ -359,7 +328,7 @@ impl ClusterSimulation {
     /// and the per-VM bookkeeping — everything `drive` advances.
     fn boot(&self, workload: &[WorkloadVm]) -> EngineState {
         let mut state = self.boot_unscheduled(workload);
-        state.queue = self.schedule(workload, state.autoscaler.as_ref(), state.pool.as_deref());
+        state.queue = self.schedule(workload, state.autoscaler.as_ref());
         state
     }
 
@@ -371,18 +340,11 @@ impl ClusterSimulation {
             self.config.server_capacity,
             self.config.num_servers,
         );
-        // One persistent worker pool is shared by every parallel section of
-        // the run — shard heapify, utilisation sampling and snapshotting —
-        // instead of each section respawning scoped threads. Absent
-        // entirely for sequential runs.
-        let pool_threads = self.shards.count();
-        let pool = (pool_threads > 1).then(|| Arc::new(WorkerPool::new(pool_threads)));
         let manager = ClusterManager::new(&self.config, self.mode.clone())
             .with_migration_cost(self.migration_cost)
             .with_transfer_policy(self.transfer_policy)
             .with_restore_policy(self.restore_policy)
             .with_cache_regrowth(self.cache_regrowth)
-            .with_worker_pool(pool.clone())
             .with_telemetry(self.telemetry.clone());
         // The autoscaler exists only for enabled policies: a Disabled run
         // schedules no scale events and touches no autoscaler state, so it
@@ -390,8 +352,6 @@ impl ClusterSimulation {
         // existed (pinned by the golden regression tests).
         let autoscaler = (self.autoscale_policy.is_enabled() && !self.elastic_apps.is_empty())
             .then(|| Autoscaler::new(self.autoscale_policy, self.elastic_apps.clone()));
-
-        let queue = ShardedEventQueue::new(self.shards, self.config.num_servers, workload.len());
 
         // Working state.
         let (index_of, records) = {
@@ -408,10 +368,9 @@ impl ClusterSimulation {
             (index_of, records)
         };
         EngineState {
-            pool,
             manager,
             autoscaler,
-            queue,
+            queue: EventQueue::new(),
             index_of,
             records,
             running: vec![false; workload.len()],
@@ -425,20 +384,13 @@ impl ClusterSimulation {
 
     /// Schedule every workload, capacity, tick and bootstrap event of a
     /// fresh run into a new queue.
-    fn schedule(
-        &self,
-        workload: &[WorkloadVm],
-        autoscaler: Option<&Autoscaler>,
-        pool: Option<&WorkerPool>,
-    ) -> ShardedEventQueue {
+    fn schedule(&self, workload: &[WorkloadVm], autoscaler: Option<&Autoscaler>) -> EventQueue {
         // Schedule every event up front. The queue's deterministic total
         // order (time, then kind, then id) makes the run independent of
         // insertion order: departures precede capacity changes precede
         // arrivals at equal timestamps, so back-to-back VMs never
         // artificially overlap and simultaneous arrivals see the already
-        // shrunk server. The event list is routed into per-shard heaps and
-        // heapified in parallel; popping merges the shard heads under the
-        // same total order, so the shard count never changes the run.
+        // shrunk server.
         let events: Vec<(f64, SimEvent)> = {
             let _schedule = self.telemetry.span(Phase::ScheduleBuild);
             let mut events: Vec<(f64, SimEvent)> =
@@ -476,14 +428,15 @@ impl ClusterSimulation {
             }
             events
         };
-        ShardedEventQueue::build_with_workers(
-            self.shards,
-            self.config.num_servers,
-            workload.len(),
-            events,
-            &self.telemetry,
-            pool,
-        )
+        self.build_queue(events)
+    }
+
+    /// Heapify a run's event list into the queue, in one linear pass.
+    fn build_queue(&self, events: Vec<(f64, SimEvent)>) -> EventQueue {
+        let _heapify = self.telemetry.span(Phase::Heapify);
+        self.telemetry
+            .count("queue.events_scheduled", events.len() as u64);
+        EventQueue::from_events(events)
     }
 
     /// The main event loop: pop events in the queue's global total order
@@ -492,7 +445,6 @@ impl ClusterSimulation {
     /// checkpoint can serialize; `None` drains the queue.
     fn drive(&self, workload: &[WorkloadVm], state: &mut EngineState, stop_secs: Option<f64>) {
         let EngineState {
-            pool,
             manager,
             autoscaler,
             queue,
@@ -512,10 +464,10 @@ impl ClusterSimulation {
                     _ => break,
                 }
             }
-            // Time the k-way shard-head merge separately from the event
-            // handlers it feeds.
+            // Time the heap pop separately from the event handlers it
+            // feeds.
             let popped = {
-                let _merge = self.telemetry.span(Phase::CoordinatorMerge);
+                let _pop = self.telemetry.span(Phase::EventPop);
                 queue.pop()
             };
             let Some((time, event)) = popped else { break };
@@ -622,13 +574,7 @@ impl ClusterSimulation {
                     let _span = self.telemetry.span(Phase::ReclaimLadder);
                     {
                         let _sampling = self.telemetry.span(Phase::UtilizationSampling);
-                        self.observe_utilizations(
-                            manager,
-                            workload,
-                            running,
-                            time,
-                            pool.as_deref(),
-                        );
+                        Self::observe_utilizations(manager, workload, running, time);
                     }
                     let outcome = manager.reclaim_capacity(server, available_fraction, time);
                     if self.telemetry.wants(TelemetryEventKind::CapacityReclaim) {
@@ -658,13 +604,7 @@ impl ClusterSimulation {
                     let _span = self.telemetry.span(Phase::ReclaimLadder);
                     {
                         let _sampling = self.telemetry.span(Phase::UtilizationSampling);
-                        self.observe_utilizations(
-                            manager,
-                            workload,
-                            running,
-                            time,
-                            pool.as_deref(),
-                        );
+                        Self::observe_utilizations(manager, workload, running, time);
                     }
                     let outcome = manager.restore_capacity(
                         server,
@@ -711,10 +651,7 @@ impl ClusterSimulation {
                 }
                 SimEvent::UtilizationTick => {
                     let _span = self.telemetry.span(Phase::UtilizationSampling);
-                    // Per-server values are read shard-parallel; the
-                    // cross-server fold stays sequential in server order so
-                    // the f64 sum is bit-identical for every shard count.
-                    let (used, capacity) = manager.cpu_usage_snapshot(self.shards);
+                    let (used, capacity) = manager.cpu_usage_snapshot();
                     let value = if capacity <= 0.0 {
                         0.0
                     } else {
@@ -731,8 +668,7 @@ impl ClusterSimulation {
                     // Autoscaling decisions hang off the same ticks: the
                     // autoscaler observes each app against the settled
                     // cluster state and schedules ScaleOut / ScaleIn
-                    // events at the coordinator — deterministic at any
-                    // shard count.
+                    // events.
                     if let Some(autoscaler) = autoscaler.as_mut() {
                         let _decide = self.telemetry.span(Phase::Autoscale);
                         for (t, event) in autoscaler.on_tick(time, &*manager) {
@@ -883,13 +819,11 @@ impl ClusterSimulation {
         let _assembly = self.telemetry.span(Phase::ResultAssembly);
         let autoscale = autoscaler.map(Autoscaler::into_stats).unwrap_or_default();
         // Final-state metrics are published exactly once, from settled
-        // counters, so snapshots are deterministic at any shard count.
+        // counters, so snapshots are deterministic.
         manager.publish_metrics();
         autoscale.publish_metrics(&self.telemetry);
         self.telemetry
             .gauge_set("engine.events_processed", events_processed as f64);
-        self.telemetry
-            .gauge_set("engine.shards", self.shards.count() as f64);
         SimResult {
             records,
             counters: manager.counters(),
@@ -904,7 +838,6 @@ impl ClusterSimulation {
             runtime: RunStats {
                 wall_clock_secs: started_at.elapsed().as_secs_f64(),
                 events_processed,
-                shards: self.shards.count(),
             },
         }
     }
@@ -920,7 +853,7 @@ impl ClusterSimulation {
         &self,
         workload: &[WorkloadVm],
         manager: &ClusterManager,
-        queue: &ShardedEventQueue,
+        queue: &EventQueue,
         index_of: &IdMap<VmId, usize>,
         records: &[VmRecord],
         running: &[bool],
@@ -968,7 +901,7 @@ impl ClusterSimulation {
     /// requires bumping [`deflate_core::checkpoint::SNAPSHOT_VERSION`].
     /// No wall-clock or otherwise host-dependent value is ever written,
     /// so two snapshots of the same run at the same boundary are
-    /// byte-identical across machines, shard counts and telemetry modes.
+    /// byte-identical across machines and telemetry modes.
     fn serialize_state(
         &self,
         workload: &[WorkloadVm],
@@ -1025,11 +958,9 @@ impl ClusterSimulation {
     }
 
     /// Overwrite an [unscheduled](Self::boot_unscheduled) engine state
-    /// with a snapshot's contents. The queue is built through the
-    /// ordinary sharded construction —
-    /// snapshot bytes store events in the canonical pop order, and routing
-    /// is content-addressed, so restoring under any shard count reproduces
-    /// the same pops.
+    /// with a snapshot's contents. The queue is rebuilt from the events the
+    /// snapshot stores in their pop order; the order is total, so the
+    /// rebuilt queue pops the same sequence.
     fn restore_state(
         &self,
         workload: &[WorkloadVm],
@@ -1056,14 +987,7 @@ impl ClusterSimulation {
             self.check_event(workload.len(), time, &event)?;
             events.push((time, event));
         }
-        state.queue = ShardedEventQueue::build_with_workers(
-            self.shards,
-            self.config.num_servers,
-            workload.len(),
-            events,
-            &self.telemetry,
-            state.pool.as_deref(),
-        );
+        state.queue = self.build_queue(events);
         state.manager.read_snapshot(&mut r)?;
         let has_autoscaler = r.get_bool()?;
         if has_autoscaler != state.autoscaler.is_some() {
@@ -1149,59 +1073,22 @@ impl ClusterSimulation {
     /// Only consequential — and only paid for — when a dirty-rate model
     /// is active: without one the samples could never influence an
     /// estimate, so the O(workload) pass is skipped.
-    ///
-    /// Sharded runs split the pass twice: trace sampling (pure per-VM
-    /// reads) fans out over workload chunks, and the per-domain history
-    /// updates fan out over server shards
-    /// ([`ClusterManager::observe_vm_utilizations`]). Chunks concatenate
-    /// in workload order and each domain receives exactly one sample per
-    /// pass, so both halves are bit-identical to the sequential loop.
     fn observe_utilizations(
-        &self,
         manager: &mut ClusterManager,
         workload: &[WorkloadVm],
         running: &[bool],
         time: f64,
-        pool: Option<&WorkerPool>,
     ) {
         if manager.migration_cost().dirty_rate_mbps <= 0.0 {
             return;
         }
-        let sample = |(i, vm): (usize, &WorkloadVm)| {
-            running[i].then(|| (vm.spec.id, vm.cpu_util.at(time - vm.arrival_secs)))
-        };
-        let samples: Vec<(VmId, f64)> = if self.shards.is_parallel() {
-            let spans = self.shards.spans(workload.len());
-            let mut partials: Vec<Option<Vec<(VmId, f64)>>> =
-                (0..spans.len()).map(|_| None).collect();
-            {
-                let mut tasks: Vec<Task<'_>> = Vec::with_capacity(spans.len());
-                let mut slots = partials.as_mut_slice();
-                for span in &spans {
-                    let (slot, rest) = slots.split_first_mut().expect("one slot per span");
-                    slots = rest;
-                    let base = span.start;
-                    let chunk = &workload[span.clone()];
-                    tasks.push(Box::new(move || {
-                        *slot = Some(
-                            chunk
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(k, vm)| sample((base + k, vm)))
-                                .collect(),
-                        );
-                    }));
-                }
-                run_tasks(pool, self.shards.count(), tasks);
-            }
-            partials
-                .into_iter()
-                .flat_map(|p| p.expect("trace-sampling worker ran"))
-                .collect()
-        } else {
-            workload.iter().enumerate().filter_map(sample).collect()
-        };
-        manager.observe_vm_utilizations(&samples, self.shards);
+        let samples: Vec<(VmId, f64)> = workload
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| running[i])
+            .map(|(_, vm)| (vm.spec.id, vm.cpu_util.at(time - vm.arrival_secs)))
+            .collect();
+        manager.observe_vm_utilizations(&samples);
     }
 
     /// Fold a capacity-change outcome into the per-VM bookkeeping: evicted
@@ -1221,7 +1108,7 @@ impl ClusterSimulation {
         records: &mut [VmRecord],
         running: &mut [bool],
         migrations: &mut Vec<MigrationEvent>,
-        queue: &mut ShardedEventQueue,
+        queue: &mut EventQueue,
         autoscaler: &mut Option<Autoscaler>,
     ) {
         for &victim in &outcome.victims {
@@ -1475,54 +1362,6 @@ mod tests {
             .with_migrate_back(true)
             .run(&workload);
         assert_eq!(result, again);
-    }
-
-    #[test]
-    fn sharded_engine_is_bit_identical_to_sequential() {
-        let workload = small_workload(160, 41);
-        let servers =
-            (crate::spec::min_cluster_size(&workload, ResourceVector::cpu_mem(48_000.0, 131_072.0))
-                as f64
-                / 1.3)
-                .floor()
-                .max(2.0) as usize;
-        let schedule = deflate_transient::signal::CapacitySchedule::generate(&TransientConfig {
-            num_servers: servers,
-            transient_fraction: 1.0,
-            duration_secs: 12.0 * 3600.0,
-            profile: CapacityProfile::SquareWave {
-                period_secs: 2.0 * 3600.0,
-                keep_fraction: 0.5,
-                duty: 0.4,
-            },
-            seed: 7,
-        });
-        // A dirty-rate model makes the utilisation-observation pass (the
-        // sharded trace sampling) actually run.
-        let cost = deflate_hypervisor::migration::MigrationCostModel::lan_default()
-            .with_budget_mbps(1250.0)
-            .with_deadline_secs(30.0)
-            .with_dirty_rate(800.0, 2.0);
-        let run = |shards: usize| {
-            ClusterSimulation::new(config(servers), proportional())
-                .with_capacity_schedule(schedule.clone())
-                .with_utilization_ticks(1800.0)
-                .with_migrate_back(true)
-                .with_migration_cost(cost)
-                .with_shards(deflate_core::shard::ShardConfig::with_shards(shards))
-                .run(&workload)
-        };
-        let sequential = run(1);
-        assert!(sequential.runtime.events_processed > 0);
-        assert_eq!(sequential.runtime.shards, 1);
-        for shards in [2, 3, 4, 8] {
-            let sharded = run(shards);
-            assert_eq!(sharded.runtime.shards, shards);
-            assert_eq!(
-                sequential, sharded,
-                "{shards}-shard run diverged from the sequential engine"
-            );
-        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   values round-trip bit-exactly, including `-0.0` and infinities.
 //! * Collections are length-prefixed (`u64` count). Hash maps are
 //!   serialized sorted by key so snapshot bytes never depend on hash
-//!   iteration order; writers with per-shard state serialize a canonical
-//!   merged order so bytes are shard-count independent.
+//!   iteration order, and heaps are written in their pop order so bytes
+//!   never depend on the heap's internal layout.
 //! * No wall-clock or host-dependent value may be written: two
 //!   snapshots of the same run at the same event boundary must be
 //!   byte-identical across machines and across time.

@@ -27,10 +27,6 @@
 //!   same answer as the policies' slice scans.
 //! * [`pricing`] — static, priority-based and allocation-based pricing
 //!   (§5.2.2) and the revenue accounting behind Figure 22.
-//! * [`shard`] — the engine-sharding knob ([`ShardConfig`]): how many
-//!   worker threads the discrete-event simulator fans per-server work out
-//!   to, with the guarantee that any shard count is bit-identical to the
-//!   sequential engine.
 //! * [`telemetry`] — the observability knob ([`TelemetrySpec`]): which
 //!   telemetry sinks (metrics registry, phase profiler, JSONL event log,
 //!   Chrome trace) a run should feed, **off by default**, with the
@@ -75,7 +71,6 @@ pub mod placement;
 pub mod policy;
 pub mod pricing;
 pub mod resources;
-pub mod shard;
 pub mod telemetry;
 pub mod vm;
 
@@ -84,7 +79,6 @@ pub use checkpoint::{ByteReader, ByteWriter, CheckpointError, SNAPSHOT_VERSION};
 pub use error::{DeflateError, Result};
 pub use perfmodel::PerfModel;
 pub use resources::{ResourceKind, ResourceVector};
-pub use shard::ShardConfig;
 pub use telemetry::{TelemetryEventKind, TelemetryEventSet, TelemetrySpec};
 pub use vm::{Priority, ServerId, VmAllocation, VmClass, VmId, VmSpec};
 
@@ -104,7 +98,6 @@ pub mod prelude {
     };
     pub use crate::pricing::{PricingPolicy, RateCard};
     pub use crate::resources::{ResourceKind, ResourceVector};
-    pub use crate::shard::ShardConfig;
     pub use crate::telemetry::{TelemetryEventKind, TelemetryEventSet, TelemetrySpec};
     pub use crate::vm::{Priority, ServerId, VmAllocation, VmClass, VmId, VmSpec};
 }

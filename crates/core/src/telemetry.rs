@@ -4,7 +4,7 @@
 //! (metrics registry, phase profiler, JSONL event log, Chrome-trace
 //! exporter) live in `deflate-telemetry`, which turns a spec into a
 //! `TelemetrySink`. Keeping the knob here mirrors the other engine knobs
-//! ([`ShardConfig`](crate::shard::ShardConfig), the policy enums): every
+//! ([`AuditSpec`](crate::audit::AuditSpec), the policy enums): every
 //! layer can name the configuration without depending on the machinery.
 //!
 //! Two standing contracts, pinned by `tests/telemetry_determinism.rs`:
@@ -13,8 +13,7 @@
 //!   without the knob behaves exactly as before the subsystem existed.
 //! * **Observation never changes results.** Enabling any combination of
 //!   sinks leaves every `SimResult` field bit-identical to a telemetry-off
-//!   run (wall-clock time is outside the equality contract), at every
-//!   shard count.
+//!   run (wall-clock time is outside the equality contract).
 
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;

@@ -11,8 +11,8 @@
 //! streaming-engine work (ROADMAP item 1).
 //!
 //! Accounted bytes are an *estimate with a contract*: deterministic
-//! (identical across runs, shard counts and hosts — no pointers, no
-//! allocator introspection) and honest about what they cover (owned heap
+//! (identical across runs and hosts — no pointers, no allocator
+//! introspection) and honest about what they cover (owned heap
 //! blocks reachable from the subsystem, not allocator slack or code).
 //! The `fig_memory` CI gate checks the estimate explains ≥ 70 % of
 //! measured peak RSS, so the ledger can't quietly rot.

@@ -3,7 +3,7 @@
 //! The engine's phases nest — a VM arrival handler contains the
 //! placement-ranking loop, a capacity-reclaim handler contains transfer
 //! booking — so naive inclusive timing double-counts. The profiler keeps
-//! an explicit span stack on the coordinator thread and attributes each
+//! an explicit span stack on the event-loop thread and attributes each
 //! span its **self time** (elapsed minus time spent in child spans), so
 //! the per-phase rows of a [`PhaseReport`] are disjoint and sum to the
 //! engine total.
@@ -13,11 +13,7 @@
 //! other span claimed, reported as the `other` row. Coverage — the
 //! acceptance metric `fig_profile` enforces — is simply
 //! `(total − other) / total`.
-//!
-//! Worker threads don't share the coordinator stack; sharded work is
-//! recorded flat, per `(shard, phase)`, via `TelemetrySink::shard_span`.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// An engine phase a span can be attributed to.
@@ -34,11 +30,10 @@ pub enum Phase {
     /// Building the event schedule (arrivals, departures, capacity
     /// signals, ticks) from the workload.
     ScheduleBuild,
-    /// Bulk-heapifying the per-shard event queues.
+    /// Bulk-heapifying the event queue.
     Heapify,
-    /// Coordinator-side merge: popping the globally next event across
-    /// shard heads.
-    CoordinatorMerge,
+    /// Popping the next event off the queue.
+    EventPop,
     /// Arrival bookkeeping around placement (record updates, routing).
     Arrival,
     /// Ranking candidate servers for one placement decision — the
@@ -78,7 +73,7 @@ impl Phase {
         Phase::RecordInit,
         Phase::ScheduleBuild,
         Phase::Heapify,
-        Phase::CoordinatorMerge,
+        Phase::EventPop,
         Phase::Arrival,
         Phase::PlacementRank,
         Phase::PlacementIndex,
@@ -100,7 +95,7 @@ impl Phase {
             Phase::RecordInit => "record_init",
             Phase::ScheduleBuild => "schedule_build",
             Phase::Heapify => "heapify",
-            Phase::CoordinatorMerge => "coordinator_merge",
+            Phase::EventPop => "event_pop",
             Phase::Arrival => "arrival",
             Phase::PlacementRank => "placement_rank",
             Phase::PlacementIndex => "placement_index",
@@ -128,7 +123,7 @@ const NUM_PHASES: usize = Phase::ALL.len();
 /// Mutable profiler state, owned by the sink behind a mutex.
 #[derive(Debug, Default)]
 pub(crate) struct ProfilerState {
-    /// Coordinator span stack: `(phase, time spent in child spans)`.
+    /// Span stack: `(phase, time spent in child spans)`.
     stack: Vec<(Phase, Duration)>,
     /// Exclusive (self) time per phase.
     self_times: [Duration; NUM_PHASES],
@@ -136,8 +131,6 @@ pub(crate) struct ProfilerState {
     counts: [u64; NUM_PHASES],
     /// Total elapsed of `EngineTotal` spans (inclusive).
     engine_total: Duration,
-    /// Flat per-`(shard, phase)` worker-side timings.
-    shard_times: BTreeMap<(usize, Phase), (Duration, u64)>,
 }
 
 impl ProfilerState {
@@ -157,15 +150,6 @@ impl ProfilerState {
         if let Some((_, parent_children)) = self.stack.last_mut() {
             *parent_children += elapsed;
         }
-    }
-
-    pub(crate) fn record_shard(&mut self, shard: usize, phase: Phase, elapsed: Duration) {
-        let slot = self
-            .shard_times
-            .entry((shard, phase))
-            .or_insert((Duration::ZERO, 0));
-        slot.0 += elapsed;
-        slot.1 += 1;
     }
 
     pub(crate) fn report(&self) -> PhaseReport {
@@ -188,21 +172,11 @@ impl ProfilerState {
             phases,
             engine_total: self.engine_total,
             other: self.self_times[Phase::EngineTotal.index()],
-            shards: self
-                .shard_times
-                .iter()
-                .map(|(&(shard, phase), &(time, count))| ShardRow {
-                    shard,
-                    phase,
-                    time,
-                    count,
-                })
-                .collect(),
         }
     }
 }
 
-/// One coordinator-phase row: disjoint self time and span count.
+/// One phase row: disjoint self time and span count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseRow {
     /// Which phase.
@@ -213,31 +187,16 @@ pub struct PhaseRow {
     pub count: u64,
 }
 
-/// One worker-thread row: inclusive time one shard spent in a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRow {
-    /// Shard (worker) index.
-    pub shard: usize,
-    /// Which phase.
-    pub phase: Phase,
-    /// Inclusive wall-clock.
-    pub time: Duration,
-    /// Number of spans entered.
-    pub count: u64,
-}
-
 /// The profiler's output: disjoint per-phase self times that sum (with
-/// `other`) to `engine_total`, plus the flat per-shard breakdown.
+/// `other`) to `engine_total`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseReport {
-    /// Coordinator phases in [`Phase::ALL`] order, zero-count rows elided.
+    /// Phases in [`Phase::ALL`] order, zero-count rows elided.
     pub phases: Vec<PhaseRow>,
     /// Inclusive elapsed of the engine-total umbrella span(s).
     pub engine_total: Duration,
     /// Self time of the umbrella span: wall-clock no named phase claimed.
     pub other: Duration,
-    /// Worker-side `(shard, phase)` rows, sorted by shard then phase.
-    pub shards: Vec<ShardRow>,
 }
 
 impl PhaseReport {
@@ -293,20 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_rows_are_flat_and_sorted() {
-        let mut state = ProfilerState::default();
-        state.record_shard(1, Phase::Heapify, ms(5));
-        state.record_shard(0, Phase::Heapify, ms(7));
-        state.record_shard(0, Phase::Heapify, ms(3));
-        let report = state.report();
-        assert_eq!(report.shards.len(), 2);
-        assert_eq!(report.shards[0].shard, 0);
-        assert_eq!(report.shards[0].time, ms(10));
-        assert_eq!(report.shards[0].count, 2);
-        assert_eq!(report.shards[1].shard, 1);
-    }
-
-    #[test]
     fn phase_names_are_unique_and_stable() {
         let mut seen = std::collections::BTreeSet::new();
         for phase in Phase::ALL {
@@ -315,5 +260,6 @@ mod tests {
         assert_eq!(Phase::PlacementRank.name(), "placement_rank");
         assert_eq!(Phase::PlacementIndex.name(), "placement_index");
         assert_eq!(Phase::Admission.name(), "admission");
+        assert_eq!(Phase::EventPop.name(), "event_pop");
     }
 }

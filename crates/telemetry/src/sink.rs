@@ -111,10 +111,10 @@ impl TelemetrySink {
 
     // ---- spans ---------------------------------------------------------
 
-    /// Open a coordinator-thread phase span; the returned RAII guard
-    /// closes it on drop. Spans nest: each phase is attributed its
-    /// *self* time (see [`crate::profiler`]). Must be entered/exited in
-    /// stack order, which the guard enforces structurally.
+    /// Open a phase span; the returned RAII guard closes it on drop.
+    /// Spans nest: each phase is attributed its *self* time (see
+    /// [`crate::profiler`]). Must be entered/exited in stack order, which
+    /// the guard enforces structurally.
     #[must_use = "the span measures until the guard drops"]
     pub fn span(&self, phase: Phase) -> SpanGuard {
         let live = match &self.inner {
@@ -124,29 +124,12 @@ impl TelemetrySink {
         // One clock read per span edge serves both sinks. The span's own
         // entry bookkeeping below is timed as part of it.
         let start = Instant::now();
-        inner_chrome_begin(live, phase, 0, start);
+        inner_chrome_push(live, phase, b'B', start);
         if live.profile {
             live.profiler.lock().expect("profiler lock").enter(phase);
         }
         SpanGuard {
             live: Some((Arc::clone(live), phase, start)),
-        }
-    }
-
-    /// Open a worker-thread span for `shard`. Worker spans don't join
-    /// the coordinator's nesting stack — they accumulate flat, per
-    /// `(shard, phase)`, and appear on Chrome-trace thread `shard + 1`.
-    #[must_use = "the span measures until the guard drops"]
-    pub fn shard_span(&self, shard: usize, phase: Phase) -> ShardSpanGuard {
-        let live = match &self.inner {
-            Some(inner) if inner.profile || inner.chrome_enabled => inner,
-            _ => return ShardSpanGuard { live: None },
-        };
-        let tid = (shard + 1) as u32;
-        let start = Instant::now();
-        inner_chrome_begin(live, phase, tid, start);
-        ShardSpanGuard {
-            live: Some((Arc::clone(live), phase, shard, start)),
         }
     }
 
@@ -310,31 +293,19 @@ impl TelemetrySink {
     }
 }
 
-fn inner_chrome_begin(inner: &Arc<SinkInner>, phase: Phase, tid: u32, now: Instant) {
+/// Record one Chrome-trace edge (`ph` is `b'B'` or `b'E'`) of a span.
+fn inner_chrome_push(inner: &Arc<SinkInner>, phase: Phase, ph: u8, now: Instant) {
     if let Some(chrome) = &inner.chrome {
         let ts_us = now.duration_since(inner.epoch).as_micros() as u64;
         chrome.lock().expect("chrome lock").push(ChromeEvent {
             name: phase.name(),
-            ph: b'B',
+            ph,
             ts_us,
-            tid,
         });
     }
 }
 
-fn inner_chrome_end(inner: &Arc<SinkInner>, phase: Phase, tid: u32, now: Instant) {
-    if let Some(chrome) = &inner.chrome {
-        let ts_us = now.duration_since(inner.epoch).as_micros() as u64;
-        chrome.lock().expect("chrome lock").push(ChromeEvent {
-            name: phase.name(),
-            ph: b'E',
-            ts_us,
-            tid,
-        });
-    }
-}
-
-/// RAII guard for a coordinator phase span (see [`TelemetrySink::span`]).
+/// RAII guard for a phase span (see [`TelemetrySink::span`]).
 #[derive(Debug)]
 pub struct SpanGuard {
     live: Option<(Arc<SinkInner>, Phase, Instant)>,
@@ -352,30 +323,7 @@ impl Drop for SpanGuard {
                     .expect("profiler lock")
                     .exit(phase, elapsed);
             }
-            inner_chrome_end(&inner, phase, 0, now);
-        }
-    }
-}
-
-/// RAII guard for a worker-thread span (see [`TelemetrySink::shard_span`]).
-#[derive(Debug)]
-pub struct ShardSpanGuard {
-    live: Option<(Arc<SinkInner>, Phase, usize, Instant)>,
-}
-
-impl Drop for ShardSpanGuard {
-    fn drop(&mut self) {
-        if let Some((inner, phase, shard, start)) = self.live.take() {
-            let now = Instant::now();
-            let elapsed = now.duration_since(start);
-            if inner.profile {
-                inner
-                    .profiler
-                    .lock()
-                    .expect("profiler lock")
-                    .record_shard(shard, phase, elapsed);
-            }
-            inner_chrome_end(&inner, phase, (shard + 1) as u32, now);
+            inner_chrome_push(&inner, phase, b'E', now);
         }
     }
 }
@@ -438,17 +386,12 @@ mod tests {
                 let _arrival = sink.span(Phase::Arrival);
                 let _rank = sink.span(Phase::PlacementRank);
             }
-            let _shard = sink.shard_span(1, Phase::Heapify);
             sink.count("placements", 3);
             sink.observe("rank_secs", 0.001);
         }
         let report = sink.finish().unwrap();
         assert!(report.phases.engine_total > std::time::Duration::ZERO);
         assert!(!report.phases.self_time(Phase::Arrival).is_zero());
-        let shard_rows = &report.phases.shards;
-        assert_eq!(shard_rows.len(), 1);
-        assert_eq!(shard_rows[0].shard, 1);
-        assert_eq!(shard_rows[0].phase, Phase::Heapify);
         assert_eq!(report.metrics.counter("placements"), 3);
     }
 

@@ -96,11 +96,16 @@ fn parse_f64(field: &str, line: usize, column: usize) -> Result<f64, CsvError> {
     if trimmed.is_empty() {
         return Ok(0.0);
     }
-    trimmed.parse::<f64>().map_err(|_| CsvError::BadNumber {
-        line,
-        column,
-        value: field.to_string(),
-    })
+    // `str::parse` also accepts `NaN`, `inf` and overflowing literals
+    // such as `1e400`; none of them is a usable time or size.
+    match trimmed.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(value),
+        _ => Err(CsvError::BadNumber {
+            line,
+            column,
+            value: field.to_string(),
+        }),
+    }
 }
 
 fn parse_category(field: &str) -> VmClass {
@@ -277,6 +282,20 @@ vmC,sub2,dep3,0,1800,5.0,1.0,2.0,Unknown,1,1.75
             parse_vmtable("vmA,s,d,zero,3600,95,20,80,Interactive,4,8\n".as_bytes()).unwrap_err();
         assert!(matches!(err, CsvError::BadNumber { column: 3, .. }));
         assert!(err.to_string().contains("column 3"));
+        // Non-finite numbers are rejected too, before they reach the
+        // trace builder: an infinite deletion time would size an
+        // unbounded sample vector, a NaN creation time a NaN event time.
+        for (row, column) in [
+            ("vmA,s,d,0,inf,95,20,80,Interactive,4,8\n", 4),
+            ("vmA,s,d,NaN,3600,95,20,80,Interactive,4,8\n", 3),
+            ("vmA,s,d,0,1e400,95,20,80,Interactive,4,8\n", 4),
+        ] {
+            let err = load_from_strings(row, READINGS).unwrap_err();
+            assert!(
+                matches!(err, CsvError::BadNumber { column: c, .. } if c == column),
+                "{row:?} gave {err:?}"
+            );
+        }
         // Blank lines and comments are skipped.
         assert!(parse_vmtable("\n# comment\n".as_bytes())
             .unwrap()

@@ -201,10 +201,9 @@ impl Scheduled {
 
 /// The queue's total order over `(time, event)` pairs, earliest first:
 /// timestamp (`f64::total_cmp`), then event kind, then entity id, then the
-/// raw bits of the capacity payload. This is the *global* delivery order
-/// every engine — the single [`EventQueue`] and the sharded engine's
-/// coordinator merge (see [`crate::sharded`]) — agrees on; exposing it is
-/// what lets per-shard queues be merged without re-deriving the ordering.
+/// raw bits of the capacity payload. This is the order [`EventQueue`]
+/// pops in; exposing it lets callers sort a queue's contents (and
+/// compare event sequences) without re-deriving the ordering.
 pub fn event_cmp(a: (f64, SimEvent), b: (f64, SimEvent)) -> Ordering {
     let a = Scheduled {
         time: a.0,
@@ -279,7 +278,7 @@ impl EventQueue {
 
     /// A queue holding `events`, heapified in one linear pass
     /// (`BinaryHeap::from`) instead of `n` sift-up pushes — the
-    /// start-of-run bulk build the engine does once per shard. Pop order
+    /// start-of-run bulk build the engine does once per run. Pop order
     /// is identical to pushing the events individually: the ordering is
     /// total, so the drained sequence of a multiset is unique regardless
     /// of the heap's internal layout. Panics on non-finite timestamps,
@@ -312,12 +311,6 @@ impl EventQueue {
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|s| s.time)
-    }
-
-    /// The earliest pending event as `(time, event)`, without removing it.
-    /// The sharded engine's coordinator compares shard heads through this.
-    pub fn peek(&self) -> Option<(f64, SimEvent)> {
-        self.heap.peek().map(|s| (s.time, s.event))
     }
 
     /// Number of pending events.

@@ -20,21 +20,6 @@
 //!   migration completions, capacity reclaim/restore, utilisation ticks)
 //!   and a binary-heap [`events::EventQueue`] with fully deterministic
 //!   ordering (timestamp, then event kind, then entity id).
-//! * [`sharded`] — the **sharded engine** for million-VM traces: the
-//!   global queue split into per-shard [`events::EventQueue`]s
-//!   (capacity events routed by server, VM events by workload slot),
-//!   heapified in parallel on `std::thread` workers and drained by a
-//!   coordinator that merges shard heads under the exact same total
-//!   order ([`events::event_cmp`]) — so any shard count pops the
-//!   *identical* event sequence. `ShardConfig` (a `deflate-core` knob,
-//!   default 1 = sequential) selects the shard count; the determinism
-//!   contract is pinned by `tests/shard_parity.rs` and documented in
-//!   `docs/PERFORMANCE.md`.
-//! * [`pool`] — the **persistent worker pool** the engine's parallel
-//!   sections share ([`pool::WorkerPool`]): heapify, utilisation
-//!   sampling and usage snapshotting submit borrowed task batches to
-//!   long-lived workers instead of respawning scoped threads per
-//!   section.
 //!
 //! The cluster simulator (`deflate-cluster`) replays workloads through the
 //! event engine and reacts to capacity events by deflating, migrating or —
@@ -78,52 +63,18 @@
 //! );
 //! assert_eq!(queue.pop(), Some((10.0, SimEvent::Arrival(0))));
 //! ```
-//!
-//! And the same contract under the sharded engine — a two-shard queue,
-//! built in parallel, delivers the bit-identical sequence:
-//!
-//! ```
-//! use deflate_core::shard::ShardConfig;
-//! use deflate_transient::events::SimEvent;
-//! use deflate_transient::sharded::ShardedEventQueue;
-//!
-//! let events = vec![
-//!     (10.0, SimEvent::Arrival(0)),
-//!     (10.0, SimEvent::Departure(1)),
-//!     (10.0, SimEvent::MigrationComplete { migration: 3 }),
-//! ];
-//! let mut queue = ShardedEventQueue::build(
-//!     ShardConfig::with_shards(2),
-//!     4, // servers
-//!     2, // workload slots
-//!     events,
-//! );
-//!
-//! assert_eq!(queue.pop(), Some((10.0, SimEvent::Departure(1))));
-//! assert_eq!(
-//!     queue.pop(),
-//!     Some((10.0, SimEvent::MigrationComplete { migration: 3 }))
-//! );
-//! assert_eq!(queue.pop(), Some((10.0, SimEvent::Arrival(0))));
-//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod events;
-pub mod pool;
-pub mod sharded;
 pub mod signal;
 
 pub use events::{EventQueue, SimEvent};
-pub use pool::WorkerPool;
-pub use sharded::ShardedEventQueue;
 pub use signal::{CapacityChange, CapacityProfile, CapacitySchedule, TransientConfig};
 
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
     pub use crate::events::{EventQueue, SimEvent};
-    pub use crate::pool::WorkerPool;
-    pub use crate::sharded::ShardedEventQueue;
     pub use crate::signal::{CapacityChange, CapacityProfile, CapacitySchedule, TransientConfig};
 }

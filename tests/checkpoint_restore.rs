@@ -8,9 +8,9 @@
 //! and the deterministic event count; only the re-measured wall clock is
 //! exempt. Snapshot bytes themselves are versioned, little-endian,
 //! wall-clock-free and canonically ordered, so they are independent of
-//! the machine, the moment, the engine shard count and the telemetry
-//! configuration; the byte format is golden-pinned below and may only
-//! change together with a `SNAPSHOT_VERSION` bump.
+//! the machine, the moment and the telemetry configuration; the byte
+//! format is golden-pinned below and may only change together with a
+//! `SNAPSHOT_VERSION` bump.
 //!
 //! Checkpoint boundaries are "random": arbitrary-looking fractions of
 //! the trace horizon from a seeded LCG (`tests/common`), different for
@@ -29,8 +29,7 @@ use vmdeflate::cluster::spec::{
 };
 use vmdeflate::core::checkpoint::{ByteReader, CheckpointError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use vmdeflate::core::placement::PartitionScheme;
-use vmdeflate::core::policy::ProportionalDeflation;
-use vmdeflate::core::shard::ShardConfig;
+use vmdeflate::core::policy::{ProportionalDeflation, TransferPolicy};
 use vmdeflate::hypervisor::domain::{DeflationMechanism, Domain};
 use vmdeflate::transient::events::SimEvent;
 use vmdeflate::transient::signal::{CapacityProfile, CapacitySchedule, TransientConfig};
@@ -151,8 +150,8 @@ fn fig_autoscale_configs_restore_at_random_boundaries() {
     }
 }
 
-/// The exact quick-scale `fig_autoscale` simulation (the construction the
-/// shard-parity suite pins), reduced to the pieces a checkpoint crosses.
+/// The exact quick-scale `fig_autoscale` simulation, reduced to the
+/// pieces a checkpoint crosses.
 fn autoscale_simulation(
     workload: &[WorkloadVm],
     profile: CapacityProfile,
@@ -190,17 +189,15 @@ fn autoscale_simulation(
     .with_autoscale(variant.policy(), vec![app])
 }
 
-/// Snapshot bytes are independent of the engine shard count and of
-/// telemetry, and a snapshot restores bit-identically under any shard
-/// count with every in-memory sink attached — the acceptance matrix of
-/// the checkpoint tentpole ({1, 2, 4} shards × telemetry on).
+/// Snapshot bytes are independent of telemetry, and a snapshot restores
+/// bit-identically with every in-memory sink attached.
 #[test]
-fn snapshots_are_shard_and_telemetry_independent() {
+fn snapshots_are_telemetry_independent() {
     use vmdeflate::telemetry::{TelemetryEventSet, TelemetrySink, TelemetrySpec};
     let workload = transient_workload(Scale::Quick);
     let budget = SCHEDULER_SWEEP_MBPS[0];
     let variant = SchedulerVariant::EdfDeflate;
-    let sim = |shards: usize, sink: TelemetrySink| {
+    let sim = |sink: TelemetrySink| {
         transient_simulation(
             &workload,
             Scale::Quick,
@@ -209,7 +206,6 @@ fn snapshots_are_shard_and_telemetry_independent() {
             variant.cost(budget),
             variant.policy(),
         )
-        .with_shards(ShardConfig::with_shards(shards))
         .with_telemetry(sink)
     };
     let observed_sink = || {
@@ -220,24 +216,73 @@ fn snapshots_are_shard_and_telemetry_independent() {
         TelemetrySink::in_memory(&spec)
     };
     let at = Lcg(0xD15EA5E).fraction() * horizon_secs();
-    let full = sim(1, TelemetrySink::disabled()).run(&workload);
-    let baseline = sim(1, TelemetrySink::disabled()).checkpoint(&workload, at);
-    for shards in [2, 4] {
-        let snapshot = sim(shards, observed_sink()).checkpoint(&workload, at);
-        assert_eq!(
-            baseline, snapshot,
-            "snapshot bytes changed at {shards} shards with telemetry on"
-        );
+    let full = sim(TelemetrySink::disabled()).run(&workload);
+    let baseline = sim(TelemetrySink::disabled()).checkpoint(&workload, at);
+    let snapshot = sim(observed_sink()).checkpoint(&workload, at);
+    assert_eq!(
+        baseline, snapshot,
+        "snapshot bytes changed with telemetry on"
+    );
+    let resumed = sim(observed_sink())
+        .resume(&workload, &baseline)
+        .expect("snapshot must restore");
+    assert_eq!(full, resumed, "restore diverged with telemetry on");
+}
+
+/// **Fork determinism**: two forks of the same snapshot under the same
+/// [`TransferPolicy`] are bit-identical, and forks under different
+/// policies share the identical pre-fork history (the snapshot is the
+/// single source of the prefix — what diverges afterwards is policy,
+/// never replay noise). This is the property `fig_whatif`'s
+/// model-predictive loop rests on.
+#[test]
+fn forks_of_one_snapshot_are_deterministic() {
+    use deflate_bench::transient_exp::{dirty_aware_migration_cost, transient_simulation};
+    let scale = Scale::Quick;
+    let workload = transient_workload(scale);
+    let profile = CapacityProfile::spot_market_default();
+    let cost = dirty_aware_migration_cost(1250.0);
+    let sim = |policy: TransferPolicy| {
+        transient_simulation(
+            &workload,
+            scale,
+            deflate_bench::transient_exp::TransientMode::Deflation,
+            profile,
+            cost,
+            policy,
+        )
+    };
+    let snapshot = sim(TransferPolicy::fifo()).checkpoint(&workload, 2.0 * 3600.0);
+    for policy in [
+        TransferPolicy::fifo(),
+        TransferPolicy::edf().with_deflate_then_migrate(true),
+    ] {
+        let first = sim(policy).resume(&workload, &snapshot).expect("restores");
+        let second = sim(policy).resume(&workload, &snapshot).expect("restores");
+        assert_eq!(first, second, "two forks under {} diverged", policy.name());
     }
-    for shards in [1, 2, 4] {
-        let resumed = sim(shards, observed_sink())
-            .resume(&workload, &baseline)
-            .expect("snapshot must restore");
-        assert_eq!(
-            full, resumed,
-            "restore diverged at {shards} shards with telemetry on"
-        );
-    }
+    // Different-policy forks still agree on everything decided before the
+    // fork point: the committed policy name aside, their event streams
+    // may only diverge after 2 h.
+    let fifo = sim(TransferPolicy::fifo())
+        .resume(&workload, &snapshot)
+        .expect("restores");
+    let edf = sim(TransferPolicy::edf())
+        .resume(&workload, &snapshot)
+        .expect("restores");
+    let pre_fork = |result: &vmdeflate::cluster::metrics::SimResult| {
+        result
+            .migrations
+            .iter()
+            .filter(|m| m.time_secs <= 2.0 * 3600.0)
+            .cloned()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        pre_fork(&fifo),
+        pre_fork(&edf),
+        "pre-fork migration history diverged between sibling forks"
+    );
 }
 
 /// Malformed snapshots are rejected with typed errors, never misread.

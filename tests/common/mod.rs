@@ -41,7 +41,10 @@ pub fn sim_result_digest(result: &SimResult) -> u64 {
         result.overcommitment.to_bits(),
         &result.policy_name,
         result.runtime.events_processed,
-        result.runtime.shards,
+        // The goldens were captured when the engine still recorded a
+        // shard count, which was always 1; hashing the literal keeps
+        // every pinned digest unchanged.
+        1usize,
     );
     fnv1a64(format!("{deterministic:?}").as_bytes())
 }
