@@ -11,8 +11,10 @@
 //! `placement_rank` + `placement_index` self-time share must stay below
 //! the 40 % ceiling (the incremental-placement regression gate), and the
 //! written trace must validate (parseable JSON array, matched begin/end
-//! pairs). CI runs the quick profile as a smoke step and relies on this.
-use deflate_bench::profile_exp::{phase_table, profile_sweep};
+//! pairs), and the process's peak RSS (`VmHWM`) must stay under
+//! `PROFILE_RSS_CEILING_MIB` (256 MiB; skipped where procfs is absent).
+//! CI runs the quick profile as a smoke step and relies on this.
+use deflate_bench::profile_exp::{phase_table, profile_sweep, rss_ceiling_failure};
 use deflate_bench::Scale;
 
 fn main() {
@@ -30,6 +32,7 @@ fn main() {
         println!("trace: {}", run.trace_path.display());
         failures.extend(run.failures());
     }
+    failures.extend(rss_ceiling_failure(deflate_telemetry::peak_rss_mib()));
     deflate_bench::report::append_process_footer_json("fig_profile");
     if !failures.is_empty() {
         eprintln!("PROFILE FAILURE: {}", failures.join("; "));

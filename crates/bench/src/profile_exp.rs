@@ -18,13 +18,16 @@
 //! `placement_rank` + `placement_index` share must stay below
 //! [`PLACEMENT_SHARE_CEILING`] (the PR 7 incremental-index gate), and
 //! the written Chrome trace must validate (parseable JSON array, matched
-//! begin/end pairs).
+//! begin/end pairs). The binary also holds the process's peak RSS under
+//! [`PROFILE_RSS_CEILING_MIB`]: the trace streams to disk and is
+//! validated by streaming it back, so neither may buffer it.
 
 use crate::report::{secs, RuntimeTally, Table, TallyRunStats};
 use crate::scale::Scale;
 use crate::scale_exp::{run_scale_cell_with_telemetry, scale_workload};
 use deflate_telemetry::{
-    validate_chrome_trace, ChromeTraceStats, Phase, TelemetryReport, TelemetrySink, TelemetrySpec,
+    validate_chrome_trace_from, ChromeTraceStats, Phase, TelemetryReport, TelemetrySink,
+    TelemetrySpec,
 };
 use std::path::PathBuf;
 
@@ -39,6 +42,26 @@ pub const COVERAGE_FLOOR: f64 = 0.90;
 /// every profiled size, and CI's `fig_profile quick` smoke step goes red
 /// when it creeps back up.
 pub const PLACEMENT_SHARE_CEILING: f64 = 0.40;
+
+/// Ceiling on the profiling process's peak RSS (`VmHWM`), MiB. The
+/// Chrome trace streams to disk and is validated in one streaming pass,
+/// so a profile should cost about what the unprofiled engine does
+/// (76 MiB at the 100k quick row); buffering the trace and parsing it
+/// into a JSON tree peaked at 1617 MiB.
+pub const PROFILE_RSS_CEILING_MIB: f64 = 256.0;
+
+/// The reason a process peak of `peak_mib` breaks
+/// [`PROFILE_RSS_CEILING_MIB`], if it does. `None` peak (no procfs)
+/// skips the check.
+pub fn rss_ceiling_failure(peak_mib: Option<f64>) -> Option<String> {
+    let peak = peak_mib?;
+    (peak > PROFILE_RSS_CEILING_MIB).then(|| {
+        format!(
+            "peak RSS {peak:.0} MiB above the {PROFILE_RSS_CEILING_MIB:.0} MiB ceiling \
+             (the trace sink or its validator is buffering)"
+        )
+    })
+}
 
 /// One profiled run of the spot-market scenario.
 #[derive(Debug)]
@@ -176,8 +199,8 @@ pub fn profile_cell(scale: Scale, vms: usize) -> std::io::Result<ProfileRun> {
     let workload = scale_workload(scale, vms);
     let (result, servers) = run_scale_cell_with_telemetry(&workload, scale, sink.clone());
     let report = sink.finish()?;
-    let trace = match std::fs::read_to_string(&trace_path) {
-        Ok(text) => validate_chrome_trace(&text),
+    let trace = match std::fs::File::open(&trace_path) {
+        Ok(file) => validate_chrome_trace_from(std::io::BufReader::new(file)),
         Err(err) => Err(format!("unreadable: {err}")),
     };
     Ok(ProfileRun {
@@ -287,6 +310,15 @@ mod tests {
         assert!(rendered.contains("engine_total"));
         assert!(rendered.contains("engine:"), "runtime footer expected");
         let _ = std::fs::remove_file(&run.trace_path);
+    }
+
+    #[test]
+    fn rss_ceiling_gate() {
+        assert_eq!(rss_ceiling_failure(None), None, "no procfs: skipped");
+        assert_eq!(rss_ceiling_failure(Some(76.0)), None);
+        assert_eq!(rss_ceiling_failure(Some(PROFILE_RSS_CEILING_MIB)), None);
+        let err = rss_ceiling_failure(Some(1617.0)).expect("over the ceiling");
+        assert!(err.contains("1617 MiB"), "{err}");
     }
 
     #[test]

@@ -200,15 +200,15 @@ impl EventLog {
     }
 
     /// Owned heap bytes behind the log: the buffered lines of a
-    /// memory-backed writer (file-backed logs stream through a fixed-size
-    /// `BufWriter` and hold no growing buffer).
+    /// memory-backed writer, or the fixed-size buffer a file-backed log
+    /// streams through.
     pub(crate) fn accounted_bytes(&self) -> u64 {
         match &self.writer {
             EventWriter::Memory(lines) => {
                 deflate_core::mem::vec_capacity_bytes(lines)
                     + lines.iter().map(|l| l.capacity() as u64).sum::<u64>()
             }
-            EventWriter::File(_) => 0,
+            EventWriter::File(w) => w.capacity() as u64,
         }
     }
 }

@@ -40,7 +40,7 @@ pub mod registry;
 pub mod runtime;
 pub mod sink;
 
-pub use chrome::{validate_chrome_trace, ChromeTraceStats};
+pub use chrome::{validate_chrome_trace, validate_chrome_trace_from, ChromeTraceStats};
 pub use deflate_core::telemetry::{TelemetryEventKind, TelemetryEventSet, TelemetrySpec};
 pub use events::{encode_event, parse_event_line, EventField, ParsedEvent};
 pub use memory::{map_entry_bytes, vec_bytes, vec_capacity_bytes, MemoryLedger};

@@ -19,8 +19,7 @@ use crate::events::{EventField, EventLog};
 use crate::profiler::{Phase, PhaseReport, ProfilerState};
 use crate::registry::{MetricsRegistry, MetricsSnapshot};
 use deflate_core::telemetry::{TelemetryEventKind, TelemetrySpec};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 #[derive(Debug)]
@@ -32,13 +31,48 @@ struct SinkInner {
     profile: bool,
     /// Span guards feed the Chrome trace (B/E events).
     chrome_enabled: bool,
-    /// `in_memory` sinks never touch the filesystem, even with paths set.
-    memory_only: bool,
-    metrics: Option<Mutex<MetricsRegistry>>,
-    profiler: Mutex<ProfilerState>,
-    chrome: Option<Mutex<ChromeTrace>>,
-    events: Option<Mutex<EventLog>>,
-    io_errors: AtomicU64,
+    /// Everything mutable, behind one lock: a span edge takes it once
+    /// for both the profiler and the Chrome trace.
+    state: Mutex<SinkState>,
+}
+
+/// The mutable half of a live sink.
+#[derive(Debug)]
+struct SinkState {
+    metrics: Option<MetricsRegistry>,
+    profiler: ProfilerState,
+    chrome: Option<ChromeTrace>,
+    events: Option<EventLog>,
+    /// Mid-run write failures of the file sinks.
+    io_errors: u64,
+}
+
+impl SinkInner {
+    fn state(&self) -> MutexGuard<'_, SinkState> {
+        self.state.lock().expect("telemetry sink lock")
+    }
+
+    /// Microseconds from the sink epoch to `now`.
+    fn micros_at(&self, now: Instant) -> u64 {
+        now.duration_since(self.epoch).as_micros() as u64
+    }
+}
+
+impl SinkState {
+    /// Record one Chrome-trace edge (`ph` is `b'B'` or `b'E'`) of a span
+    /// at `ts_us` past the sink epoch.
+    fn chrome_push(&mut self, phase: Phase, ph: u8, ts_us: u64) {
+        if let Some(chrome) = &mut self.chrome {
+            let event = ChromeEvent {
+                name: phase.name(),
+                ph,
+                ts_us,
+            };
+            if chrome.push(event).is_err() {
+                self.io_errors += 1;
+            }
+        }
+    }
 }
 
 /// Cheap-to-clone telemetry handle; see the module docs.
@@ -61,10 +95,9 @@ impl TelemetrySink {
     }
 
     /// Like [`from_spec`](Self::from_spec) but nothing touches the
-    /// filesystem: the JSONL log buffers in memory (readable via
-    /// [`event_log_lines`](Self::event_log_lines)) and the Chrome trace
-    /// is only serialised on demand
-    /// ([`chrome_trace_json`](Self::chrome_trace_json)). Used by tests
+    /// filesystem: the JSONL log and the Chrome trace buffer in memory
+    /// (readable via [`event_log_lines`](Self::event_log_lines) and
+    /// [`chrome_trace_json`](Self::chrome_trace_json)). Used by tests
     /// and the determinism harness.
     pub fn in_memory(spec: &TelemetrySpec) -> Self {
         Self::build(spec, true).expect("in-memory sink performs no I/O")
@@ -76,25 +109,33 @@ impl TelemetrySink {
         }
         let events = match &spec.event_log_path {
             None => None,
-            Some(path) => Some(Mutex::new(if memory_only {
-                EventLog::to_memory(spec.event_kinds, spec.sample_rate())
-            } else {
-                EventLog::to_file(path, spec.event_kinds, spec.sample_rate())?
-            })),
+            Some(_) if memory_only => {
+                Some(EventLog::to_memory(spec.event_kinds, spec.sample_rate()))
+            }
+            Some(path) => Some(EventLog::to_file(
+                path,
+                spec.event_kinds,
+                spec.sample_rate(),
+            )?),
         };
-        let chrome_enabled = spec.chrome_trace_path.is_some();
+        let chrome = match &spec.chrome_trace_path {
+            None => None,
+            Some(_) if memory_only => Some(ChromeTrace::in_memory()),
+            Some(path) => Some(ChromeTrace::to_file(path)?),
+        };
         Ok(TelemetrySink {
             inner: Some(Arc::new(SinkInner {
                 spec: spec.clone(),
                 epoch: Instant::now(),
                 profile: spec.profile,
-                chrome_enabled,
-                memory_only,
-                metrics: spec.metrics.then(|| Mutex::new(MetricsRegistry::new())),
-                profiler: Mutex::new(ProfilerState::default()),
-                chrome: chrome_enabled.then(|| Mutex::new(ChromeTrace::new())),
-                events,
-                io_errors: AtomicU64::new(0),
+                chrome_enabled: chrome.is_some(),
+                state: Mutex::new(SinkState {
+                    metrics: spec.metrics.then(MetricsRegistry::new),
+                    profiler: ProfilerState::default(),
+                    chrome,
+                    events,
+                    io_errors: 0,
+                }),
             })),
         })
     }
@@ -124,10 +165,12 @@ impl TelemetrySink {
         // One clock read per span edge serves both sinks. The span's own
         // entry bookkeeping below is timed as part of it.
         let start = Instant::now();
-        inner_chrome_push(live, phase, b'B', start);
+        let mut state = live.state();
+        state.chrome_push(phase, b'B', live.micros_at(start));
         if live.profile {
-            live.profiler.lock().expect("profiler lock").enter(phase);
+            state.profiler.enter(phase);
         }
+        drop(state);
         SpanGuard {
             live: Some((Arc::clone(live), phase, start)),
         }
@@ -137,37 +180,28 @@ impl TelemetrySink {
 
     /// Add `n` to a counter (no-op unless the metrics sink is on).
     pub fn count(&self, name: &str, n: u64) {
-        if let Some(metrics) = self.metrics_ref() {
-            metrics.lock().expect("metrics lock").count(name, n);
-        }
+        self.with_metrics(|m| m.count(name, n));
     }
 
     /// Set a gauge (no-op unless the metrics sink is on).
     pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(metrics) = self.metrics_ref() {
-            metrics.lock().expect("metrics lock").gauge_set(name, value);
-        }
+        self.with_metrics(|m| m.gauge_set(name, value));
     }
 
     /// Record a histogram sample (no-op unless the metrics sink is on).
     pub fn observe(&self, name: &str, value: f64) {
-        if let Some(metrics) = self.metrics_ref() {
-            metrics.lock().expect("metrics lock").observe(name, value);
-        }
+        self.with_metrics(|m| m.observe(name, value));
     }
 
     // ---- event log -----------------------------------------------------
 
     /// True when the JSONL sink is on and its filter includes `kind` —
     /// check before building a field slice for [`log_event`](Self::log_event).
+    /// Reads the immutable spec, so it takes no lock.
     pub fn wants(&self, kind: TelemetryEventKind) -> bool {
-        match &self.inner {
-            Some(inner) => match &inner.events {
-                Some(log) => log.lock().expect("event log lock").wants(kind),
-                None => false,
-            },
-            None => false,
-        }
+        self.inner.as_deref().is_some_and(|inner| {
+            inner.spec.event_log_path.is_some() && inner.spec.event_kinds.contains(kind)
+        })
     }
 
     /// Record one simulation event (filter and sampling applied inside).
@@ -179,10 +213,11 @@ impl TelemetrySink {
         fields: &[(&str, EventField<'_>)],
     ) {
         if let Some(inner) = &self.inner {
-            if let Some(log) = &inner.events {
-                let mut log = log.lock().expect("event log lock");
+            let mut state = inner.state();
+            let state = &mut *state;
+            if let Some(log) = &mut state.events {
                 if log.wants(kind) && log.record(kind, time, fields).is_err() {
-                    inner.io_errors.fetch_add(1, Ordering::Relaxed);
+                    state.io_errors += 1;
                 }
             }
         }
@@ -190,25 +225,22 @@ impl TelemetrySink {
 
     // ---- output --------------------------------------------------------
 
-    /// Flush file sinks (JSONL log; Chrome trace is written here, in one
-    /// shot) and assemble the final [`TelemetryReport`]. Idempotent for
-    /// reporting; call once after the run. I/O errors from the flush are
-    /// returned, mid-run write errors appear in
-    /// [`TelemetryReport::io_errors`].
+    /// Finish the file sinks and assemble the final [`TelemetryReport`]:
+    /// flush the JSONL log and close the streamed Chrome trace (its
+    /// closing `]` is written here; the events went out during the run).
+    /// Idempotent for reporting; call once after the run. Both sinks are
+    /// finished even if one fails, and the first error is returned;
+    /// mid-run write errors appear in [`TelemetryReport::io_errors`].
     pub fn finish(&self) -> std::io::Result<TelemetryReport> {
         let inner = match &self.inner {
             Some(inner) => inner,
             None => return Ok(TelemetryReport::default()),
         };
-        if let Some(log) = &inner.events {
-            log.lock().expect("event log lock").flush()?;
-        }
-        if !inner.memory_only {
-            if let (Some(chrome), Some(path)) = (&inner.chrome, &inner.spec.chrome_trace_path) {
-                let json = chrome.lock().expect("chrome lock").to_json();
-                std::fs::write(path, json)?;
-            }
-        }
+        let mut state = inner.state();
+        let flushed = state.events.as_mut().map_or(Ok(()), EventLog::flush);
+        let closed = state.chrome.as_mut().map_or(Ok(()), ChromeTrace::close);
+        drop(state);
+        flushed.and(closed)?;
         Ok(self.report())
     }
 
@@ -218,90 +250,69 @@ impl TelemetrySink {
             Some(inner) => inner,
             None => return TelemetryReport::default(),
         };
-        let (chrome_events, chrome_dropped) = match &inner.chrome {
-            Some(chrome) => {
-                let chrome = chrome.lock().expect("chrome lock");
-                (chrome.len(), chrome.dropped())
-            }
-            None => (0, 0),
-        };
+        let state = inner.state();
         TelemetryReport {
-            phases: inner.profiler.lock().expect("profiler lock").report(),
-            metrics: inner
+            phases: state.profiler.report(),
+            metrics: state
                 .metrics
                 .as_ref()
-                .map(|m| m.lock().expect("metrics lock").snapshot())
+                .map(MetricsRegistry::snapshot)
                 .unwrap_or_default(),
-            chrome_events,
-            chrome_dropped,
-            event_lines: inner
-                .events
-                .as_ref()
-                .map(|log| log.lock().expect("event log lock").written())
-                .unwrap_or(0),
-            io_errors: inner.io_errors.load(Ordering::Relaxed),
+            chrome_events: state.chrome.as_ref().map_or(0, ChromeTrace::len),
+            chrome_dropped: state.chrome.as_ref().map_or(0, ChromeTrace::dropped),
+            event_lines: state.events.as_ref().map_or(0, EventLog::written),
+            io_errors: state.io_errors,
         }
     }
 
     /// The JSONL lines of a memory-backed sink (`None` when disabled or
     /// streaming to a file).
     pub fn event_log_lines(&self) -> Option<Vec<String>> {
-        let inner = self.inner.as_deref()?;
-        let log = inner.events.as_ref()?.lock().expect("event log lock");
-        log.lines().map(|lines| lines.to_vec())
+        let state = self.inner.as_deref()?.state();
+        state.events.as_ref()?.lines().map(|lines| lines.to_vec())
     }
 
-    /// Owned heap bytes behind the sink itself: the metrics registry and
-    /// any memory-backed event-log buffer. The observability layer's own
-    /// footprint, reported as `mem.telemetry` so the memory ledger keeps
-    /// the observer honest too. 0 when disabled. Measured *before* the
+    /// Owned heap bytes behind the sink itself: the metrics registry,
+    /// the Chrome trace (a memory sink's buffered events, a file sink's
+    /// write buffer) and the event log (buffered lines, or the file
+    /// writer's buffer). The observability layer's own footprint,
+    /// reported as `mem.telemetry` so the memory ledger keeps the
+    /// observer honest too. 0 when disabled. Measured *before* the
     /// ledger publishes its `mem.*` gauges, so the figure excludes the
     /// entries the publish itself adds.
     pub fn accounted_bytes(&self) -> u64 {
         let Some(inner) = self.inner.as_deref() else {
             return 0;
         };
-        let metrics = inner
+        let state = inner.state();
+        state
             .metrics
             .as_ref()
-            .map_or(0, |m| m.lock().expect("metrics lock").accounted_bytes());
-        let events = inner
-            .events
-            .as_ref()
-            .map_or(0, |e| e.lock().expect("event log lock").accounted_bytes());
-        metrics + events
-    }
-
-    /// Serialise the in-memory Chrome trace (`None` when that sink is
-    /// off). Works for both file-backed and memory-only sinks.
-    pub fn chrome_trace_json(&self) -> Option<String> {
-        let inner = self.inner.as_deref()?;
-        Some(
-            inner
+            .map_or(0, MetricsRegistry::accounted_bytes)
+            + state
                 .chrome
-                .as_ref()?
-                .lock()
-                .expect("chrome lock")
-                .to_json(),
-        )
+                .as_ref()
+                .map_or(0, ChromeTrace::accounted_bytes)
+            + state.events.as_ref().map_or(0, EventLog::accounted_bytes)
     }
 
-    fn metrics_ref(&self) -> Option<&Mutex<MetricsRegistry>> {
-        self.inner
-            .as_deref()
-            .and_then(|inner| inner.metrics.as_ref())
+    /// Serialise a memory-backed Chrome trace (`None` when that sink is
+    /// off or streams to a file, whose events are already on disk).
+    pub fn chrome_trace_json(&self) -> Option<String> {
+        let state = self.inner.as_deref()?.state();
+        state.chrome.as_ref()?.to_json()
     }
-}
 
-/// Record one Chrome-trace edge (`ph` is `b'B'` or `b'E'`) of a span.
-fn inner_chrome_push(inner: &Arc<SinkInner>, phase: Phase, ph: u8, now: Instant) {
-    if let Some(chrome) = &inner.chrome {
-        let ts_us = now.duration_since(inner.epoch).as_micros() as u64;
-        chrome.lock().expect("chrome lock").push(ChromeEvent {
-            name: phase.name(),
-            ph,
-            ts_us,
-        });
+    fn with_metrics(&self, f: impl FnOnce(&mut MetricsRegistry)) {
+        if let Some(inner) = &self.inner {
+            // The spec says whether a registry exists; checking it first
+            // keeps metric calls lock-free when metrics are off.
+            if inner.spec.metrics {
+                if let Some(metrics) = &mut inner.state().metrics {
+                    f(metrics);
+                }
+            }
+        }
     }
 }
 
@@ -315,15 +326,15 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((inner, phase, start)) = self.live.take() {
             let now = Instant::now();
-            let elapsed = now.duration_since(start);
+            // No panic in `Drop`: a lock poisoned by an earlier panic
+            // just loses this edge.
+            let Ok(mut state) = inner.state.lock() else {
+                return;
+            };
             if inner.profile {
-                inner
-                    .profiler
-                    .lock()
-                    .expect("profiler lock")
-                    .exit(phase, elapsed);
+                state.profiler.exit(phase, now.duration_since(start));
             }
-            inner_chrome_push(&inner, phase, b'E', now);
+            state.chrome_push(phase, b'E', inner.micros_at(now));
         }
     }
 }
@@ -423,6 +434,49 @@ mod tests {
         // memory-only: nothing written to the bogus paths
         assert!(!std::path::Path::new("ignored.jsonl").exists());
         assert!(!std::path::Path::new("ignored.trace.json").exists());
+    }
+
+    #[test]
+    fn accounted_bytes_grow_with_recorded_spans() {
+        let spec = TelemetrySpec::off().with_chrome_trace("ignored.trace.json");
+        let sink = TelemetrySink::in_memory(&spec);
+        let empty = sink.accounted_bytes();
+        let mut last = empty;
+        for round in 0..3 {
+            for _ in 0..1_000 {
+                let _span = sink.span(Phase::Arrival);
+            }
+            let now = sink.accounted_bytes();
+            assert!(now > last, "round {round}: {now} <= {last}");
+            last = now;
+        }
+        // 6 000 buffered edges cost at least their own size.
+        let edge = std::mem::size_of::<ChromeEvent>() as u64;
+        assert!(last - empty >= 6_000 * edge, "{last} - {empty}");
+        assert_eq!(sink.report().chrome_events, 6_000);
+    }
+
+    #[test]
+    fn file_sinks_account_their_write_buffers() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let jsonl = dir.join(format!("deflate-telemetry-acct-{pid}.jsonl"));
+        let trace = dir.join(format!("deflate-telemetry-acct-{pid}.trace.json"));
+        let spec = TelemetrySpec::off()
+            .with_event_log(&jsonl)
+            .with_chrome_trace(&trace);
+        let sink = TelemetrySink::from_spec(&spec).unwrap();
+        let before = sink.accounted_bytes();
+        // A 64 KiB trace buffer plus the event log's buffer.
+        assert!(before > 64 * 1024, "{before}");
+        for _ in 0..10_000 {
+            let _span = sink.span(Phase::Arrival);
+        }
+        // Streaming: the figure does not grow with the trace.
+        assert_eq!(sink.accounted_bytes(), before);
+        sink.finish().unwrap();
+        std::fs::remove_file(&jsonl).ok();
+        std::fs::remove_file(&trace).ok();
     }
 
     #[test]
