@@ -269,18 +269,11 @@ impl Autoscaler {
     /// Execute a scale-out for one application: bring the active pool up
     /// towards the demand-derived desired count, preferring reinflation of
     /// parked replicas (deflation-aware policy) over fresh launches.
-    /// Returns the servers whose residents' allocations may have changed.
-    pub fn on_scale_out(
-        &mut self,
-        app: u32,
-        now: f64,
-        cluster: &mut impl ElasticCluster,
-    ) -> Vec<ServerId> {
+    pub fn on_scale_out(&mut self, app: u32, now: f64, cluster: &mut impl ElasticCluster) {
         let params = self.params;
         let deflation_aware = self.deflation_aware;
-        let mut touched = Vec::new();
         let Some(state) = self.apps.iter_mut().find(|a| a.spec.app == app) else {
-            return touched;
+            return;
         };
         let lambda = state.spec.demand.rate(now);
         let desired = state.spec.desired_replicas(lambda, params.setpoint);
@@ -294,11 +287,10 @@ impl Autoscaler {
                 .flatten();
             if let Some(i) = parked_slot {
                 let vm = state.members[i].vm;
-                if let Some(server) = cluster.unpark_replica(vm) {
+                if cluster.unpark_replica(vm).is_some() {
                     state.members[i].parked = false;
                     state.members[i].serving_from = now;
                     self.stats.reinflations += 1;
-                    touched.push(server);
                 } else {
                     // The replica vanished under us (should not happen —
                     // evictions are reported); drop it defensively.
@@ -309,7 +301,7 @@ impl Autoscaler {
                 let spec = state.spec.replica_spec(state.launched);
                 let vm = spec.id;
                 match cluster.launch_replica(spec) {
-                    Some(server) => {
+                    Some(_) => {
                         state.members.push(Member {
                             vm,
                             parked: false,
@@ -317,7 +309,6 @@ impl Autoscaler {
                         });
                         state.launched += 1;
                         self.stats.launches += 1;
-                        touched.push(server);
                     }
                     None => {
                         // Cluster full (mid-reclamation): give up on this
@@ -331,24 +322,16 @@ impl Autoscaler {
             }
             need -= 1;
         }
-        touched
     }
 
     /// Execute a scale-in for one application: shrink the active pool
     /// towards the desired count, newest replicas first — terminating them
-    /// (launch-only) or parking them deflated (deflation-aware). Returns
-    /// the servers whose residents' allocations may have changed.
-    pub fn on_scale_in(
-        &mut self,
-        app: u32,
-        now: f64,
-        cluster: &mut impl ElasticCluster,
-    ) -> Vec<ServerId> {
+    /// (launch-only) or parking them deflated (deflation-aware).
+    pub fn on_scale_in(&mut self, app: u32, now: f64, cluster: &mut impl ElasticCluster) {
         let params = self.params;
         let deflation_aware = self.deflation_aware;
-        let mut touched = Vec::new();
         let Some(state) = self.apps.iter_mut().find(|a| a.spec.app == app) else {
-            return touched;
+            return;
         };
         let lambda = state.spec.demand.rate(now);
         let desired = state
@@ -367,18 +350,16 @@ impl Autoscaler {
             }
             let vm = state.members[i].vm;
             if deflation_aware {
-                if let Some(server) = cluster.park_replica(vm, params.park_fraction) {
+                if cluster.park_replica(vm, params.park_fraction).is_some() {
                     state.members[i].parked = true;
                     self.stats.parks += 1;
-                    touched.push(server);
                     excess -= 1;
                 }
                 // A park refusal (VM mid-migration) skips to the next
                 // candidate; the replica keeps serving.
-            } else if let Some(server) = cluster.retire_replica(vm) {
+            } else if cluster.retire_replica(vm).is_some() {
                 state.members.remove(i);
                 self.stats.retirements += 1;
-                touched.push(server);
                 excess -= 1;
             } else {
                 // Unknown VM: stale member, drop it.
@@ -387,7 +368,6 @@ impl Autoscaler {
                 excess -= 1;
             }
         }
-        touched
     }
 
     /// Report a replica destroyed by the cluster (reclamation eviction or
@@ -576,10 +556,9 @@ mod tests {
         let initial = a.initial_events();
         assert_eq!(initial, vec![(0.0, SimEvent::ScaleOut { app: 0 })]);
         let mut cluster = MockCluster::with_room(100);
-        let touched = a.on_scale_out(0, 0.0, &mut cluster);
+        a.on_scale_out(0, 0.0, &mut cluster);
         // 400 rps at 0.5×100 rps/replica → 8 replicas.
         assert_eq!(a.stats().launches, 8);
-        assert_eq!(touched.len(), 8);
         assert_eq!(cluster.fractions.len(), 8);
         // Booting replicas serve nothing yet: the pool is overloaded at
         // t=0 but no new decision fires (desired == active).

@@ -1,9 +1,8 @@
 //! The memory-accounting run: replay the `fig_scale` spot-market
 //! scenario with the metrics sink on and print the `MemoryLedger`'s
 //! per-subsystem byte breakdown next to the process's procfs numbers
-//! (`VmRSS` live, `VmHWM` peak over the run) at each swept cluster size
-//! — the quantified before-picture for ROADMAP item 1 (streaming,
-//! memory-lean engine).
+//! (`VmRSS` live, `VmHWM` peak over the run) at each swept cluster
+//! size.
 //!
 //! Exits non-zero when the accounting acceptance contract breaks: from
 //! 100k VMs up

@@ -1,7 +1,7 @@
 //! The engine-profiling run: replay the `fig_scale` spot-market
 //! scenario with the `deflate-telemetry` phase profiler on and print a
-//! per-phase self-time table per cluster size — the before-picture for
-//! ROADMAP item 1 (the placement-ranking bottleneck). Each run also
+//! per-phase self-time table per cluster size, the layer-by-layer cost
+//! any engine change is judged against. Each run also
 //! writes a Chrome `trace_event` file openable in Perfetto /
 //! `chrome://tracing` (`DEFLATE_TRACE_OUT` overrides the path).
 //!

@@ -4,9 +4,8 @@
 //! Replays the `fig_scale` spot-market scenario with the metrics sink on
 //! and prints the `MemoryLedger`'s per-subsystem `mem.*` breakdown next
 //! to the process's `/proc/self/status` numbers (`VmRSS` live,
-//! `VmHWM` peak) — the quantified before-picture ROADMAP item 1
-//! ("streaming, memory-lean engine for 10M-VM traces") needs before any
-//! slimming can be judged.
+//! `VmHWM` peak): the per-subsystem footprint any memory change is
+//! judged against, before and after.
 //!
 //! The binary enforces the accounting acceptance contract and exits
 //! non-zero when it breaks: at every swept size of at least

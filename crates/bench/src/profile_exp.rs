@@ -3,11 +3,11 @@
 //!
 //! Replays the `fig_scale` spot-market scenario (same workload, sizes,
 //! and knobs) with the `deflate-telemetry` phase profiler enabled and
-//! prints a per-phase self-time table per cluster size — the
-//! before-picture for ROADMAP item 1 ("break the placement bottleneck"):
-//! `placement_rank` is attributed separately from the rest of arrival
-//! handling, so a future placement rewrite can be judged against these
-//! rows. A Chrome `trace_event` file (openable in Perfetto /
+//! prints a per-phase self-time table per cluster size: each handler
+//! (arrival, departure, reclaim ladder, migration completion) and each
+//! layer inside it (`placement_rank`, `placement_index`, `admission`)
+//! in its own row, so an engine change can be judged phase by phase.
+//! A Chrome `trace_event` file (openable in Perfetto /
 //! `chrome://tracing`) is written per run; `DEFLATE_TRACE_OUT` overrides
 //! the output path, which otherwise lands in the system temp directory.
 //!
@@ -104,9 +104,9 @@ impl ProfileRun {
     }
 
     /// Combined self-time share of `placement_rank` + `placement_index`
-    /// relative to the engine total (`None` before any run). This is the
-    /// number ROADMAP item 1 is judged by: what fraction of the engine's
-    /// wall clock goes to ranking servers for arrivals.
+    /// relative to the engine total (`None` before any run): what
+    /// fraction of the engine's wall clock goes to ranking servers for
+    /// arrivals, the number the placement-share gate holds down.
     pub fn placement_share(&self) -> Option<f64> {
         let total = self.report.phases.engine_total.as_secs_f64();
         if total <= 0.0 {
@@ -123,8 +123,8 @@ impl ProfileRun {
         Some(placement / total)
     }
 
-    /// True when the placement-ranking phase was entered at least once —
-    /// the attribution ROADMAP item 1 is judged against.
+    /// True when the placement-ranking phase was entered at least once,
+    /// so ranking is attributed apart from the rest of arrival handling.
     pub fn placement_rank_attributed(&self) -> bool {
         self.report
             .phases

@@ -48,6 +48,25 @@
 //! deliberately deflates migration candidates first — the guest surrenders
 //! its page cache, shrinking the hot footprint and the copy time under the
 //! deadline.
+//!
+//! # Slots and the change log
+//!
+//! Every VM has a dense `u32` **slot**, carried by its domains
+//! ([`Domain::slot`]): a caller that reserves slots
+//! ([`ClusterManager::with_reserved_slots`]) places its own VMs by slot
+//! (the simulator uses the workload index), and the [`VmId`] calls
+//! (`place_vm`, `remove_vm`, `locate`, the autoscaler's) resolve an id
+//! through one map to a slot appended after the reserved ones. The
+//! manager's per-VM state — location, migration origin, in-flight
+//! transfer — is one slot-indexed table.
+//!
+//! Every change a VM's recorded CPU fraction can see — its effective CPU
+//! allocation moving, or the VM landing on or leaving a server — appends
+//! its slot to the **change log** ([`ClusterManager::changed_slots`]).
+//! The simulator folds only those slots into the usage summaries after
+//! each event. Each event-level call (placement, removal, capacity change,
+//! migration completion) starts a new log; the autoscaler's calls append
+//! to the current one, so one scale event's calls are read together.
 
 use crate::audit::AuditFinding;
 use crate::placement::PlacementIndex;
@@ -310,16 +329,43 @@ pub struct CapacityChangeOutcome {
     pub started: Vec<PendingMigration>,
     /// VMs destroyed because nothing else worked (reclamation failures).
     pub victims: Vec<VmId>,
-    /// Servers whose residents' allocations may have changed (for
-    /// allocation-history recording by the simulator).
-    pub touched: Vec<ServerId>,
 }
 
-impl CapacityChangeOutcome {
-    fn touch(&mut self, server: ServerId) {
-        if !self.touched.contains(&server) {
-            self.touched.push(server);
-        }
+/// A [`VmSlot`] field naming no server.
+const NOWHERE: u32 = u32::MAX;
+
+/// A [`VmSlot`] field naming no migration.
+const NO_FLIGHT: u64 = u64::MAX;
+
+/// The manager's state for one VM, at the VM's slot.
+#[derive(Debug, Clone, Copy)]
+struct VmSlot {
+    /// The VM in this slot (the last one placed there).
+    id: VmId,
+    /// Index of the server the VM runs on, or [`NOWHERE`]. During a
+    /// transfer this is the source; the destination holds a reservation.
+    location: u32,
+    /// First server a migrated VM ran on, for migrate-back after a
+    /// capacity restitution; [`NOWHERE`] unless displaced.
+    origin: u32,
+    /// The in-flight migration the VM is part of, or [`NO_FLIGHT`].
+    flight: u64,
+}
+
+impl VmSlot {
+    const VACANT: VmSlot = VmSlot {
+        id: VmId(u64::MAX),
+        location: NOWHERE,
+        origin: NOWHERE,
+        flight: NO_FLIGHT,
+    };
+
+    fn location(&self) -> Option<usize> {
+        (self.location != NOWHERE).then_some(self.location as usize)
+    }
+
+    fn flight(&self) -> Option<u64> {
+        (self.flight != NO_FLIGHT).then_some(self.flight)
     }
 }
 
@@ -327,6 +373,7 @@ impl CapacityChangeOutcome {
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     vm: VmId,
+    slot: u32,
     source: usize,
     dest: usize,
     start_secs: f64,
@@ -361,6 +408,7 @@ impl InFlight {
 #[derive(Debug, Clone, Copy)]
 struct StagedTransfer {
     vm: VmId,
+    slot: u32,
     source: usize,
     dest: usize,
     duration_secs: f64,
@@ -382,14 +430,22 @@ pub struct ClusterManager {
     base_capacity: ResourceVector,
     mode: ReclamationMode,
     cost_model: MigrationCostModel,
-    vm_location: IdMap<VmId, usize>,
-    /// First server each migrated VM ran on, for migrate-back after a
-    /// capacity restitution.
-    migration_origin: IdMap<VmId, usize>,
+    /// Per-VM state by slot: reserved slots first, then one per VM the
+    /// `VmId` calls placed.
+    vms: Vec<VmSlot>,
+    /// Slots reserved for the caller's own slot calls.
+    reserved_slots: usize,
+    /// The slot of every VM placed through the `VmId` calls (or restored
+    /// without a caller-given slot).
+    slot_of: IdMap<VmId, u32>,
+    /// Slots of the displaced VMs (those with a migration origin), in no
+    /// order.
+    displaced: Vec<u32>,
+    /// The change log: slots whose recorded CPU fraction may have moved
+    /// since the current event-level call began (see the module docs).
+    changed: Vec<u32>,
     /// Transfers currently on the wire, by migration id.
     in_flight: IdMap<u64, InFlight>,
-    /// Reverse index: which migration a VM is currently part of.
-    in_flight_by_vm: IdMap<VmId, u64>,
     next_migration_id: u64,
     /// Global bandwidth-slot scheduler (owns the per-server ledgers and the
     /// ordering policy).
@@ -450,10 +506,12 @@ impl ClusterManager {
             base_capacity: config.server_capacity,
             mode,
             cost_model: MigrationCostModel::instant(),
-            vm_location: IdMap::default(),
-            migration_origin: IdMap::default(),
+            vms: Vec::new(),
+            reserved_slots: 0,
+            slot_of: IdMap::default(),
+            displaced: Vec::new(),
+            changed: Vec::new(),
             in_flight: IdMap::default(),
-            in_flight_by_vm: IdMap::default(),
             next_migration_id: 0,
             scheduler: TransferScheduler::new(config.num_servers, TransferPolicy::default()),
             staged: Vec::new(),
@@ -475,6 +533,92 @@ impl ClusterManager {
     pub fn with_telemetry(mut self, telemetry: TelemetrySink) -> Self {
         self.telemetry = telemetry;
         self
+    }
+
+    /// Reserve slots `0..n` for VMs the caller places and removes by slot
+    /// ([`place_in_slot`](Self::place_in_slot),
+    /// [`remove_slot`](Self::remove_slot)); the simulator gives workload
+    /// VM `i` slot `i`. VMs placed by `VmId` get slots after these. Call
+    /// before the first placement.
+    pub fn with_reserved_slots(mut self, n: usize) -> Self {
+        debug_assert!(
+            self.vms.len() == self.reserved_slots,
+            "slots already in use"
+        );
+        self.vms = vec![VmSlot::VACANT; n];
+        self.reserved_slots = n;
+        self
+    }
+
+    /// Slots whose recorded CPU fraction may have changed since the
+    /// current event-level call began: the VM's effective CPU allocation
+    /// moved, or it landed on or left a server. A slot can appear more
+    /// than once.
+    pub fn changed_slots(&self) -> &[u32] {
+        &self.changed
+    }
+
+    /// Empty the change log once its reader has folded it.
+    pub fn clear_changed_slots(&mut self) {
+        self.changed.clear();
+    }
+
+    /// The slot of a VM placed by `VmId` (or restored without a
+    /// caller-given slot).
+    fn slot_by_id(&self, vm: VmId) -> Option<u32> {
+        self.slot_of.get(&vm).copied()
+    }
+
+    /// The slot of a VM placed by `VmId`, appending one for a new id.
+    fn slot_for_id(&mut self, vm: VmId) -> u32 {
+        let next = self.vms.len() as u32;
+        let slot = *self.slot_of.entry(vm).or_insert(next);
+        if slot == next {
+            self.vms.push(VmSlot {
+                id: vm,
+                ..VmSlot::VACANT
+            });
+        }
+        slot
+    }
+
+    /// Move the VM in `slot` to server `location` (or off every server),
+    /// logging the change: its fraction is now read there.
+    fn set_location(&mut self, slot: u32, location: Option<usize>) {
+        self.vms[slot as usize].location = location.map_or(NOWHERE, |idx| idx as u32);
+        self.changed.push(slot);
+    }
+
+    /// Remember `origin` as where the VM in `slot` ran before it was first
+    /// migrated; returns false when it was already displaced.
+    fn displace(&mut self, slot: u32, origin: usize) -> bool {
+        let vm = &mut self.vms[slot as usize];
+        if vm.origin != NOWHERE {
+            return false;
+        }
+        vm.origin = origin as u32;
+        self.displaced.push(slot);
+        true
+    }
+
+    /// Forget the migration origin of the VM in `slot`, if any.
+    fn clear_origin(&mut self, slot: u32) {
+        let vm = &mut self.vms[slot as usize];
+        if vm.origin == NOWHERE {
+            return;
+        }
+        vm.origin = NOWHERE;
+        if let Some(at) = self.displaced.iter().position(|&s| s == slot) {
+            self.displaced.swap_remove(at);
+        }
+    }
+
+    /// Label server `idx`'s domain of the VM in `slot`, just created.
+    fn label_domain(&mut self, idx: usize, slot: u32) {
+        let vm = self.vms[slot as usize].id;
+        if let Some(domain) = self.controllers[idx].server_mut().domain_mut(vm) {
+            domain.slot = slot;
+        }
     }
 
     /// Queue server `idx`'s cached placement view for re-derivation.
@@ -583,15 +727,8 @@ impl ClusterManager {
     /// True when the VM is part of an in-flight migration (accounted on
     /// both its source and destination server until the transfer ends).
     pub fn is_in_flight(&self, vm: VmId) -> bool {
-        self.in_flight_by_vm.contains_key(&vm)
-    }
-
-    /// The destination server of the VM's in-flight migration, if any —
-    /// the second server whose residents a mid-transfer departure touches.
-    pub fn in_flight_destination(&self, vm: VmId) -> Option<ServerId> {
-        let mid = self.in_flight_by_vm.get(&vm)?;
-        let flight = self.in_flight.get(mid)?;
-        Some(self.controllers[flight.dest].server().id)
+        self.slot_by_id(vm)
+            .is_some_and(|slot| self.vms[slot as usize].flight().is_some())
     }
 
     /// Number of servers in the cluster.
@@ -641,23 +778,24 @@ impl ClusterManager {
         self.placement.place(vm, &self.views(), excluded)
     }
 
-    /// The server index currently hosting a VM.
+    /// The server currently hosting a VM placed by `VmId`.
     pub fn locate(&self, vm: VmId) -> Option<ServerId> {
-        self.vm_location
-            .get(&vm)
-            .map(|&i| self.controllers[i].server().id)
+        let idx = self.vms[self.slot_by_id(vm)? as usize].location()?;
+        Some(self.controllers[idx].server().id)
     }
 
-    /// The VM's current CPU allocation as a fraction of its maximum (1.0 when
-    /// undeflated); `None` if the VM is not running.
+    /// The CPU allocation fraction (1.0 when undeflated) of a VM placed by
+    /// `VmId`; `None` if the VM is not running.
     pub fn cpu_allocation_fraction(&self, vm: VmId) -> Option<f64> {
-        let &idx = self.vm_location.get(&vm)?;
-        let domain = self.controllers[idx].server().domain(vm)?;
-        let max = domain.spec.max_allocation[ResourceKind::Cpu];
-        if max <= 0.0 {
-            return Some(1.0);
-        }
-        Some(domain.effective_allocation()[ResourceKind::Cpu] / max)
+        self.slot_cpu_fraction(self.slot_by_id(vm)?)
+    }
+
+    /// The CPU allocation fraction of the VM in `slot`, read on the server
+    /// it is located on; `None` if it runs nowhere.
+    pub fn slot_cpu_fraction(&self, slot: u32) -> Option<f64> {
+        let vm = self.vms.get(slot as usize)?;
+        let domain = self.controllers[vm.location()?].server().domain(vm.id)?;
+        Some(domain.cpu_fraction())
     }
 
     /// All VMs currently running, with their CPU allocation fractions.
@@ -667,46 +805,12 @@ impl ClusterManager {
         let mut out = Vec::new();
         for (idx, controller) in self.controllers.iter().enumerate() {
             for domain in controller.server().domains() {
-                if self.vm_location.get(&domain.spec.id) != Some(&idx) {
-                    continue;
+                if self.vms[domain.slot as usize].location() == Some(idx) {
+                    out.push((domain.spec.id, domain.cpu_fraction()));
                 }
-                let max = domain.spec.max_allocation[ResourceKind::Cpu];
-                let frac = if max <= 0.0 {
-                    1.0
-                } else {
-                    domain.effective_allocation()[ResourceKind::Cpu] / max
-                };
-                out.push((domain.spec.id, frac));
             }
         }
         out
-    }
-
-    /// CPU allocation fractions of the VMs resident on one server, in
-    /// `VmId` order, yielded lazily (empty for an unknown server). Used by
-    /// the simulator to record allocation changes touching only the server
-    /// affected by an event, which keeps large trace replays cheap.
-    /// In-flight destination reservations are excluded — a migrating VM is
-    /// reported from its source server until the transfer completes.
-    pub fn allocation_fractions_on(
-        &self,
-        server: ServerId,
-    ) -> impl Iterator<Item = (VmId, f64)> + '_ {
-        let idx = self.server_index(server);
-        self.controllers
-            .get(idx)
-            .into_iter()
-            .flat_map(|controller| controller.server().domains())
-            .filter(move |domain| self.vm_location.get(&domain.spec.id) == Some(&idx))
-            .map(|domain| {
-                let max = domain.spec.max_allocation[ResourceKind::Cpu];
-                let frac = if max <= 0.0 {
-                    1.0
-                } else {
-                    domain.effective_allocation()[ResourceKind::Cpu] / max
-                };
-                (domain.spec.id, frac)
-            })
     }
 
     /// Cluster-wide overcommitment: committed allocations over hardware
@@ -748,26 +852,27 @@ impl ClusterManager {
     }
 
     /// Record one CPU-utilisation sample (fraction of the full allocation)
-    /// for a running VM — fed by the simulator from the VM's trace. The
+    /// for a running VM placed by `VmId`. The
     /// domain's recent history drives the dirty-rate term of the migration
     /// cost model: write-heavy VMs get longer transfer estimates, which
     /// EDF admission control compares against the reclamation deadline.
     pub fn observe_vm_utilization(&mut self, vm: VmId, sample: f64) {
-        if let Some(&idx) = self.vm_location.get(&vm) {
-            if let Some(domain) = self.controllers[idx].server_mut().domain_mut(vm) {
-                domain.observe_cpu_utilization(sample);
-            }
+        if let Some(slot) = self.slot_by_id(vm) {
+            self.observe_slot_utilization(slot, sample);
         }
     }
 
-    /// [`observe_vm_utilization`](Self::observe_vm_utilization) for a whole
-    /// batch of samples, applied in batch order.
+    /// [`observe_vm_utilization`](Self::observe_vm_utilization) for the VM
+    /// in `slot`.
     ///
     /// Utilisation observations feed only the dirty-rate history — they
     /// never change a `ServerView` — so no placement-index mark is needed.
-    pub fn observe_vm_utilizations(&mut self, samples: &[(VmId, f64)]) {
-        for &(vm, sample) in samples {
-            self.observe_vm_utilization(vm, sample);
+    pub fn observe_slot_utilization(&mut self, slot: u32, sample: f64) {
+        let vm = self.vms[slot as usize];
+        if let Some(idx) = vm.location() {
+            if let Some(domain) = self.controllers[idx].server_mut().domain_mut(vm.id) {
+                domain.observe_cpu_utilization(sample);
+            }
         }
     }
 
@@ -784,15 +889,34 @@ impl ClusterManager {
         })
     }
 
-    /// Place a new VM, reclaiming resources if necessary.
+    /// Place a new VM, reclaiming resources if necessary. Starts a new
+    /// change log.
     pub fn place_vm(&mut self, spec: VmSpec) -> PlacementResult {
+        self.changed.clear();
+        let slot = self.slot_for_id(spec.id);
+        self.place(slot, spec)
+    }
+
+    /// [`place_vm`](Self::place_vm) for a VM in a reserved slot (see
+    /// [`with_reserved_slots`](Self::with_reserved_slots)).
+    pub fn place_in_slot(&mut self, slot: u32, spec: VmSpec) -> PlacementResult {
+        debug_assert!(
+            (slot as usize) < self.reserved_slots,
+            "slot {slot} is not reserved"
+        );
+        self.changed.clear();
+        self.place(slot, spec)
+    }
+
+    fn place(&mut self, slot: u32, spec: VmSpec) -> PlacementResult {
         // The span guard owns its handle, so the placement paths below can
         // still borrow `self` mutably while the ranking is being timed.
         let _rank = self.telemetry.span(Phase::PlacementRank);
+        self.vms[slot as usize].id = spec.id;
         let result = match self.mode.clone() {
-            ReclamationMode::Deflation(_) => self.place_with_deflation(&spec),
-            ReclamationMode::Preemption => self.place_with_preemption(&spec),
-            ReclamationMode::MigrationOnly => self.place_without_reclamation(&spec),
+            ReclamationMode::Deflation(_) => self.place_with_deflation(slot, &spec),
+            ReclamationMode::Preemption => self.place_with_preemption(slot, &spec),
+            ReclamationMode::MigrationOnly => self.place_without_reclamation(slot, &spec),
         };
         match &result {
             PlacementResult::Placed { .. } => self.counters.admitted_free += 1,
@@ -812,7 +936,7 @@ impl ClusterManager {
         id.0 as usize
     }
 
-    fn place_with_deflation(&mut self, spec: &VmSpec) -> PlacementResult {
+    fn place_with_deflation(&mut self, slot: u32, spec: &VmSpec) -> PlacementResult {
         let mut excluded: Vec<ServerId> = Vec::new();
         loop {
             let Some(decision) = self.rank_servers(spec, &excluded) else {
@@ -822,15 +946,15 @@ impl ClusterManager {
             // Admission deflates residents and/or adds a domain; a failed
             // attempt can still have deflated, so mark unconditionally.
             self.mark_server_dirty(idx);
-            match self.admit(idx, spec) {
+            match self.admit(idx, slot, spec) {
                 Ok(AdmissionOutcome::AdmittedWithoutDeflation) => {
-                    self.vm_location.insert(spec.id, idx);
+                    self.set_location(slot, Some(idx));
                     return PlacementResult::Placed {
                         server: decision.server,
                     };
                 }
                 Ok(AdmissionOutcome::AdmittedWithDeflation { reclaimed }) => {
-                    self.vm_location.insert(spec.id, idx);
+                    self.set_location(slot, Some(idx));
                     return PlacementResult::PlacedWithDeflation {
                         server: decision.server,
                         reclaimed,
@@ -849,14 +973,19 @@ impl ClusterManager {
         }
     }
 
-    /// Admit a VM on server `idx` through its local controller, timed as
-    /// its own phase so local deflation shows apart from the ranking.
-    fn admit(&mut self, idx: usize, spec: &VmSpec) -> Result<AdmissionOutcome> {
+    /// Admit the VM in `slot` on server `idx` through its local
+    /// controller, timed as its own phase so local deflation shows apart
+    /// from the ranking.
+    fn admit(&mut self, idx: usize, slot: u32, spec: &VmSpec) -> Result<AdmissionOutcome> {
         let _admission = self.telemetry.span(Phase::Admission);
-        self.controllers[idx].try_admit(spec.clone())
+        let outcome = self.controllers[idx].try_admit(spec.clone(), &mut self.changed)?;
+        if !matches!(outcome, AdmissionOutcome::Rejected { .. }) {
+            self.label_domain(idx, slot);
+        }
+        Ok(outcome)
     }
 
-    fn place_with_preemption(&mut self, spec: &VmSpec) -> PlacementResult {
+    fn place_with_preemption(&mut self, slot: u32, spec: &VmSpec) -> PlacementResult {
         let mut excluded: Vec<ServerId> = Vec::new();
         loop {
             let Some(decision) = self.rank_servers(spec, &excluded) else {
@@ -883,21 +1012,23 @@ impl ClusterManager {
                             .partial_cmp(&b.spec.priority.value())
                             .unwrap_or(std::cmp::Ordering::Equal)
                     })
-                    .map(|d| d.spec.id);
-                let Some(victim) = victim else { break };
+                    .map(|d| (d.spec.id, d.slot));
+                let Some((victim, victim_slot)) = victim else {
+                    break;
+                };
                 let _ = self.controllers[idx].server_mut().destroy_domain(victim);
-                self.vm_location.remove(&victim);
+                self.set_location(victim_slot, None);
                 preempted.push(victim);
             }
             let server = self.controllers[idx].server();
             if spec.max_allocation.fits_within(&server.free()) {
                 let mechanism = DeflationMechanism::Transparent;
-                if self.controllers[idx]
+                if let Ok(domain) = self.controllers[idx]
                     .server_mut()
                     .create_domain(spec.clone(), mechanism)
-                    .is_ok()
                 {
-                    self.vm_location.insert(spec.id, idx);
+                    domain.slot = slot;
+                    self.set_location(slot, Some(idx));
                     return if preempted.is_empty() {
                         PlacementResult::Placed {
                             server: decision.server,
@@ -920,10 +1051,10 @@ impl ClusterManager {
     /// Place a VM only where its full allocation fits free capacity — no
     /// deflation, no preemption (the migration-only baseline's admission
     /// path).
-    fn place_without_reclamation(&mut self, spec: &VmSpec) -> PlacementResult {
-        match self.admit_on_best(spec, Vec::new(), false) {
+    fn place_without_reclamation(&mut self, slot: u32, spec: &VmSpec) -> PlacementResult {
+        match self.admit_on_best(spec, slot, Vec::new(), false) {
             Some(idx) => {
-                self.vm_location.insert(spec.id, idx);
+                self.set_location(slot, Some(idx));
                 PlacementResult::Placed {
                     server: self.controllers[idx].server().id,
                 }
@@ -960,6 +1091,7 @@ impl ClusterManager {
         available_fraction: f64,
         now_secs: f64,
     ) -> CapacityChangeOutcome {
+        self.changed.clear();
         let idx = self.server_index(server);
         let mut outcome = CapacityChangeOutcome::default();
         if idx >= self.controllers.len() {
@@ -969,7 +1101,6 @@ impl ClusterManager {
         self.transient.reclaim_events += 1;
         self.advance_caches_on(idx, now_secs);
         self.last_reclaim_secs[idx] = now_secs;
-        outcome.touch(server);
         self.controllers[idx]
             .server_mut()
             .set_capacity(self.base_capacity * fraction);
@@ -990,7 +1121,7 @@ impl ClusterManager {
         // `idx`; marking unconditionally (deduped) covers both that
         // mutation and any reinflation below.
         self.mark_server_dirty(idx);
-        self.controllers[idx].reinflate_if_fits(1.0);
+        self.controllers[idx].reinflate_if_fits(1.0, &mut self.changed);
     }
 
     /// The restitution-response variant of
@@ -1009,7 +1140,8 @@ impl ClusterManager {
         if now_secs - self.last_reclaim_secs[idx] < self.restore_policy.hysteresis_secs {
             return;
         }
-        self.controllers[idx].reinflate_if_fits(self.restore_policy.step_fraction);
+        self.controllers[idx]
+            .reinflate_if_fits(self.restore_policy.step_fraction, &mut self.changed);
     }
 
     /// Advance the time-based page-cache regrowth of every guest on one
@@ -1046,7 +1178,7 @@ impl ClusterManager {
         let deadline = now_secs + self.cost_model.reclaim_deadline_secs.max(0.0);
         match self.mode.clone() {
             ReclamationMode::Deflation(_) => {
-                let remaining = self.controllers[idx].deflate_into_capacity();
+                let remaining = self.controllers[idx].deflate_into_capacity(&mut self.changed);
                 self.mark_server_dirty(idx);
                 if remaining.is_zero() {
                     self.transient.absorbed_by_deflation += 1;
@@ -1078,6 +1210,7 @@ impl ClusterManager {
         migrate_back: bool,
         now_secs: f64,
     ) -> CapacityChangeOutcome {
+        self.changed.clear();
         let idx = self.server_index(server);
         let mut outcome = CapacityChangeOutcome::default();
         if idx >= self.controllers.len() {
@@ -1091,7 +1224,6 @@ impl ClusterManager {
             .set_capacity(self.base_capacity * fraction);
         self.mark_server_dirty(idx);
         self.reinflate_after_restore(idx, now_secs);
-        outcome.touch(server);
         // A "restitution" to a fraction below the current usage is really a
         // reclamation in disguise (e.g. a hand-built schedule with a
         // mislabelled direction): absorb it the same way rather than leaving
@@ -1107,21 +1239,21 @@ impl ClusterManager {
         }
 
         if migrate_back {
-            let displaced: Vec<VmId> = self
-                .migration_origin
-                .iter()
-                .filter(|&(vm, &origin)| {
-                    origin == idx
-                        && !self.in_flight_by_vm.contains_key(vm)
-                        && self.vm_location.get(vm).is_some_and(|&cur| cur != idx)
-                })
-                .map(|(&vm, _)| vm)
-                .collect();
             // Deterministic order: lowest VM id first.
-            let mut displaced = displaced;
-            displaced.sort();
-            for vm in displaced {
-                let Some(&current) = self.vm_location.get(&vm) else {
+            let mut displaced: Vec<(VmId, u32)> = self
+                .displaced
+                .iter()
+                .map(|&slot| (&self.vms[slot as usize], slot))
+                .filter(|(vm, _)| {
+                    vm.origin as usize == idx
+                        && vm.flight().is_none()
+                        && vm.location().is_some_and(|cur| cur != idx)
+                })
+                .map(|(vm, slot)| (vm.id, slot))
+                .collect();
+            displaced.sort_unstable();
+            for (vm, slot) in displaced {
+                let Some(current) = self.vms[slot as usize].location() else {
                     continue;
                 };
                 // The candidate's cache may have regrown since it was last
@@ -1155,18 +1287,16 @@ impl ClusterManager {
                     let src = self.controllers[current].server().domain(vm).cloned();
                     self.depart_and_reinflate(current, vm);
                     self.mark_server_dirty(idx);
-                    if self.controllers[idx]
+                    if let Ok(dst) = self.controllers[idx]
                         .server_mut()
                         .create_domain(spec, self.mechanism)
-                        .is_ok()
                     {
-                        if let (Some(src), Some(dst)) =
-                            (&src, self.controllers[idx].server_mut().domain_mut(vm))
-                        {
+                        dst.slot = slot;
+                        if let Some(src) = &src {
                             dst.migrate_guest_state_from(src);
                         }
-                        self.vm_location.insert(vm, idx);
-                        self.migration_origin.remove(&vm);
+                        self.set_location(slot, Some(idx));
+                        self.clear_origin(slot);
                         self.transient.migrations_back += 1;
                         outcome.migrated.push(MigrationRecord {
                             vm,
@@ -1176,19 +1306,14 @@ impl ClusterManager {
                             volume_mb: volume,
                             back: true,
                         });
-                        outcome.touch(self.controllers[current].server().id);
                     } else {
                         // The domain was destroyed but could not be recreated
                         // — should not happen since we checked the fit, but
                         // account for it rather than losing the VM silently.
-                        // The old server's residents were reinflated by the
-                        // departure, so its allocations must be re-recorded
-                        // too.
-                        self.vm_location.remove(&vm);
-                        self.migration_origin.remove(&vm);
+                        self.set_location(slot, None);
+                        self.clear_origin(slot);
                         self.transient.reclamation_victims += 1;
                         outcome.victims.push(vm);
-                        outcome.touch(self.controllers[current].server().id);
                     }
                 } else {
                     // Costed transfer: reserve the origin-side capacity now,
@@ -1197,13 +1322,14 @@ impl ClusterManager {
                     // any other transfer; the deadline is infinite because
                     // restitutions are not emergencies.
                     self.mark_server_dirty(idx);
-                    if self.controllers[idx]
+                    if let Ok(reservation) = self.controllers[idx]
                         .server_mut()
                         .create_domain(spec, self.mechanism)
-                        .is_ok()
                     {
+                        reservation.slot = slot;
                         self.staged.push(StagedTransfer {
                             vm,
+                            slot,
                             source: current,
                             dest: idx,
                             duration_secs: duration,
@@ -1212,7 +1338,6 @@ impl ClusterManager {
                             back: true,
                             origin_inserted: false,
                         });
-                        outcome.touch(server);
                     }
                 }
             }
@@ -1264,7 +1389,7 @@ impl ClusterManager {
     ) {
         let source_id = self.controllers[source].server().id;
         let deflate_first = self.scheduler.policy().deflate_then_migrate && deflation_aware;
-        let mut attempted: Vec<VmId> = Vec::new();
+        let mut attempted: Vec<u32> = Vec::new();
         loop {
             if self.fits_with_pending(source) {
                 return;
@@ -1278,10 +1403,10 @@ impl ClusterManager {
             // eviction rung may still take it as a last resort.
             let candidate = {
                 let server = self.controllers[source].server();
-                let mut best: Option<(bool, f64, VmId)> = None;
+                let mut best: Option<((bool, f64, VmId), u32)> = None;
                 for domain in server.domains() {
-                    if attempted.contains(&domain.spec.id)
-                        || self.in_flight_by_vm.contains_key(&domain.spec.id)
+                    if attempted.contains(&domain.slot)
+                        || self.vms[domain.slot as usize].flight().is_some()
                         || domain.is_parked()
                     {
                         continue;
@@ -1295,14 +1420,14 @@ impl ClusterManager {
                     // Sort key: on-demand after deflatable, then by
                     // allocation fraction, then by id for determinism.
                     let key = (!domain.spec.deflatable, frac, domain.spec.id);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
+                    if best.is_none_or(|(b, _)| key < b) {
+                        best = Some((key, domain.slot));
                     }
                 }
-                best.map(|(_, _, id)| id)
+                best.map(|((_, _, id), slot)| (id, slot))
             };
-            let Some(vm) = candidate else { return };
-            attempted.push(vm);
+            let Some((vm, slot)) = candidate else { return };
+            attempted.push(slot);
             if deflate_first {
                 // Deflate-then-migrate: the guest gives up its page cache
                 // before the copy is estimated, so only the RSS has to
@@ -1331,7 +1456,8 @@ impl ClusterManager {
                 // through to eviction for this VM.
                 continue;
             }
-            let Some(target) = self.admit_on_best(&spec, vec![source_id], deflation_aware) else {
+            let Some(target) = self.admit_on_best(&spec, slot, vec![source_id], deflation_aware)
+            else {
                 continue;
             };
             if duration <= 0.0 {
@@ -1347,8 +1473,8 @@ impl ClusterManager {
                 }
                 let _ = self.controllers[source].server_mut().destroy_domain(vm);
                 self.mark_server_dirty(source);
-                self.vm_location.insert(vm, target);
-                self.migration_origin.entry(vm).or_insert(source);
+                self.set_location(slot, Some(target));
+                self.displace(slot, source);
                 self.transient.migrations += 1;
                 outcome.migrated.push(MigrationRecord {
                     vm,
@@ -1358,15 +1484,14 @@ impl ClusterManager {
                     volume_mb: volume,
                     back: false,
                 });
-                outcome.touch(self.controllers[target].server().id);
             } else {
                 // Costed transfer: the destination reservation exists, the
                 // source copy keeps running; the scheduler grants (or
                 // refuses) the bandwidth slot when the batch is finalised.
-                let origin_inserted = !self.migration_origin.contains_key(&vm);
-                self.migration_origin.entry(vm).or_insert(source);
+                let origin_inserted = self.displace(slot, source);
                 self.staged.push(StagedTransfer {
                     vm,
+                    slot,
                     source,
                     dest: target,
                     duration_secs: duration,
@@ -1375,7 +1500,6 @@ impl ClusterManager {
                     back: false,
                     origin_inserted,
                 });
-                outcome.touch(self.controllers[target].server().id);
             }
         }
     }
@@ -1412,6 +1536,7 @@ impl ClusterManager {
                 } => {
                     let flight = InFlight {
                         vm: s.vm,
+                        slot: s.slot,
                         source: s.source,
                         dest: s.dest,
                         start_secs,
@@ -1424,7 +1549,7 @@ impl ClusterManager {
                     let id = self.next_migration_id;
                     self.next_migration_id += 1;
                     self.in_flight.insert(id, flight);
-                    self.in_flight_by_vm.insert(s.vm, id);
+                    self.vms[s.slot as usize].flight = id;
                     outcome.started.push(PendingMigration {
                         id,
                         vm: s.vm,
@@ -1440,10 +1565,9 @@ impl ClusterManager {
                     // destination reservation; the VM stays on its source.
                     self.depart_and_reinflate(s.dest, s.vm);
                     if s.origin_inserted {
-                        self.migration_origin.remove(&s.vm);
+                        self.clear_origin(s.slot);
                     }
                     self.transient.migration_rejections += 1;
-                    outcome.touch(self.controllers[s.dest].server().id);
                 }
             }
         }
@@ -1457,22 +1581,21 @@ impl ClusterManager {
     /// reclamation victim *and* a migration abort. Unknown ids (transfers
     /// cancelled by a departure or a forced eviction) are a no-op.
     pub fn complete_migration(&mut self, id: u64, _now_secs: f64) -> CapacityChangeOutcome {
+        self.changed.clear();
         let mut outcome = CapacityChangeOutcome::default();
         let Some(flight) = self.in_flight.remove(&id) else {
             return outcome;
         };
-        self.in_flight_by_vm.remove(&flight.vm);
+        self.vms[flight.slot as usize].flight = NO_FLIGHT;
         let from = self.controllers[flight.source].server().id;
         let to = self.controllers[flight.dest].server().id;
-        outcome.touch(from);
-        outcome.touch(to);
         if flight.aborts() {
             // The provider's deadline expired mid-transfer: the source is
             // gone and the partial destination copy is useless.
             self.depart_and_reinflate(flight.source, flight.vm);
             self.depart_and_reinflate(flight.dest, flight.vm);
-            self.vm_location.remove(&flight.vm);
-            self.migration_origin.remove(&flight.vm);
+            self.set_location(flight.slot, None);
+            self.clear_origin(flight.slot);
             self.transient.migration_aborts += 1;
             self.transient.reclamation_victims += 1;
             outcome.victims.push(flight.vm);
@@ -1495,9 +1618,9 @@ impl ClusterManager {
             // effective allocation — a view-affecting mutation.
             self.mark_server_dirty(flight.dest);
             self.depart_and_reinflate(flight.source, flight.vm);
-            self.vm_location.insert(flight.vm, flight.dest);
+            self.set_location(flight.slot, Some(flight.dest));
             if flight.back {
-                self.migration_origin.remove(&flight.vm);
+                self.clear_origin(flight.slot);
                 self.transient.migrations_back += 1;
             } else {
                 self.transient.migrations += 1;
@@ -1551,12 +1674,13 @@ impl ClusterManager {
             .fits_within(&server.capacity)
     }
 
-    /// Admit a VM on the best server outside `excluded`, optionally
-    /// deflating the target's residents. Returns the chosen server index.
-    /// The caller is responsible for `vm_location` bookkeeping.
+    /// Admit the VM in `slot` on the best server outside `excluded`,
+    /// optionally deflating the target's residents. Returns the chosen
+    /// server index; the caller sets the VM's location.
     fn admit_on_best(
         &mut self,
         spec: &VmSpec,
+        slot: u32,
         mut excluded: Vec<ServerId>,
         deflation_aware: bool,
     ) -> Option<usize> {
@@ -1571,7 +1695,7 @@ impl ClusterManager {
             self.mark_server_dirty(idx);
             let admitted = if deflation_aware {
                 matches!(
-                    self.admit(idx, spec),
+                    self.admit(idx, slot, spec),
                     Ok(AdmissionOutcome::AdmittedWithoutDeflation)
                         | Ok(AdmissionOutcome::AdmittedWithDeflation { .. })
                 )
@@ -1581,6 +1705,7 @@ impl ClusterManager {
                     && self.controllers[idx]
                         .server_mut()
                         .create_domain(spec.clone(), self.mechanism)
+                        .map(|domain| domain.slot = slot)
                         .is_ok()
             };
             if admitted {
@@ -1610,16 +1735,23 @@ impl ClusterManager {
                 .filter(|d| {
                     // Skip outbound in-flight VMs (already subtracted by
                     // fits_with_pending; killing them would not help).
-                    self.in_flight_by_vm
-                        .get(&d.spec.id)
-                        .and_then(|mid| self.in_flight.get(mid))
+                    self.vms[d.slot as usize]
+                        .flight()
+                        .and_then(|mid| self.in_flight.get(&mid))
                         .is_none_or(|m| m.source != idx)
                 })
-                .map(|d| (!d.spec.deflatable, d.spec.priority.value(), d.spec.id))
+                .map(|d| {
+                    (
+                        !d.spec.deflatable,
+                        d.spec.priority.value(),
+                        d.spec.id,
+                        d.slot,
+                    )
+                })
                 .min_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)))
-                .map(|(_, _, id)| id);
-            let Some(victim) = victim else { return };
-            self.evict_vm(idx, victim, outcome);
+                .map(|(_, _, id, slot)| (id, slot));
+            let Some((victim, slot)) = victim else { return };
+            self.evict_vm(idx, victim, slot, outcome);
         }
     }
 
@@ -1628,19 +1760,17 @@ impl ClusterManager {
     /// transfer is cancelled (counted as an abort) and the VM survives on
     /// its source server; otherwise the VM is destroyed everywhere and
     /// counted as a reclamation victim.
-    fn evict_vm(&mut self, idx: usize, vm: VmId, outcome: &mut CapacityChangeOutcome) {
-        if let Some(&mid) = self.in_flight_by_vm.get(&vm) {
+    fn evict_vm(&mut self, idx: usize, vm: VmId, slot: u32, outcome: &mut CapacityChangeOutcome) {
+        if let Some(mid) = self.vms[slot as usize].flight() {
             let Some(flight) = self.in_flight.get(&mid).copied() else {
                 return;
             };
-            self.in_flight_by_vm.remove(&vm);
+            self.vms[slot as usize].flight = NO_FLIGHT;
             self.in_flight.remove(&mid);
             // The migration is aborted either way. (Its bandwidth
             // reservation is left to drain — the link was in use until the
             // abort.)
             self.transient.migration_aborts += 1;
-            outcome.touch(self.controllers[flight.source].server().id);
-            outcome.touch(self.controllers[flight.dest].server().id);
             if flight.dest == idx && self.fits_with_pending(flight.source) {
                 // Only the reservation lives here, and the source does not
                 // need this transfer to restore its own invariant (true
@@ -1655,12 +1785,12 @@ impl ClusterManager {
             // transfer to drain): the VM is lost mid-transfer.
             self.depart_and_reinflate(flight.source, vm);
             self.depart_and_reinflate(flight.dest, vm);
-        } else if let Some(&loc) = self.vm_location.get(&vm) {
+        } else if let Some(loc) = self.vms[slot as usize].location() {
             let _ = self.controllers[loc].server_mut().destroy_domain(vm);
             self.mark_server_dirty(loc);
         }
-        self.vm_location.remove(&vm);
-        self.migration_origin.remove(&vm);
+        self.set_location(slot, None);
+        self.clear_origin(slot);
         self.transient.reclamation_victims += 1;
         outcome.victims.push(vm);
     }
@@ -1668,19 +1798,31 @@ impl ClusterManager {
     /// Handle a VM departure: remove its domain and reinflate the residents
     /// of the server it was on. A departure mid-transfer cancels the
     /// migration and frees both ends (the pending `MigrationComplete` event
-    /// then resolves to a no-op).
+    /// then resolves to a no-op). Starts a new change log.
     pub fn remove_vm(&mut self, vm: VmId) -> Result<()> {
-        let idx = self
-            .vm_location
-            .remove(&vm)
-            .ok_or(DeflateError::UnknownVm(vm))?;
-        self.migration_origin.remove(&vm);
-        if let Some(mid) = self.in_flight_by_vm.remove(&vm) {
+        self.changed.clear();
+        let slot = self.slot_by_id(vm).ok_or(DeflateError::UnknownVm(vm))?;
+        self.depart(slot)
+    }
+
+    /// [`remove_vm`](Self::remove_vm) for the VM in a reserved slot.
+    pub fn remove_slot(&mut self, slot: u32) -> Result<()> {
+        self.changed.clear();
+        self.depart(slot)
+    }
+
+    fn depart(&mut self, slot: u32) -> Result<()> {
+        let vm = self.vms[slot as usize];
+        let idx = vm.location().ok_or(DeflateError::UnknownVm(vm.id))?;
+        self.set_location(slot, None);
+        self.clear_origin(slot);
+        if let Some(mid) = vm.flight() {
+            self.vms[slot as usize].flight = NO_FLIGHT;
             if let Some(flight) = self.in_flight.remove(&mid) {
-                self.depart_and_reinflate(flight.dest, vm);
+                self.depart_and_reinflate(flight.dest, vm.id);
             }
         }
-        self.controllers[idx].server_mut().destroy_domain(vm)?;
+        self.controllers[idx].server_mut().destroy_domain(vm.id)?;
         self.reinflate_if_fits(idx);
         Ok(())
     }
@@ -1833,7 +1975,7 @@ impl ClusterManager {
     /// Record this subsystem's owned heap bytes into the engine's memory
     /// ledger: the per-server controllers (their domains), the
     /// incremental placement index, the transfer scheduler's reservation
-    /// ledgers, and the migration bookkeeping maps.
+    /// ledgers, and the per-VM table with the migration bookkeeping.
     pub fn record_memory(&self, ledger: &mut MemoryLedger) {
         use deflate_core::mem::{map_entry_bytes, vec_capacity_bytes};
         use std::mem::size_of;
@@ -1846,14 +1988,12 @@ impl ClusterManager {
         ledger.record("servers", servers);
         ledger.record("placement_index", self.index.accounted_bytes());
         ledger.record("scheduler", self.scheduler.accounted_bytes());
-        let migrations = self.vm_location.len() as u64
-            * map_entry_bytes(size_of::<VmId>(), size_of::<usize>())
-            + self.migration_origin.len() as u64
-                * map_entry_bytes(size_of::<VmId>(), size_of::<usize>())
+        let migrations = vec_capacity_bytes(&self.vms)
+            + self.slot_of.len() as u64 * map_entry_bytes(size_of::<VmId>(), size_of::<u32>())
+            + vec_capacity_bytes(&self.displaced)
+            + vec_capacity_bytes(&self.changed)
             + self.in_flight.len() as u64
                 * map_entry_bytes(size_of::<u64>(), size_of::<InFlight>())
-            + self.in_flight_by_vm.len() as u64
-                * map_entry_bytes(size_of::<VmId>(), size_of::<u64>())
             + vec_capacity_bytes(&self.staged)
             + vec_capacity_bytes(&self.last_reclaim_secs);
         ledger.record("migrations", migrations);
@@ -1888,10 +2028,12 @@ impl ClusterManager {
     ) -> u64 {
         let id = self.next_migration_id;
         self.next_migration_id += 1;
+        let slot = self.slot_for_id(vm);
         self.in_flight.insert(
             id,
             InFlight {
                 vm,
+                slot,
                 source,
                 dest,
                 start_secs,
@@ -1901,7 +2043,7 @@ impl ClusterManager {
                 back: false,
             },
         );
-        self.in_flight_by_vm.insert(vm, id);
+        self.vms[slot as usize].flight = id;
         id
     }
 
@@ -1937,9 +2079,9 @@ impl ClusterManager {
         }
         w.put_f64_slice(&self.last_reclaim_secs);
         let mut locations: Vec<(u64, u64)> = self
-            .vm_location
+            .vms
             .iter()
-            .map(|(vm, &idx)| (vm.0, idx as u64))
+            .filter_map(|vm| vm.location().map(|idx| (vm.id.0, idx as u64)))
             .collect();
         locations.sort_unstable();
         w.put_usize(locations.len());
@@ -1948,9 +2090,10 @@ impl ClusterManager {
             w.put_u64(idx);
         }
         let mut origins: Vec<(u64, u64)> = self
-            .migration_origin
+            .displaced
             .iter()
-            .map(|(vm, &idx)| (vm.0, idx as u64))
+            .map(|&slot| &self.vms[slot as usize])
+            .map(|vm| (vm.id.0, u64::from(vm.origin)))
             .collect();
         origins.sort_unstable();
         w.put_usize(origins.len());
@@ -2000,8 +2143,20 @@ impl ClusterManager {
     /// builder overrides — the transfer policy in effect is kept, so a
     /// fork may have swapped it before restoring). The placement index is
     /// rebuilt from the restored servers and the snapshot's dirty marks
-    /// are replayed onto it.
+    /// are replayed onto it. Every VM gets a `VmId` slot.
     pub fn read_snapshot(&mut self, r: &mut ByteReader<'_>) -> CheckpointResult<()> {
+        self.read_snapshot_with(r, |_| None)
+    }
+
+    /// [`read_snapshot`](Self::read_snapshot) for a caller that places its
+    /// VMs by slot: `reserved_slot` names the reserved slot of each of its
+    /// VMs (`None` for any other VM, which gets a `VmId` slot). Slots are
+    /// not in the snapshot; this is how they are rebuilt.
+    pub fn read_snapshot_with(
+        &mut self,
+        r: &mut ByteReader<'_>,
+        reserved_slot: impl Fn(VmId) -> Option<u32>,
+    ) -> CheckpointResult<()> {
         let num_servers = r.get_usize()?;
         if num_servers != self.controllers.len() {
             return Err(CheckpointError::Corrupt(format!(
@@ -2034,28 +2189,47 @@ impl ClusterManager {
                 "{what} names server {idx} of {num_servers}"
             ))),
         };
+        self.vms = vec![VmSlot::VACANT; self.reserved_slots];
+        self.slot_of.clear();
+        self.displaced.clear();
+        self.changed.clear();
+        let slot_for = |this: &mut Self, vm: VmId| match reserved_slot(vm) {
+            Some(slot) => {
+                this.vms[slot as usize].id = vm;
+                slot
+            }
+            None => this.slot_for_id(vm),
+        };
         let n = r.get_len(16)?;
-        self.vm_location = IdMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vm = VmId(r.get_u64()?);
             let idx = server_index("vm_location", r.get_u64()?)?;
-            self.vm_location.insert(vm, idx);
+            let slot = slot_for(self, vm);
+            self.vms[slot as usize].location = idx as u32;
         }
         let n = r.get_len(16)?;
-        self.migration_origin = IdMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vm = VmId(r.get_u64()?);
             let idx = server_index("migration_origin", r.get_u64()?)?;
-            self.migration_origin.insert(vm, idx);
+            let slot = slot_for(self, vm);
+            self.clear_origin(slot);
+            self.displace(slot, idx);
         }
         // id, vm, source, dest and four f64s of 8 bytes each, plus a bool.
         let n = r.get_len(65)?;
         self.in_flight = IdMap::with_capacity_and_hasher(n, Default::default());
-        self.in_flight_by_vm = IdMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let id = r.get_u64()?;
+            if id == NO_FLIGHT {
+                return Err(CheckpointError::Corrupt(format!(
+                    "in-flight migration id {id} is reserved"
+                )));
+            }
+            let vm = VmId(r.get_u64()?);
+            let slot = slot_for(self, vm);
             let flight = InFlight {
-                vm: VmId(r.get_u64()?),
+                vm,
+                slot,
                 source: server_index("in-flight source", r.get_u64()?)?,
                 dest: server_index("in-flight dest", r.get_u64()?)?,
                 start_secs: r.get_f64()?,
@@ -2064,8 +2238,19 @@ impl ClusterManager {
                 volume_mb: r.get_f64()?,
                 back: r.get_bool()?,
             };
-            self.in_flight_by_vm.insert(flight.vm, id);
+            self.vms[slot as usize].flight = id;
             self.in_flight.insert(id, flight);
+        }
+        for idx in 0..num_servers {
+            let ids: Vec<VmId> = self.controllers[idx]
+                .server()
+                .domains()
+                .map(|d| d.spec.id)
+                .collect();
+            for vm in ids {
+                let slot = slot_for(self, vm);
+                self.label_domain(idx, slot);
+            }
         }
         self.next_migration_id = r.get_u64()?;
         self.scheduler = TransferScheduler::read_snapshot(r, self.scheduler.policy())?;
@@ -2162,13 +2347,16 @@ impl ClusterManager {
 /// through the manager's own placement, deflation and reinflation
 /// machinery, so elastic capacity is always accounted for exactly like
 /// trace capacity — the autoscaler can neither create nor destroy
-/// resources outside the manager's books.
+/// resources outside the manager's books. These calls append to the
+/// current change log rather than start a new one: one scale event makes
+/// several of them.
 impl ElasticCluster for ClusterManager {
     /// Place a new replica through the ordinary admission path (it may
     /// deflate residents, exactly like a trace arrival). `None` when every
     /// server rejects it — counted as a rejected admission.
     fn launch_replica(&mut self, spec: VmSpec) -> Option<ServerId> {
-        match self.place_vm(spec) {
+        let slot = self.slot_for_id(spec.id);
+        match self.place(slot, spec) {
             PlacementResult::Placed { server }
             | PlacementResult::PlacedWithDeflation { server, .. }
             | PlacementResult::PlacedWithPreemption { server, .. } => Some(server),
@@ -2180,7 +2368,7 @@ impl ElasticCluster for ClusterManager {
     /// the server's residents reinflate into the freed room.
     fn retire_replica(&mut self, vm: VmId) -> Option<ServerId> {
         let server = self.locate(vm)?;
-        self.remove_vm(vm).ok()?;
+        self.depart(self.slot_by_id(vm)?).ok()?;
         Some(server)
     }
 
@@ -2191,13 +2379,14 @@ impl ElasticCluster for ClusterManager {
     /// part of an in-flight migration (its footprint is pledged to two
     /// servers at once — the autoscaler picks another replica).
     fn park_replica(&mut self, vm: VmId, fraction: f64) -> Option<ServerId> {
-        if self.in_flight_by_vm.contains_key(&vm) {
+        let entry = self.vms[self.slot_by_id(vm)? as usize];
+        if entry.flight().is_some() {
             return None;
         }
-        let &idx = self.vm_location.get(&vm)?;
+        let idx = entry.location()?;
         let domain = self.controllers[idx].server_mut().domain_mut(vm)?;
         let target = domain.spec.max_allocation * fraction.clamp(0.0, 1.0);
-        domain.deflate_to(target);
+        domain.retarget(target, &mut self.changed);
         domain.set_parked(true);
         self.reinflate_if_fits(idx);
         Some(self.controllers[idx].server().id)
@@ -2208,7 +2397,7 @@ impl ElasticCluster for ClusterManager {
     /// may come back only partially inflated (it shares the room with its
     /// neighbours), which is still infinitely better than a boot delay.
     fn unpark_replica(&mut self, vm: VmId) -> Option<ServerId> {
-        let &idx = self.vm_location.get(&vm)?;
+        let idx = self.vms[self.slot_by_id(vm)? as usize].location()?;
         let domain = self.controllers[idx].server_mut().domain_mut(vm)?;
         domain.set_parked(false);
         self.reinflate_if_fits(idx);
@@ -2225,6 +2414,7 @@ mod tests {
     use super::*;
     use deflate_core::policy::ProportionalDeflation;
     use deflate_core::vm::{Priority, VmClass};
+    use std::collections::BTreeMap;
 
     fn small_cluster(mode: ReclamationMode) -> ClusterManager {
         let config = ClusterConfig {
@@ -2386,6 +2576,16 @@ mod tests {
         assert!(cluster.check_invariants());
     }
 
+    /// Sum of the CPU fractions of the VMs running on `server`.
+    fn fraction_sum_on(cluster: &ClusterManager, server: ServerId) -> f64 {
+        cluster
+            .running_allocation_fractions()
+            .into_iter()
+            .filter(|&(vm, _)| cluster.locate(vm) == Some(server))
+            .map(|(_, f)| f)
+            .sum()
+    }
+
     #[test]
     fn spread_out_restores_reinflate_geometrically() {
         let mut cluster =
@@ -2394,16 +2594,10 @@ mod tests {
             assert!(cluster.place_vm(vm(i, 8.0, 0.5)).is_placed());
         }
         cluster.reclaim_capacity(ServerId(0), 0.5, 0.0);
-        let deflated: f64 = cluster
-            .allocation_fractions_on(ServerId(0))
-            .map(|(_, f)| f)
-            .sum();
+        let deflated = fraction_sum_on(&cluster, ServerId(0));
         // One restitution returns only half the free room.
         cluster.restore_capacity(ServerId(0), 1.0, false, 100.0);
-        let after_one: f64 = cluster
-            .allocation_fractions_on(ServerId(0))
-            .map(|(_, f)| f)
-            .sum();
+        let after_one = fraction_sum_on(&cluster, ServerId(0));
         assert!(after_one > deflated + 1e-6, "some room came back");
         assert!(
             after_one < 2.0 - 1e-6,
@@ -2413,10 +2607,7 @@ mod tests {
         for k in 1..=6 {
             cluster.restore_capacity(ServerId(0), 1.0, false, 100.0 + k as f64);
         }
-        let converged: f64 = cluster
-            .allocation_fractions_on(ServerId(0))
-            .map(|(_, f)| f)
-            .sum();
+        let converged = fraction_sum_on(&cluster, ServerId(0));
         assert!(converged > 1.95, "converged sum {converged}");
         assert!(cluster.check_invariants());
     }
@@ -2855,6 +3046,83 @@ mod tests {
         // Idle: 4096/100 = 40.96 s; busy: ×2.
         assert!((outcome.started[0].event_secs - 81.92).abs() < 1e-9);
         assert!(cluster.check_invariants());
+    }
+
+    /// Where every placed VM runs and at what CPU fraction.
+    fn placements(cluster: &ClusterManager) -> BTreeMap<VmId, (Option<ServerId>, Option<f64>)> {
+        cluster
+            .slot_of
+            .keys()
+            .map(|&vm| {
+                let at = (cluster.locate(vm), cluster.cpu_allocation_fraction(vm));
+                (vm, at)
+            })
+            .collect()
+    }
+
+    /// Every event-level call starts a new change log, and the log names
+    /// every VM whose location or CPU fraction the call moved: through
+    /// deflating admissions, reclamation with costed migrations, landing,
+    /// migrate-back, departures mid-transfer and evictions.
+    #[test]
+    fn the_change_log_names_every_moved_vm() {
+        let config = ClusterConfig {
+            num_servers: 3,
+            server_capacity: ResourceVector::cpu_mem(16_000.0, 32_768.0),
+            placement: PlacementKind::FirstFit,
+            partitions: PartitionScheme::None,
+            mechanism: DeflationMechanism::Transparent,
+        };
+        let mut cluster =
+            ClusterManager::new(&config, deflation_mode()).with_migration_cost(slow_model());
+        let mut pending: Vec<PendingMigration> = Vec::new();
+        let mut moved_total = 0;
+        for step in 0..48u64 {
+            let before = placements(&cluster);
+            let now = step as f64 * 10.0;
+            let server = ServerId((step / 8 % 3) as u32);
+            let outcome = match step % 8 {
+                0..=2 => {
+                    // A floor of 60 % keeps deflation from absorbing every
+                    // reclamation, so VMs migrate and get evicted too.
+                    let spec = vm(step, 4.0 + (step % 3) as f64, 0.5);
+                    let floor = spec.max_allocation * 0.6;
+                    cluster.place_vm(spec.with_min_allocation(floor));
+                    None
+                }
+                3 => Some(cluster.reclaim_capacity(server, 0.3, now)),
+                5 => Some(cluster.restore_capacity(server, 1.0, true, now)),
+                4 | 6 => (!pending.is_empty())
+                    .then(|| cluster.complete_migration(pending.remove(0).id, now)),
+                _ => {
+                    let _ = cluster.remove_vm(VmId(step - 6));
+                    None
+                }
+            };
+            if let Some(outcome) = outcome {
+                pending.extend(outcome.started);
+            }
+            let logged: Vec<VmId> = cluster
+                .changed_slots()
+                .iter()
+                .map(|&slot| cluster.vms[slot as usize].id)
+                .collect();
+            for (vm, now_at) in placements(&cluster) {
+                let was_at = before.get(&vm).copied().unwrap_or((None, None));
+                if was_at != now_at {
+                    moved_total += 1;
+                    assert!(
+                        logged.contains(&vm),
+                        "step {step}: {vm} moved {was_at:?} -> {now_at:?} unlogged ({logged:?})"
+                    );
+                }
+            }
+            assert!(cluster.check_invariants());
+        }
+        let t = cluster.transient_counters();
+        assert!(moved_total > 40, "the sequence moves VMs: {moved_total}");
+        assert!(t.migrations > 0 && t.migrations_back > 0, "{t:?}");
+        assert!(t.reclamation_victims > 0, "{t:?}");
     }
 
     #[test]

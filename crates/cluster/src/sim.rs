@@ -86,7 +86,8 @@ struct EngineState {
     manager: ClusterManager,
     autoscaler: Option<Autoscaler>,
     queue: EventQueue,
-    index_of: IdMap<VmId, usize>,
+    /// One per workload VM, at its workload index, which is also its slot
+    /// in the manager.
     records: Vec<VmRecord>,
     running: Vec<bool>,
     migrations: Vec<MigrationEvent>,
@@ -345,7 +346,8 @@ impl ClusterSimulation {
             .with_transfer_policy(self.transfer_policy)
             .with_restore_policy(self.restore_policy)
             .with_cache_regrowth(self.cache_regrowth)
-            .with_telemetry(self.telemetry.clone());
+            .with_telemetry(self.telemetry.clone())
+            .with_reserved_slots(workload.len());
         // The autoscaler exists only for enabled policies: a Disabled run
         // schedules no scale events and touches no autoscaler state, so it
         // is bit-identical to a run of the engine before autoscaling
@@ -353,25 +355,17 @@ impl ClusterSimulation {
         let autoscaler = (self.autoscale_policy.is_enabled() && !self.elastic_apps.is_empty())
             .then(|| Autoscaler::new(self.autoscale_policy, self.elastic_apps.clone()));
 
-        // Working state.
-        let (index_of, records) = {
+        let records = {
             let _init = self.telemetry.span(Phase::RecordInit);
-            let index_of: IdMap<VmId, usize> = workload
-                .iter()
-                .enumerate()
-                .map(|(i, vm)| (vm.spec.id, i))
-                .collect();
-            let records = workload
+            workload
                 .iter()
                 .map(|vm| VmRecord::new(vm.spec.clone(), vm.arrival_secs, vm.departure_secs))
-                .collect();
-            (index_of, records)
+                .collect()
         };
         EngineState {
             manager,
             autoscaler,
             queue: EventQueue::new(),
-            index_of,
             records,
             running: vec![false; workload.len()],
             migrations: Vec::new(),
@@ -448,7 +442,6 @@ impl ClusterSimulation {
             manager,
             autoscaler,
             queue,
-            index_of,
             records,
             running,
             migrations,
@@ -472,12 +465,14 @@ impl ClusterSimulation {
             };
             let Some((time, event)) = popped else { break };
             *events_processed += 1;
+            // The handler and the fold of the changes it made are timed
+            // as the event's phase.
+            let span = self.telemetry.span(Self::phase_of(&event));
             match event {
                 SimEvent::Arrival(i) => {
-                    let _span = self.telemetry.span(Phase::Arrival);
-                    // PlacementRank nests inside place_vm and is
+                    // PlacementRank nests inside the placement and is
                     // subtracted from this span's self time.
-                    let result = manager.place_vm(workload[i].spec.clone());
+                    let result = manager.place_in_slot(i as u32, workload[i].spec.clone());
                     if self.telemetry.wants(TelemetryEventKind::Arrival) {
                         let outcome = match &result {
                             PlacementResult::Rejected => "rejected",
@@ -496,46 +491,25 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    let touched_server = match result {
-                        PlacementResult::Rejected => {
-                            records[i].outcome = VmOutcome::Rejected;
-                            None
+                    if let PlacementResult::Rejected = result {
+                        records[i].outcome = VmOutcome::Rejected;
+                    } else {
+                        records[i].outcome = VmOutcome::Completed;
+                        running[i] = true;
+                    }
+                    // Preempted workload VMs are found by the fold below;
+                    // a preempted elastic replica must leave the
+                    // autoscaler's pool, or it would count as active
+                    // forever and block its own replacement.
+                    if let (PlacementResult::PlacedWithPreemption { preempted, .. }, Some(scaler)) =
+                        (&result, autoscaler.as_mut())
+                    {
+                        for &victim in preempted {
+                            scaler.on_replica_evicted(victim);
                         }
-                        PlacementResult::PlacedWithPreemption {
-                            server,
-                            ref preempted,
-                        } => {
-                            records[i].outcome = VmOutcome::Completed;
-                            running[i] = true;
-                            for victim in preempted {
-                                if let Some(&vi) = index_of.get(victim) {
-                                    records[vi].outcome = VmOutcome::Preempted { at_secs: time };
-                                    running[vi] = false;
-                                } else if let Some(autoscaler) = autoscaler.as_mut() {
-                                    // A preempted elastic replica must
-                                    // leave the autoscaler's pool, or it
-                                    // would count as active forever and
-                                    // block its own replacement.
-                                    autoscaler.on_replica_evicted(*victim);
-                                }
-                            }
-                            Some(server)
-                        }
-                        PlacementResult::Placed { server }
-                        | PlacementResult::PlacedWithDeflation { server, .. } => {
-                            records[i].outcome = VmOutcome::Completed;
-                            running[i] = true;
-                            Some(server)
-                        }
-                    };
-                    if let Some(server) = touched_server {
-                        Self::record_allocations(
-                            manager, server, workload, index_of, records, running, time,
-                        );
                     }
                 }
                 SimEvent::Departure(i) => {
-                    let _span = self.telemetry.span(Phase::Departure);
                     if self.telemetry.wants(TelemetryEventKind::Departure) {
                         self.telemetry.log_event(
                             TelemetryEventKind::Departure,
@@ -550,18 +524,8 @@ impl ClusterSimulation {
                         );
                     }
                     if running[i] {
-                        let vm = workload[i].spec.id;
-                        let server = manager.locate(vm);
-                        // A mid-transfer departure also frees (and
-                        // reinflates) the in-flight destination server.
-                        let dest = manager.in_flight_destination(vm);
-                        let _ = manager.remove_vm(vm);
+                        let _ = manager.remove_slot(i as u32);
                         running[i] = false;
-                        for server in [server, dest].into_iter().flatten() {
-                            Self::record_allocations(
-                                manager, server, workload, index_of, records, running, time,
-                            );
-                        }
                     }
                     // Every VM gets its departure event, whatever its
                     // outcome, so this is where its summary completes.
@@ -571,7 +535,6 @@ impl ClusterSimulation {
                     server,
                     available_fraction,
                 } => {
-                    let _span = self.telemetry.span(Phase::ReclaimLadder);
                     {
                         let _sampling = self.telemetry.span(Phase::UtilizationSampling);
                         Self::observe_utilizations(manager, workload, running, time);
@@ -592,16 +555,12 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(
-                        manager, &outcome, workload, time, index_of, records, running, migrations,
-                        queue, autoscaler,
-                    );
+                    Self::apply_capacity_outcome(&outcome, time, migrations, queue, autoscaler);
                 }
                 SimEvent::CapacityRestore {
                     server,
                     available_fraction,
                 } => {
-                    let _span = self.telemetry.span(Phase::ReclaimLadder);
                     {
                         let _sampling = self.telemetry.span(Phase::UtilizationSampling);
                         Self::observe_utilizations(manager, workload, running, time);
@@ -626,13 +585,9 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(
-                        manager, &outcome, workload, time, index_of, records, running, migrations,
-                        queue, autoscaler,
-                    );
+                    Self::apply_capacity_outcome(&outcome, time, migrations, queue, autoscaler);
                 }
                 SimEvent::MigrationComplete { migration } => {
-                    let _span = self.telemetry.span(Phase::MigrationCompletion);
                     let outcome = manager.complete_migration(migration, time);
                     if self.telemetry.wants(TelemetryEventKind::MigrationComplete) {
                         self.telemetry.log_event(
@@ -644,13 +599,9 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(
-                        manager, &outcome, workload, time, index_of, records, running, migrations,
-                        queue, autoscaler,
-                    );
+                    Self::apply_capacity_outcome(&outcome, time, migrations, queue, autoscaler);
                 }
                 SimEvent::UtilizationTick => {
-                    let _span = self.telemetry.span(Phase::UtilizationSampling);
                     let (used, capacity) = manager.cpu_usage_snapshot();
                     let value = if capacity <= 0.0 {
                         0.0
@@ -658,6 +609,8 @@ impl ClusterSimulation {
                         used / capacity
                     };
                     utilization.push((time, value));
+                    #[cfg(debug_assertions)]
+                    Self::assert_folds_current(manager, records, running);
                     if self.telemetry.wants(TelemetryEventKind::UtilizationTick) {
                         self.telemetry.log_event(
                             TelemetryEventKind::UtilizationTick,
@@ -687,7 +640,6 @@ impl ClusterSimulation {
                             workload,
                             manager,
                             queue,
-                            index_of,
                             records,
                             running,
                             migrations,
@@ -697,7 +649,6 @@ impl ClusterSimulation {
                     }
                 }
                 SimEvent::ScaleOut { app } => {
-                    let _span = self.telemetry.span(Phase::Autoscale);
                     if self.telemetry.wants(TelemetryEventKind::ScaleOut) {
                         self.telemetry.log_event(
                             TelemetryEventKind::ScaleOut,
@@ -705,31 +656,19 @@ impl ClusterSimulation {
                             &[("app", EventField::U64(u64::from(app)))],
                         );
                     }
-                    let Some(scaler) = autoscaler.as_mut() else {
-                        continue;
-                    };
-                    let touched = scaler.on_scale_out(app, time, manager);
-                    // Under the preemption baseline a replica launch can
-                    // kill resident workload VMs — and other replicas;
-                    // reconcile both (deflation and migration-only
-                    // launches never preempt).
-                    if matches!(self.mode, ReclamationMode::Preemption) {
-                        for (i, record) in records.iter_mut().enumerate() {
-                            if running[i] && manager.locate(workload[i].spec.id).is_none() {
-                                record.outcome = VmOutcome::Preempted { at_secs: time };
-                                running[i] = false;
-                            }
+                    if let Some(scaler) = autoscaler.as_mut() {
+                        scaler.on_scale_out(app, time, manager);
+                        // Under the preemption baseline a replica launch
+                        // can kill resident workload VMs — which the fold
+                        // below finds — and other replicas, which the
+                        // autoscaler must drop (deflation and
+                        // migration-only launches never preempt).
+                        if matches!(self.mode, ReclamationMode::Preemption) {
+                            scaler.reconcile_lost(&*manager);
                         }
-                        scaler.reconcile_lost(&*manager);
-                    }
-                    for server in touched {
-                        Self::record_allocations(
-                            manager, server, workload, index_of, records, running, time,
-                        );
                     }
                 }
                 SimEvent::ScaleIn { app } => {
-                    let _span = self.telemetry.span(Phase::Autoscale);
                     if self.telemetry.wants(TelemetryEventKind::ScaleIn) {
                         self.telemetry.log_event(
                             TelemetryEventKind::ScaleIn,
@@ -737,16 +676,22 @@ impl ClusterSimulation {
                             &[("app", EventField::U64(u64::from(app)))],
                         );
                     }
-                    let Some(autoscaler) = autoscaler.as_mut() else {
-                        continue;
-                    };
-                    for server in autoscaler.on_scale_in(app, time, manager) {
-                        Self::record_allocations(
-                            manager, server, workload, index_of, records, running, time,
-                        );
+                    if let Some(autoscaler) = autoscaler.as_mut() {
+                        autoscaler.on_scale_in(app, time, manager);
                     }
                 }
             }
+            // Bring the summaries of the VMs the event changed up to date.
+            // A workload VM the manager no longer runs was lost to this
+            // event: preempted by a placement, evicted by anything else.
+            let lost = match event {
+                SimEvent::Arrival(_) | SimEvent::ScaleOut { .. } => {
+                    VmOutcome::Preempted { at_secs: time }
+                }
+                _ => VmOutcome::Evicted { at_secs: time },
+            };
+            Self::fold_changes(manager, workload, records, running, time, lost);
+            drop(span);
             // The audit point: after the event's handler has settled, the
             // enabled checkers re-verify the engine's invariants against
             // the state the handler left behind. Strictly read-only; the
@@ -797,7 +742,6 @@ impl ClusterSimulation {
                 workload,
                 &state.manager,
                 &state.queue,
-                &state.index_of,
                 &state.records,
                 &state.running,
                 &state.migrations,
@@ -854,15 +798,13 @@ impl ClusterSimulation {
         workload: &[WorkloadVm],
         manager: &ClusterManager,
         queue: &EventQueue,
-        index_of: &IdMap<VmId, usize>,
         records: &[VmRecord],
         running: &[bool],
         migrations: &[MigrationEvent],
         utilization: &[(f64, f64)],
         autoscaler: Option<&Autoscaler>,
     ) {
-        use deflate_core::mem::{map_entry_bytes, vec_bytes};
-        use std::mem::size_of;
+        use deflate_core::mem::vec_bytes;
         let mut ledger = MemoryLedger::new();
         // The sink's own footprint first, measured before this publish
         // grows the registry with the `mem.*` entries themselves.
@@ -873,8 +815,7 @@ impl ClusterSimulation {
             "vm_records",
             vec_bytes(records)
                 + records.iter().map(VmRecord::accounted_bytes).sum::<u64>()
-                + vec_bytes(running)
-                + index_of.len() as u64 * map_entry_bytes(size_of::<VmId>(), size_of::<usize>()),
+                + vec_bytes(running),
         );
         ledger.record(
             "workload",
@@ -988,7 +929,16 @@ impl ClusterSimulation {
             events.push((time, event));
         }
         state.queue = self.build_queue(events);
-        state.manager.read_snapshot(&mut r)?;
+        // Slots are not in the snapshot: workload VM `i` gets slot `i`
+        // back.
+        let slot_of: IdMap<VmId, u32> = workload
+            .iter()
+            .enumerate()
+            .map(|(i, vm)| (vm.spec.id, i as u32))
+            .collect();
+        state
+            .manager
+            .read_snapshot_with(&mut r, |vm| slot_of.get(&vm).copied())?;
         let has_autoscaler = r.get_bool()?;
         if has_autoscaler != state.autoscaler.is_some() {
             return Err(CheckpointError::Corrupt(
@@ -1067,6 +1017,20 @@ impl ClusterSimulation {
         }
     }
 
+    /// The profiler phase an event's handling is timed as.
+    fn phase_of(event: &SimEvent) -> Phase {
+        match event {
+            SimEvent::Arrival(_) => Phase::Arrival,
+            SimEvent::Departure(_) => Phase::Departure,
+            SimEvent::CapacityReclaim { .. } | SimEvent::CapacityRestore { .. } => {
+                Phase::ReclaimLadder
+            }
+            SimEvent::MigrationComplete { .. } => Phase::MigrationCompletion,
+            SimEvent::UtilizationTick => Phase::UtilizationSampling,
+            SimEvent::ScaleOut { .. } | SimEvent::ScaleIn { .. } => Phase::Autoscale,
+        }
+    }
+
     /// Refresh every running VM's recent-utilisation sample from its trace
     /// ahead of a capacity event, so the migration cost model estimates
     /// transfers from current behaviour rather than boot-time idleness.
@@ -1082,40 +1046,26 @@ impl ClusterSimulation {
         if manager.migration_cost().dirty_rate_mbps <= 0.0 {
             return;
         }
-        let samples: Vec<(VmId, f64)> = workload
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| running[i])
-            .map(|(_, vm)| (vm.spec.id, vm.cpu_util.at(time - vm.arrival_secs)))
-            .collect();
-        manager.observe_vm_utilizations(&samples);
+        for (i, vm) in workload.iter().enumerate().filter(|&(i, _)| running[i]) {
+            manager.observe_slot_utilization(i as u32, vm.cpu_util.at(time - vm.arrival_secs));
+        }
     }
 
-    /// Fold a capacity-change outcome into the per-VM bookkeeping: evicted
-    /// VMs stop running, completed migrations are logged with their
-    /// transfer cost, newly started transfers get a `MigrationComplete`
-    /// event scheduled, and the usage summaries of every VM on a touched
-    /// server are brought up to date. Victims outside the workload are elastic
-    /// replicas — they have no record, but the autoscaler must drop them
-    /// from its pool (and count the loss).
-    #[allow(clippy::too_many_arguments)]
+    /// Fold a capacity-change outcome into the run's logs: completed
+    /// migrations are logged with their transfer cost, and newly started
+    /// transfers get a `MigrationComplete` event scheduled. Victims
+    /// outside the workload are elastic replicas: the autoscaler drops
+    /// them from its pool (and counts the loss); it ignores workload VMs,
+    /// which the fold of the change log marks evicted.
     fn apply_capacity_outcome(
-        manager: &ClusterManager,
         outcome: &crate::manager::CapacityChangeOutcome,
-        workload: &[WorkloadVm],
         time: f64,
-        index_of: &IdMap<VmId, usize>,
-        records: &mut [VmRecord],
-        running: &mut [bool],
         migrations: &mut Vec<MigrationEvent>,
         queue: &mut EventQueue,
         autoscaler: &mut Option<Autoscaler>,
     ) {
-        for &victim in &outcome.victims {
-            if let Some(&vi) = index_of.get(&victim) {
-                records[vi].outcome = VmOutcome::Evicted { at_secs: time };
-                running[vi] = false;
-            } else if let Some(autoscaler) = autoscaler.as_mut() {
+        if let Some(autoscaler) = autoscaler.as_mut() {
+            for &victim in &outcome.victims {
                 autoscaler.on_replica_evicted(victim);
             }
         }
@@ -1138,31 +1088,60 @@ impl ClusterSimulation {
                 },
             );
         }
-        for &server in &outcome.touched {
-            Self::record_allocations(manager, server, workload, index_of, records, running, time);
-        }
     }
 
-    /// Feed the current CPU fraction of every running workload VM on the
-    /// touched server to its usage summary, which ignores unchanged
-    /// fractions.
-    fn record_allocations(
-        manager: &ClusterManager,
-        server: deflate_core::vm::ServerId,
+    /// Fold the event's change log into the usage summaries: each running
+    /// workload VM in it records its current CPU fraction, or, when the
+    /// manager no longer runs it, stops running with outcome `lost`. Then
+    /// empty the log.
+    ///
+    /// A VM outside the log is left alone, which changes nothing: its
+    /// fraction is bitwise the one it had when it was last folded, and
+    /// that fold left its summary within `1e-9` of it — exactly the case
+    /// in which [`VmRecord::record_allocation`] returns early.
+    /// `assert_folds_current` checks this at every utilisation tick in
+    /// debug builds.
+    fn fold_changes(
+        manager: &mut ClusterManager,
         workload: &[WorkloadVm],
-        index_of: &IdMap<VmId, usize>,
         records: &mut [VmRecord],
-        running: &[bool],
+        running: &mut [bool],
         time: f64,
+        lost: VmOutcome,
     ) {
-        for (vm, fraction) in manager.allocation_fractions_on(server) {
-            let Some(&i) = index_of.get(&vm) else {
-                continue;
-            };
-            if !running[i] {
+        for &slot in manager.changed_slots() {
+            let i = slot as usize;
+            if i >= workload.len() || !running[i] {
                 continue;
             }
-            records[i].record_allocation(&workload[i].cpu_util, time, fraction);
+            match manager.slot_cpu_fraction(slot) {
+                Some(fraction) => {
+                    records[i].record_allocation(&workload[i].cpu_util, time, fraction)
+                }
+                None => {
+                    records[i].outcome = lost;
+                    running[i] = false;
+                }
+            }
+        }
+        manager.clear_changed_slots();
+    }
+
+    /// The invariant change-driven folding rests on: every running
+    /// workload VM is located, and its current CPU fraction is within
+    /// `1e-9` of the last one its summary recorded.
+    #[cfg(debug_assertions)]
+    fn assert_folds_current(manager: &ClusterManager, records: &[VmRecord], running: &[bool]) {
+        for (i, record) in records.iter().enumerate().filter(|&(i, _)| running[i]) {
+            let current = manager
+                .slot_cpu_fraction(i as u32)
+                .unwrap_or_else(|| panic!("running VM {} is on no server", record.spec.id.0));
+            let (_, recorded) = record.usage.last_change().expect("a running VM was placed");
+            assert!(
+                (current - recorded).abs() < 1e-9,
+                "VM {} runs at CPU fraction {current} but its summary last recorded {recorded}",
+                record.spec.id.0
+            );
         }
     }
 }

@@ -58,6 +58,9 @@ impl Hasher for IdHasher {
 }
 
 /// A `HashMap` keyed by program-assigned ids, hashed with [`IdHasher`].
+/// The cluster engine keeps its per-VM state in a table indexed by dense
+/// slot; it uses id maps only to resolve a [`VmId`] to its slot at the
+/// `VmId` API, and for in-flight migrations by id.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Application class labels carried by the Azure trace (§3.2.1).

@@ -6,10 +6,11 @@
 //! section 5." The controller owns a [`SimServer`], applies a server-level
 //! [`DeflationPolicy`] when a new VM needs room, and reinflates residents
 //! when capacity frees up. The paper's controllers also notify an
-//! application manager of each change (Figure 1); nothing in this engine
-//! subscribes, so the controller keeps no log. A caller that wants to see a
-//! change compares [`Domain::effective_allocation`](crate::domain::Domain::effective_allocation)
-//! before and after the call.
+//! application manager of each change (Figure 1); here every call that
+//! can move residents' allocations appends to a caller-owned `changed`
+//! log the [`slot`](crate::domain::Domain::slot) of each resident whose
+//! effective CPU allocation moved, which is how the cluster simulator
+//! learns whose usage summary to bring up to date.
 
 use crate::domain::DeflationMechanism;
 use crate::server::SimServer;
@@ -97,8 +98,10 @@ impl LocalController {
 
     /// Attempt to admit a new VM, deflating residents if needed (the
     /// three-step placement of §6: the cluster manager already chose this
-    /// server; this method performs steps two and three).
-    pub fn try_admit(&mut self, spec: VmSpec) -> Result<AdmissionOutcome> {
+    /// server; this method performs steps two and three). Residents
+    /// deflated to make room are logged in `changed`; the new domain is
+    /// not (its caller gives it a slot).
+    pub fn try_admit(&mut self, spec: VmSpec, changed: &mut Vec<u32>) -> Result<AdmissionOutcome> {
         spec.validate()?;
         let demand = spec.max_allocation;
         let free = self.server.free();
@@ -107,7 +110,7 @@ impl LocalController {
             return Ok(AdmissionOutcome::AdmittedWithoutDeflation);
         }
 
-        let plan = self.make_room(demand.saturating_sub(&free))?;
+        let plan = self.make_room(demand.saturating_sub(&free), changed)?;
         if !plan.satisfied() {
             // "If this violates any resource constraint, then the server
             // rejects the VM."
@@ -134,11 +137,15 @@ impl LocalController {
     /// computes the deflation that frees `needed` more room, and step 3
     /// applies it — only if the plan meets the whole demand, so a
     /// rejected admission deflates nobody.
-    pub fn make_room(&mut self, needed: ResourceVector) -> Result<PlanTotals> {
+    pub fn make_room(
+        &mut self,
+        needed: ResourceVector,
+        changed: &mut Vec<u32>,
+    ) -> Result<PlanTotals> {
         PLANNER.with_borrow_mut(|planner| {
             let plan = planner.plan_into(self.policy.as_ref(), self.server.domains(), needed);
             if plan.satisfied() {
-                self.server.apply_targets(planner.targets())?;
+                self.server.apply_targets(planner.targets(), changed)?;
             }
             Ok(plan)
         })
@@ -146,17 +153,17 @@ impl LocalController {
 
     /// Handle a VM departure: destroy the domain and redistribute the freed
     /// resources to deflated residents (reinflation, §5.1.3).
-    pub fn on_departure(&mut self, vm: VmId) -> Result<()> {
+    pub fn on_departure(&mut self, vm: VmId, changed: &mut Vec<u32>) -> Result<()> {
         self.server.destroy_domain(vm)?;
-        self.reinflate();
+        self.reinflate(changed);
         Ok(())
     }
 
     /// Handle a provider-side **capacity restitution**: grow the server to
     /// `new_capacity` and reinflate residents into the returned room.
-    pub fn restore_capacity(&mut self, new_capacity: ResourceVector) {
+    pub fn restore_capacity(&mut self, new_capacity: ResourceVector, changed: &mut Vec<u32>) {
         self.server.set_capacity(new_capacity);
-        self.reinflate();
+        self.reinflate(changed);
     }
 
     /// Deflate residents until their effective allocations fit the server's
@@ -167,7 +174,7 @@ impl LocalController {
     /// overage: zero when deflation alone absorbed the reclamation,
     /// positive when the caller must fall back to migrating or destroying
     /// residents.
-    pub fn deflate_into_capacity(&mut self) -> ResourceVector {
+    pub fn deflate_into_capacity(&mut self, changed: &mut Vec<u32>) -> ResourceVector {
         let over = self
             .server
             .effective_used()
@@ -177,7 +184,7 @@ impl LocalController {
         }
         PLANNER.with_borrow_mut(|planner| {
             planner.plan_into(self.policy.as_ref(), self.server.domains(), over);
-            let _ = self.server.apply_targets(planner.targets());
+            let _ = self.server.apply_targets(planner.targets(), changed);
         });
         self.server
             .effective_used()
@@ -188,9 +195,9 @@ impl LocalController {
     /// Domains *parked* by the autoscaler (deflated instead of terminated)
     /// are skipped — their deflation is deliberate and must stick until
     /// the autoscaler unparks them.
-    pub fn reinflate(&mut self) {
+    pub fn reinflate(&mut self, changed: &mut Vec<u32>) {
         let used = self.server.effective_used();
-        self.reinflate_into(used, 1.0);
+        self.reinflate_into(used, 1.0, changed);
     }
 
     /// Reinflate residents into only `fraction` (clamped to `[0, 1]`) of
@@ -200,18 +207,18 @@ impl LocalController {
     /// fraction below one is the spread-out half of the restore-hysteresis
     /// policy. One walk over the residents serves both the check and the
     /// free room.
-    pub fn reinflate_if_fits(&mut self, fraction: f64) -> bool {
+    pub fn reinflate_if_fits(&mut self, fraction: f64, changed: &mut Vec<u32>) -> bool {
         let used = self.server.effective_used();
         if !used.fits_within(&self.server.capacity) {
             return false;
         }
-        self.reinflate_into(used, fraction);
+        self.reinflate_into(used, fraction, changed);
         true
     }
 
     /// Hand `fraction` of the room left by `used` back to the unparked
     /// residents.
-    fn reinflate_into(&mut self, used: ResourceVector, fraction: f64) {
+    fn reinflate_into(&mut self, used: ResourceVector, fraction: f64, changed: &mut Vec<u32>) {
         let free = self.server.capacity.saturating_sub(&used) * fraction.clamp(0.0, 1.0);
         if free.is_zero() {
             return;
@@ -222,7 +229,7 @@ impl LocalController {
             // Ignore the (negative) shortfall: not being able to place all
             // freed resources simply means residents are already fully
             // inflated.
-            let _ = self.server.apply_targets(planner.targets());
+            let _ = self.server.apply_targets(planner.targets(), changed);
         });
         debug_assert!(self.server.check_capacity_invariant().is_ok());
     }
@@ -266,7 +273,8 @@ mod tests {
     #[test]
     fn admission_without_pressure() {
         let mut c = controller();
-        let out = c.try_admit(vm(1, 4.0, 8192.0)).unwrap();
+        let mut log = Vec::new();
+        let out = c.try_admit(vm(1, 4.0, 8192.0), &mut log).unwrap();
         assert_eq!(out, AdmissionOutcome::AdmittedWithoutDeflation);
         assert_eq!(c.server().domain_count(), 1);
     }
@@ -274,12 +282,13 @@ mod tests {
     #[test]
     fn admission_with_deflation_shrinks_residents() {
         let mut c = controller();
-        c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
-        c.try_admit(vm(2, 6.0, 8192.0)).unwrap();
+        let mut log = Vec::new();
+        c.try_admit(vm(1, 10.0, 16_384.0), &mut log).unwrap();
+        c.try_admit(vm(2, 6.0, 8192.0), &mut log).unwrap();
         let before = allocations(&c);
         // Server is now full (16 cores committed); a third VM forces
         // deflation of residents.
-        let out = c.try_admit(vm(3, 8.0, 8192.0)).unwrap();
+        let out = c.try_admit(vm(3, 8.0, 8192.0), &mut log).unwrap();
         match out {
             AdmissionOutcome::AdmittedWithDeflation { reclaimed } => {
                 assert!(reclaimed.cpu() >= 8000.0 - 1e-6);
@@ -298,14 +307,15 @@ mod tests {
     #[test]
     fn admission_rejected_when_headroom_insufficient() {
         let mut c = controller();
+        let mut log = Vec::new();
         // Fill the server with a non-deflatable VM: nothing can be reclaimed.
         let od = VmSpec::on_demand(
             VmId(1),
             VmClass::Unknown,
             ResourceVector::new(16_000.0, 32_768.0, 1_000.0, 10_000.0),
         );
-        c.try_admit(od).unwrap();
-        let out = c.try_admit(vm(2, 2.0, 2048.0)).unwrap();
+        c.try_admit(od, &mut log).unwrap();
+        let out = c.try_admit(vm(2, 2.0, 2048.0), &mut log).unwrap();
         match out {
             AdmissionOutcome::Rejected { shortfall } => {
                 assert!(shortfall.cpu() > 0.0);
@@ -318,12 +328,13 @@ mod tests {
     #[test]
     fn departure_triggers_reinflation() {
         let mut c = controller();
-        c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
-        c.try_admit(vm(2, 6.0, 8192.0)).unwrap();
-        c.try_admit(vm(3, 8.0, 8192.0)).unwrap();
+        let mut log = Vec::new();
+        c.try_admit(vm(1, 10.0, 16_384.0), &mut log).unwrap();
+        c.try_admit(vm(2, 6.0, 8192.0), &mut log).unwrap();
+        c.try_admit(vm(3, 8.0, 8192.0), &mut log).unwrap();
         let before = allocations(&c);
         // VM 3 leaves; the survivors should be reinflated back towards full.
-        c.on_departure(VmId(3)).unwrap();
+        c.on_departure(VmId(3), &mut log).unwrap();
         let d1 = c.server().domain(VmId(1)).unwrap();
         let d2 = c.server().domain(VmId(2)).unwrap();
         assert_eq!(d1.effective_allocation(), d1.spec.max_allocation);
@@ -343,21 +354,22 @@ mod tests {
     #[test]
     fn accounted_bytes_stay_flat_across_deflation_cycles() {
         let mut c = controller();
-        c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
-        c.try_admit(vm(2, 6.0, 8192.0)).unwrap();
+        let mut log = Vec::new();
+        c.try_admit(vm(1, 10.0, 16_384.0), &mut log).unwrap();
+        c.try_admit(vm(2, 6.0, 8192.0), &mut log).unwrap();
         let full = c.server().capacity;
         let mut after_10 = 0;
         for cycle in 1..=1000u64 {
             c.server_mut().set_capacity(full * 0.5);
-            assert!(c.deflate_into_capacity().is_zero());
-            c.restore_capacity(full);
+            assert!(c.deflate_into_capacity(&mut log).is_zero());
+            c.restore_capacity(full, &mut log);
             let id = VmId(100 + cycle);
-            let out = c.try_admit(vm(id.0, 8.0, 8192.0)).unwrap();
+            let out = c.try_admit(vm(id.0, 8.0, 8192.0), &mut log).unwrap();
             assert!(matches!(
                 out,
                 AdmissionOutcome::AdmittedWithDeflation { .. }
             ));
-            c.on_departure(id).unwrap();
+            c.on_departure(id, &mut log).unwrap();
             if cycle == 10 {
                 after_10 = c.accounted_bytes();
             }
@@ -368,12 +380,13 @@ mod tests {
     #[test]
     fn capacity_reclaim_deflates_and_restore_reinflates() {
         let mut c = controller();
-        c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
-        c.try_admit(vm(2, 6.0, 8_192.0)).unwrap();
+        let mut log = Vec::new();
+        c.try_admit(vm(1, 10.0, 16_384.0), &mut log).unwrap();
+        c.try_admit(vm(2, 6.0, 8_192.0), &mut log).unwrap();
         let full = ResourceVector::new(16_000.0, 32_768.0, 1_000.0, 10_000.0);
         // Reclaim half the server: residents must be deflated to fit.
         c.server_mut().set_capacity(full * 0.5);
-        let remaining = c.deflate_into_capacity();
+        let remaining = c.deflate_into_capacity(&mut log);
         assert!(remaining.is_zero(), "unabsorbed overage {remaining}");
         assert!(c.server().check_capacity_invariant().is_ok());
         assert!(c
@@ -381,28 +394,29 @@ mod tests {
             .domains()
             .any(|d| d.effective_allocation().cpu() < d.spec.max_allocation.cpu()));
         // Restore it: everyone reinflates back to their spec.
-        c.restore_capacity(full);
+        c.restore_capacity(full, &mut log);
         assert!(c.server().check_capacity_invariant().is_ok());
         for d in c.server().domains() {
             assert_eq!(d.effective_allocation(), d.spec.max_allocation);
         }
         // A reclaim the free space already covers deflates nobody.
         c.server_mut().set_capacity(full);
-        assert!(c.deflate_into_capacity().is_zero());
+        assert!(c.deflate_into_capacity(&mut log).is_zero());
     }
 
     #[test]
     fn parked_domains_are_skipped_by_reinflation() {
         let mut c = controller();
-        c.try_admit(vm(1, 8.0, 8192.0)).unwrap();
-        c.try_admit(vm(2, 8.0, 8192.0)).unwrap();
+        let mut log = Vec::new();
+        c.try_admit(vm(1, 8.0, 8192.0), &mut log).unwrap();
+        c.try_admit(vm(2, 8.0, 8192.0), &mut log).unwrap();
         // Park VM 1 at 10 % of its allocation.
         let d1 = c.server_mut().domain_mut(VmId(1)).unwrap();
         let target = d1.spec.max_allocation * 0.1;
         d1.deflate_to(target);
         d1.set_parked(true);
         // A full reinflation pass must not grow the parked domain.
-        c.reinflate();
+        c.reinflate(&mut log);
         let d1 = c.server().domain(VmId(1)).unwrap();
         assert!(d1.effective_allocation().cpu() <= 0.1 * d1.spec.max_allocation.cpu() + 1e-6);
         // Unparking makes the next pass restore it.
@@ -410,7 +424,7 @@ mod tests {
             .domain_mut(VmId(1))
             .unwrap()
             .set_parked(false);
-        c.reinflate();
+        c.reinflate(&mut log);
         let d1 = c.server().domain(VmId(1)).unwrap();
         assert_eq!(d1.effective_allocation(), d1.spec.max_allocation);
     }
@@ -418,12 +432,13 @@ mod tests {
     #[test]
     fn partial_reinflation_returns_only_a_fraction_of_the_room() {
         let mut c = controller();
-        c.try_admit(vm(1, 16.0, 16_384.0)).unwrap();
+        let mut log = Vec::new();
+        c.try_admit(vm(1, 16.0, 16_384.0), &mut log).unwrap();
         // Deflate to half, then hand back only a quarter of the free room.
         let d1 = c.server_mut().domain_mut(VmId(1)).unwrap();
         let half = d1.spec.max_allocation * 0.5;
         d1.deflate_to(half);
-        assert!(c.reinflate_if_fits(0.25));
+        assert!(c.reinflate_if_fits(0.25, &mut log));
         let cpu = c
             .server()
             .domain(VmId(1))
@@ -433,7 +448,7 @@ mod tests {
         // Free room was 8000 millicores; a quarter of it is 2000.
         assert!((cpu - 10_000.0).abs() < 1e-6, "cpu after partial: {cpu}");
         // A full pass finishes the job.
-        c.reinflate();
+        c.reinflate(&mut log);
         assert_eq!(
             c.server().domain(VmId(1)).unwrap().effective_allocation(),
             c.server().domain(VmId(1)).unwrap().spec.max_allocation
@@ -443,18 +458,19 @@ mod tests {
     #[test]
     fn reinflation_waits_while_over_capacity() {
         let mut c = controller();
-        c.try_admit(vm(1, 10.0, 16_384.0)).unwrap();
-        c.try_admit(vm(2, 6.0, 8_192.0)).unwrap();
+        let mut log = Vec::new();
+        c.try_admit(vm(1, 10.0, 16_384.0), &mut log).unwrap();
+        c.try_admit(vm(2, 6.0, 8_192.0), &mut log).unwrap();
         let full = c.server().capacity;
         c.server_mut().set_capacity(full * 0.5);
-        assert!(c.deflate_into_capacity().is_zero());
+        assert!(c.deflate_into_capacity(&mut log).is_zero());
         let deflated = allocations(&c);
         // Over capacity (as with transfers still in flight): nothing moves.
         c.server_mut().set_capacity(full * 0.25);
-        assert!(!c.reinflate_if_fits(1.0));
+        assert!(!c.reinflate_if_fits(1.0, &mut log));
         assert_eq!(allocations(&c), deflated);
         c.server_mut().set_capacity(full);
-        assert!(c.reinflate_if_fits(1.0));
+        assert!(c.reinflate_if_fits(1.0, &mut log));
         for d in c.server().domains() {
             assert_eq!(d.effective_allocation(), d.spec.max_allocation);
         }
@@ -463,7 +479,8 @@ mod tests {
     #[test]
     fn departure_of_unknown_vm_errors() {
         let mut c = controller();
-        assert!(c.on_departure(VmId(42)).is_err());
+        let mut log = Vec::new();
+        assert!(c.on_departure(VmId(42), &mut log).is_err());
     }
 
     #[test]

@@ -112,11 +112,20 @@ impl CacheRegrowthModel {
     }
 }
 
+/// The [`Domain::slot`] of a domain no cluster has given a slot.
+pub const NO_SLOT: u32 = u32::MAX;
+
 /// A simulated VM under hypervisor control.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Domain {
     /// Static VM specification.
     pub spec: VmSpec,
+    /// The VM's dense index in the cluster that hosts it, [`NO_SLOT`]
+    /// until the cluster sets it. Every copy of a VM (a migration's
+    /// source and destination) carries the same slot. Host-side
+    /// bookkeeping: not part of the snapshot, which the cluster rebuilds
+    /// it from.
+    pub slot: u32,
     /// Simulated guest OS (hotplug state, RSS, caches).
     pub guest: GuestOs,
     /// Simulated cgroup controllers (multiplexing state).
@@ -156,6 +165,7 @@ impl Domain {
         let cgroups = CgroupSet::new(spec.max_allocation);
         Domain {
             spec,
+            slot: NO_SLOT,
             guest,
             cgroups,
             mechanism,
@@ -304,6 +314,7 @@ impl Domain {
         let cache_advance_secs = r.get_f64()?;
         Ok(Domain {
             spec,
+            slot: NO_SLOT,
             guest,
             cgroups,
             mechanism,
@@ -322,6 +333,17 @@ impl Domain {
             self.effective(ResourceKind::DiskBw),
             self.effective(ResourceKind::NetBw),
         )
+    }
+
+    /// The effective CPU allocation as a fraction of the maximum (1.0 for
+    /// a domain without a CPU maximum): what a VM's usage summary records.
+    pub fn cpu_fraction(&self) -> f64 {
+        let max = self.spec.max_allocation[ResourceKind::Cpu];
+        if max <= 0.0 {
+            1.0
+        } else {
+            self.effective(ResourceKind::Cpu) / max
+        }
     }
 
     /// One component of [`effective_allocation`](Self::effective_allocation).
@@ -372,6 +394,17 @@ impl Domain {
     pub fn deflate_to(&mut self, target: ResourceVector) -> [DeflationOutcome; 4] {
         let clamped = target.clamp(&ResourceVector::ZERO, &self.spec.max_allocation);
         ResourceKind::ALL.map(|kind| self.deflate_resource(kind, clamped[kind]))
+    }
+
+    /// [`deflate_to`](Self::deflate_to) for a caller that tracks
+    /// allocation changes: the domain's [`slot`](Self::slot) is appended
+    /// to `changed` when its effective CPU allocation moved.
+    pub fn retarget(&mut self, target: ResourceVector, changed: &mut Vec<u32>) {
+        let before = self.effective(ResourceKind::Cpu);
+        self.deflate_to(target);
+        if self.effective(ResourceKind::Cpu) != before {
+            changed.push(self.slot);
+        }
     }
 
     fn deflate_resource(&mut self, kind: ResourceKind, target: f64) -> DeflationOutcome {

@@ -161,7 +161,7 @@ impl SimServer {
         &mut self,
         spec: VmSpec,
         mechanism: DeflationMechanism,
-    ) -> Result<&Domain> {
+    ) -> Result<&mut Domain> {
         spec.validate()?;
         let free = self.free();
         self.launch(spec, mechanism, free)
@@ -175,15 +175,15 @@ impl SimServer {
         spec: VmSpec,
         mechanism: DeflationMechanism,
         free: ResourceVector,
-    ) -> Result<&Domain> {
+    ) -> Result<&mut Domain> {
         self.check_new_id(spec.id)?;
         if !spec.max_allocation.fits_within(&free) {
             return Err(DeflateError::PlacementFailed { vm: spec.id });
         }
-        let id = spec.id;
-        self.domains
-            .insert(id, Domain::launch_with(spec, mechanism));
-        Ok(&self.domains[&id])
+        Ok(self
+            .domains
+            .entry(spec.id)
+            .or_insert(Domain::launch_with(spec, mechanism)))
     }
 
     /// Launch a new domain directly in a deflated state (§5.1.1 allows
@@ -194,7 +194,7 @@ impl SimServer {
         spec: VmSpec,
         mechanism: DeflationMechanism,
         initial_target: ResourceVector,
-    ) -> Result<&Domain> {
+    ) -> Result<&mut Domain> {
         spec.validate()?;
         let free = self.free();
         self.launch_deflated(spec, mechanism, initial_target, free)
@@ -209,7 +209,7 @@ impl SimServer {
         mechanism: DeflationMechanism,
         initial_target: ResourceVector,
         free: ResourceVector,
-    ) -> Result<&Domain> {
+    ) -> Result<&mut Domain> {
         self.check_new_id(spec.id)?;
         let mut target = initial_target.clamp(&spec.min_allocation, &spec.max_allocation);
         if !target.fits_within(&free) {
@@ -238,8 +238,7 @@ impl SimServer {
         if !fits {
             return Err(DeflateError::PlacementFailed { vm: id });
         }
-        self.domains.insert(id, domain);
-        Ok(&self.domains[&id])
+        Ok(self.domains.entry(id).or_insert(domain))
     }
 
     /// Refuse an id that already has a domain here.
@@ -270,9 +269,15 @@ impl SimServer {
     /// Apply new allocation targets to a set of domains, in slice order
     /// (typically the targets of a
     /// [`VectorPlan`](deflate_core::policy::VectorPlan) computed by a
-    /// deflation policy). An unknown VM id stops the walk with an error;
-    /// known domains are updated through their configured mechanism.
-    pub fn apply_targets(&mut self, targets: &[(VmId, ResourceVector)]) -> Result<()> {
+    /// deflation policy), appending to `changed` the slot of every domain
+    /// whose effective CPU allocation moved. An unknown VM id stops the
+    /// walk with an error; known domains are updated through their
+    /// configured mechanism.
+    pub fn apply_targets(
+        &mut self,
+        targets: &[(VmId, ResourceVector)],
+        changed: &mut Vec<u32>,
+    ) -> Result<()> {
         // A plan over this server's domains lists them in map (id) order,
         // so one merged walk of the map finds every target. The first
         // target out of that order hands the rest to per-id lookups.
@@ -280,23 +285,25 @@ impl SimServer {
         for (applied, &(id, target)) in targets.iter().enumerate() {
             while domains.next_if(|(resident, _)| **resident < id).is_some() {}
             match domains.next_if(|(resident, _)| **resident == id) {
-                Some((_, domain)) => {
-                    domain.deflate_to(target);
-                }
-                None => return self.apply_targets_by_id(&targets[applied..]),
+                Some((_, domain)) => domain.retarget(target, changed),
+                None => return self.apply_targets_by_id(&targets[applied..], changed),
             }
         }
         Ok(())
     }
 
     /// [`apply_targets`](Self::apply_targets) by one map lookup per target.
-    fn apply_targets_by_id(&mut self, targets: &[(VmId, ResourceVector)]) -> Result<()> {
+    fn apply_targets_by_id(
+        &mut self,
+        targets: &[(VmId, ResourceVector)],
+        changed: &mut Vec<u32>,
+    ) -> Result<()> {
         for &(id, target) in targets {
             let domain = self
                 .domains
                 .get_mut(&id)
                 .ok_or(DeflateError::UnknownVm(id))?;
-            domain.deflate_to(target);
+            domain.retarget(target, changed);
         }
         Ok(())
     }
@@ -431,8 +438,11 @@ mod tests {
         )
         .unwrap();
         // Deflate the resident VM, then admit another one deflated.
-        s.apply_targets(&[(VmId(1), ResourceVector::cpu_mem(4000.0, 8192.0))])
-            .unwrap();
+        s.apply_targets(
+            &[(VmId(1), ResourceVector::cpu_mem(4000.0, 8192.0))],
+            &mut Vec::new(),
+        )
+        .unwrap();
         s.create_domain_deflated(
             VmSpec::deflatable(
                 VmId(2),
@@ -455,10 +465,13 @@ mod tests {
             .unwrap();
         let before = s.domain(VmId(1)).unwrap().effective_allocation();
         assert!(matches!(
-            s.apply_targets(&[
-                (VmId(99), ResourceVector::ZERO),
-                (VmId(1), ResourceVector::ZERO)
-            ]),
+            s.apply_targets(
+                &[
+                    (VmId(99), ResourceVector::ZERO),
+                    (VmId(1), ResourceVector::ZERO)
+                ],
+                &mut Vec::new()
+            ),
             Err(DeflateError::UnknownVm(VmId(99)))
         ));
         // The walk stops at the unknown id: later targets are not applied.
@@ -467,39 +480,55 @@ mod tests {
 
     /// The merged walk and the per-id fallback apply the same targets:
     /// in map order with gaps, out of order, and with a repeated id (the
-    /// last target wins, as in slice order).
+    /// last target wins, as in slice order). Both log the slot of every
+    /// domain whose CPU allocation moved, once per move.
     #[test]
     fn apply_targets_in_any_order() {
         let mut s = SimServer::new(ServerId(1), capacity());
         for id in 1..=5 {
             s.create_domain(spec(id, 4.0, 8192.0), DeflationMechanism::Transparent)
-                .unwrap();
+                .unwrap()
+                .slot = 10 + id as u32;
         }
         let to = |cores: f64| ResourceVector::new(cores * 1000.0, 4096.0, 50.0, 250.0);
         let cpu = |s: &SimServer, id: u64| s.domain(VmId(id)).unwrap().effective_allocation().cpu();
-        s.apply_targets(&[(VmId(2), to(1.0)), (VmId(4), to(2.0))])
+        let mut changed = Vec::new();
+        s.apply_targets(&[(VmId(2), to(1.0)), (VmId(4), to(2.0))], &mut changed)
             .unwrap();
         assert_eq!(
             (cpu(&s, 2), cpu(&s, 4), cpu(&s, 3)),
             (1000.0, 2000.0, 4000.0)
         );
-        s.apply_targets(&[
-            (VmId(5), to(3.0)),
-            (VmId(1), to(1.5)),
-            (VmId(5), to(2.5)),
-            (VmId(3), to(0.5)),
-        ])
+        assert_eq!(changed, [12, 14]);
+        changed.clear();
+        s.apply_targets(
+            &[
+                (VmId(5), to(3.0)),
+                (VmId(1), to(1.5)),
+                (VmId(4), to(2.0)),
+                (VmId(5), to(2.5)),
+                (VmId(3), to(0.5)),
+            ],
+            &mut changed,
+        )
         .unwrap();
         assert_eq!(
             (cpu(&s, 1), cpu(&s, 3), cpu(&s, 5)),
             (1500.0, 500.0, 2500.0)
         );
+        // VM 4's target is its current allocation: no change, no entry.
+        assert_eq!(changed, [15, 11, 15, 13]);
         // An unknown id after a positional match still stops the walk.
+        changed.clear();
         assert!(matches!(
-            s.apply_targets(&[(VmId(1), to(1.0)), (VmId(9), to(1.0)), (VmId(2), to(3.0))]),
+            s.apply_targets(
+                &[(VmId(1), to(1.0)), (VmId(9), to(1.0)), (VmId(2), to(3.0))],
+                &mut changed
+            ),
             Err(DeflateError::UnknownVm(VmId(9)))
         ));
         assert_eq!((cpu(&s, 1), cpu(&s, 2)), (1000.0, 1000.0));
+        assert_eq!(changed, [11]);
     }
 
     #[test]

@@ -44,18 +44,7 @@ impl ChromeEvent {
         } else {
             b",\n{\"name\":"
         })?;
-        if self
-            .name
-            .bytes()
-            .all(|b| b >= 0x20 && b != b'"' && b != b'\\')
-        {
-            // Phase names are plain identifiers: quote without allocating.
-            out.write_all(b"\"")?;
-            out.write_all(self.name.as_bytes())?;
-            out.write_all(b"\"")?;
-        } else {
-            out.write_all(json::quote(self.name).as_bytes())?;
-        }
+        write_json_str(out, self.name)?;
         out.write_all(b",\"ph\":\"")?;
         out.write_all(&[self.ph])?;
         out.write_all(b"\",\"ts\":")?;
@@ -71,6 +60,19 @@ const CLOSE: &[u8] = b"\n]\n";
 
 /// Buffer size of a file-backed trace's writer.
 const FILE_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Write `s` as a JSON string literal, byte for byte what `json::quote`
+/// returns. Names here are plain identifiers, quoted without allocating;
+/// only a string that needs escaping goes through `json::quote`.
+pub(crate) fn write_json_str<W: Write>(out: &mut W, s: &str) -> io::Result<()> {
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.write_all(b"\"")?;
+        out.write_all(s.as_bytes())?;
+        out.write_all(b"\"")
+    } else {
+        out.write_all(json::quote(s).as_bytes())
+    }
+}
 
 /// `v` in decimal, formatted into the tail of `buf`.
 fn format_u64(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {

@@ -4,17 +4,20 @@
 //! from [`TelemetryEventKind::name`]), simulation time `t` in seconds,
 //! and a handful of kind-specific fields (`server`, `vm`, `app`,
 //! `fraction`, …). The sink applies the spec's kind filter and sampling
-//! rate *before* encoding, so a disabled kind costs one branch.
+//! rate *before* encoding, so a disabled kind costs one branch. A
+//! file-backed log writes each line straight into its buffered writer,
+//! allocating nothing per line.
 //!
 //! [`parse_event_line`] is the matching deserializer (over the stub
 //! `serde::json` parser) used by the well-formedness tests to round-trip
 //! every emitted line.
 
+use crate::chrome::write_json_str;
 use deflate_core::telemetry::{TelemetryEventKind, TelemetryEventSet};
 use serde::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// A field value on a JSONL trace line.
@@ -35,30 +38,41 @@ pub fn encode_event(
     time: f64,
     fields: &[(&str, EventField<'_>)],
 ) -> String {
-    let mut out = String::with_capacity(64 + fields.len() * 16);
-    out.push_str("{\"t\":");
-    push_f64(&mut out, time);
-    out.push_str(",\"kind\":");
-    out.push_str(&json::quote(kind.name()));
-    for (name, value) in fields {
-        out.push(',');
-        out.push_str(&json::quote(name));
-        out.push(':');
-        match value {
-            EventField::U64(v) => out.push_str(&v.to_string()),
-            EventField::F64(v) => push_f64(&mut out, *v),
-            EventField::Str(s) => out.push_str(&json::quote(s)),
-        }
-    }
-    out.push('}');
-    out
+    let mut out = Vec::with_capacity(64 + fields.len() * 16);
+    write_event(&mut out, kind, time, fields).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("a trace line is UTF-8")
 }
 
-fn push_f64(out: &mut String, v: f64) {
+/// [`encode_event`] written straight into `out`: the one serialiser
+/// behind both the file and the memory log.
+fn write_event<W: Write>(
+    out: &mut W,
+    kind: TelemetryEventKind,
+    time: f64,
+    fields: &[(&str, EventField<'_>)],
+) -> io::Result<()> {
+    out.write_all(b"{\"t\":")?;
+    write_f64(out, time)?;
+    out.write_all(b",\"kind\":")?;
+    write_json_str(out, kind.name())?;
+    for (name, value) in fields {
+        out.write_all(b",")?;
+        write_json_str(out, name)?;
+        out.write_all(b":")?;
+        match *value {
+            EventField::U64(v) => write!(out, "{v}")?,
+            EventField::F64(v) => write_f64(out, v)?,
+            EventField::Str(s) => write_json_str(out, s)?,
+        }
+    }
+    out.write_all(b"}")
+}
+
+fn write_f64<W: Write>(out: &mut W, v: f64) -> io::Result<()> {
     if v.is_finite() {
-        out.push_str(&v.to_string());
+        write!(out, "{v}")
     } else {
-        out.push_str("null");
+        out.write_all(b"null")
     }
 }
 
@@ -155,7 +169,7 @@ impl EventLog {
     }
 
     /// Count a matching event and, if it lands on the sampling grid,
-    /// encode and record it.
+    /// encode and record it (a file log without allocating).
     pub(crate) fn record(
         &mut self,
         kind: TelemetryEventKind,
@@ -166,15 +180,14 @@ impl EventLog {
         if !(self.seen - 1).is_multiple_of(self.sample_every) {
             return Ok(());
         }
-        let line = encode_event(kind, time, fields);
         self.written += 1;
         match &mut self.writer {
             EventWriter::Memory(lines) => {
-                lines.push(line);
+                lines.push(encode_event(kind, time, fields));
                 Ok(())
             }
             EventWriter::File(w) => {
-                w.write_all(line.as_bytes())?;
+                write_event(w, kind, time, fields)?;
                 w.write_all(b"\n")
             }
         }
@@ -263,6 +276,76 @@ mod tests {
         let lines = log.lines().unwrap();
         assert_eq!(lines.len(), 3);
         assert_eq!(parse_event_line(&lines[1]).unwrap().time, 2.0);
+    }
+
+    /// The encoder before lines were written straight into the sink's
+    /// writer, kept as the reference the writer must match byte for byte.
+    fn reference_encode(
+        kind: TelemetryEventKind,
+        time: f64,
+        fields: &[(&str, EventField<'_>)],
+    ) -> String {
+        fn push_f64(out: &mut String, v: f64) {
+            if v.is_finite() {
+                out.push_str(&v.to_string());
+            } else {
+                out.push_str("null");
+            }
+        }
+        let mut out = String::new();
+        out.push_str("{\"t\":");
+        push_f64(&mut out, time);
+        out.push_str(",\"kind\":");
+        out.push_str(&json::quote(kind.name()));
+        for (name, value) in fields {
+            out.push(',');
+            out.push_str(&json::quote(name));
+            out.push(':');
+            match value {
+                EventField::U64(v) => out.push_str(&v.to_string()),
+                EventField::F64(v) => push_f64(&mut out, *v),
+                EventField::Str(s) => out.push_str(&json::quote(s)),
+            }
+        }
+        out.push('}');
+        out
+    }
+
+    #[test]
+    fn writer_matches_the_reference_encoder_byte_for_byte() {
+        let fields: [(&str, EventField<'_>); 10] = [
+            ("vm", EventField::U64(u64::MAX)),
+            ("zero", EventField::U64(0)),
+            ("fraction", EventField::F64(0.1 + 0.2)),
+            ("tiny", EventField::F64(-1e-300)),
+            ("nan", EventField::F64(f64::NAN)),
+            ("inf", EventField::F64(f64::INFINITY)),
+            ("neg_inf", EventField::F64(f64::NEG_INFINITY)),
+            ("outcome", EventField::Str("placed_with_deflation")),
+            ("quote\"back\\slash\n", EventField::Str("tab\t\u{1}é")),
+            ("", EventField::Str("")),
+        ];
+        let path =
+            std::env::temp_dir().join(format!("deflate-events-bytes-{}.jsonl", std::process::id()));
+        let mut file = EventLog::to_file(&path, TelemetryEventSet::all(), 1).unwrap();
+        let mut expected = String::new();
+        for kind in TelemetryEventKind::ALL {
+            for (time, n) in [0.0, 1800.5, f64::NAN, f64::NEG_INFINITY]
+                .into_iter()
+                .flat_map(|t| (0..=fields.len()).map(move |n| (t, n)))
+            {
+                let fields = &fields[..n];
+                let line = reference_encode(kind, time, fields);
+                assert_eq!(encode_event(kind, time, fields), line);
+                file.record(kind, time, fields).unwrap();
+                expected.push_str(&line);
+                expected.push('\n');
+            }
+        }
+        file.flush().unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(written, expected);
     }
 
     #[test]

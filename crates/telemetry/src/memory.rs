@@ -7,8 +7,8 @@
 //! resident structs), the engine folds them into one ledger per sample,
 //! and the ledger publishes `mem.<subsystem>` gauges into the metrics
 //! registry. `fig_memory` prints the resulting breakdown against the
-//! kernel's VmRSS/VmHWM numbers — the measured before-picture for the
-//! streaming-engine work (ROADMAP item 1).
+//! kernel's VmRSS/VmHWM numbers, so a change to any subsystem's
+//! footprint shows up in its own row.
 //!
 //! Accounted bytes are an *estimate with a contract*: deterministic
 //! (identical across runs and hosts — no pointers, no allocator

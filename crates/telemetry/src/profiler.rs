@@ -36,9 +36,8 @@ pub enum Phase {
     EventPop,
     /// Arrival bookkeeping around placement (record updates, routing).
     Arrival,
-    /// Ranking candidate servers for one placement decision — the
-    /// ROADMAP item 1 bottleneck, attributed separately from
-    /// [`Phase::Arrival`].
+    /// Ranking candidate servers for one placement decision (the max-tree
+    /// descent), attributed separately from [`Phase::Arrival`].
     PlacementRank,
     /// Re-scoring servers whose state changed since the last placement
     /// — the incremental score index's maintenance cost, nested inside

@@ -25,6 +25,9 @@ fn main() {
     );
     let policy = Arc::new(ProportionalDeflation::default());
     let mut controller = LocalController::new(server, policy, DeflationMechanism::Hybrid);
+    // The controller logs which residents' CPU allocation moved; a
+    // cluster manager folds that log, this walkthrough compares by hand.
+    let mut changed = Vec::new();
 
     // Two deflatable web VMs fill most of the server.
     for (id, cores, mem_gib) in [(1u64, 16.0, 24.0), (2, 12.0, 24.0)] {
@@ -34,7 +37,9 @@ fn main() {
             ResourceVector::new(cores * 1000.0, mem_gib * 1024.0, 500.0, 2_000.0),
         )
         .with_priority(Priority::new(0.4));
-        let outcome = controller.try_admit(spec).expect("valid spec");
+        let outcome = controller
+            .try_admit(spec, &mut changed)
+            .expect("valid spec");
         println!("vm-{id}: admitted -> {outcome:?}");
     }
 
@@ -49,7 +54,9 @@ fn main() {
         VmClass::Unknown,
         ResourceVector::new(12_000.0, 24_576.0, 500.0, 2_000.0),
     );
-    let outcome = controller.try_admit(on_demand).expect("valid spec");
+    let outcome = controller
+        .try_admit(on_demand, &mut changed)
+        .expect("valid spec");
     println!("vm-3 (on-demand): admitted -> {outcome:?}");
 
     println!("\nAllocation changes (what the load balancer would react to):");
@@ -75,7 +82,9 @@ fn main() {
     }
 
     // The on-demand VM departs; the deflated VMs get their resources back.
-    controller.on_departure(VmId(3)).expect("vm-3 is resident");
+    controller
+        .on_departure(VmId(3), &mut changed)
+        .expect("vm-3 is resident");
     println!("\nAfter vm-3 departs (reinflation):");
     for domain in controller.server().domains() {
         println!(

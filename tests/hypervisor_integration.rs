@@ -41,7 +41,7 @@ fn admission_under_pressure_respects_capacity_for_every_policy_and_mechanism() {
             // Fill the server and then push three more VMs into it.
             for i in 0..7 {
                 let outcome = controller
-                    .try_admit(web_vm(i, 8.0, 0.2 + 0.1 * i as f64))
+                    .try_admit(web_vm(i, 8.0, 0.2 + 0.1 * i as f64), &mut Vec::new())
                     .unwrap();
                 assert!(
                     !matches!(outcome, AdmissionOutcome::Rejected { .. }),
@@ -68,15 +68,21 @@ fn admission_under_pressure_respects_capacity_for_every_policy_and_mechanism() {
 fn hybrid_mechanism_uses_hotplug_and_multiplexing_together() {
     let policy = Arc::new(ProportionalDeflation::default());
     let mut controller = LocalController::new(server(), policy, DeflationMechanism::Hybrid);
-    controller.try_admit(web_vm(1, 16.0, 0.5)).unwrap();
-    controller.try_admit(web_vm(2, 16.0, 0.5)).unwrap();
+    controller
+        .try_admit(web_vm(1, 16.0, 0.5), &mut Vec::new())
+        .unwrap();
+    controller
+        .try_admit(web_vm(2, 16.0, 0.5), &mut Vec::new())
+        .unwrap();
     // Report realistic guest usage so the hotplug thresholds are meaningful.
     for domain in controller.server_mut().domains_mut() {
         let usage = domain.spec.max_allocation * 0.3;
         domain.report_guest_usage(usage, 2048.0);
     }
     // A third VM forces both residents to shrink by half.
-    controller.try_admit(web_vm(3, 16.0, 0.5)).unwrap();
+    controller
+        .try_admit(web_vm(3, 16.0, 0.5), &mut Vec::new())
+        .unwrap();
     for id in [1u64, 2] {
         let domain = controller.server().domain(VmId(id)).unwrap();
         let eff = domain.effective_allocation();
@@ -97,7 +103,7 @@ fn departure_reinflation_grows_survivors_and_completes() {
     let mut controller = LocalController::new(server(), policy, DeflationMechanism::Transparent);
     for i in 0..6 {
         controller
-            .try_admit(web_vm(i, 8.0, 0.3 + 0.1 * i as f64))
+            .try_admit(web_vm(i, 8.0, 0.3 + 0.1 * i as f64), &mut Vec::new())
             .unwrap();
     }
     let before: Vec<(VmId, ResourceVector)> = controller
@@ -106,9 +112,9 @@ fn departure_reinflation_grows_survivors_and_completes() {
         .map(|d| (d.spec.id, d.effective_allocation()))
         .collect();
     // Remove half the VMs one by one; survivors must end fully reinflated.
-    controller.on_departure(VmId(0)).unwrap();
-    controller.on_departure(VmId(2)).unwrap();
-    controller.on_departure(VmId(4)).unwrap();
+    controller.on_departure(VmId(0), &mut Vec::new()).unwrap();
+    controller.on_departure(VmId(2), &mut Vec::new()).unwrap();
+    controller.on_departure(VmId(4), &mut Vec::new()).unwrap();
     assert!(
         before.iter().any(|&(id, old)| controller
             .server()
@@ -145,15 +151,18 @@ fn vector_planner_matches_controller_behaviour() {
     assert!(plan.satisfied());
     let targets = plan.targets.clone();
     drop(domains);
-    manual.apply_targets(&targets).unwrap();
+    manual.apply_targets(&targets, &mut Vec::new()).unwrap();
     assert!(demand.fits_within(&manual.free()));
 
     let mut auto =
         LocalController::new(server(), Arc::new(policy), DeflationMechanism::Transparent);
-    auto.try_admit(web_vm(1, 12.0, 0.5)).unwrap();
-    auto.try_admit(web_vm(2, 12.0, 0.5)).unwrap();
+    auto.try_admit(web_vm(1, 12.0, 0.5), &mut Vec::new())
+        .unwrap();
+    auto.try_admit(web_vm(2, 12.0, 0.5), &mut Vec::new())
+        .unwrap();
     auto.try_admit(
         VmSpec::deflatable(VmId(3), VmClass::Interactive, demand).with_priority(Priority::new(0.5)),
+        &mut Vec::new(),
     )
     .unwrap();
     for id in [1u64, 2] {

@@ -88,8 +88,9 @@ fn packed_controller(
     mechanism: DeflationMechanism,
 ) -> LocalController {
     let mut c = LocalController::new(SimServer::new(ServerId(0), capacity()), policy, mechanism);
+    let mut changed = Vec::new();
     for id in 0..RESIDENTS {
-        let out = c.try_admit(vm(id));
+        let out = c.try_admit(vm(id), &mut changed);
         assert!(
             matches!(
                 out,
@@ -106,29 +107,36 @@ fn packed_controller(
 }
 
 /// One reclaim, restore and rejected-admission round: the operations
-/// under test, each returning what it changed.
-fn cycle(c: &mut LocalController) -> [u64; 4] {
+/// under test, each returning what it changed. They log the residents
+/// whose allocation moved into `changed`, which the caller keeps warm.
+fn cycle(c: &mut LocalController, changed: &mut Vec<u32>) -> [u64; 4] {
     let used = |c: &LocalController| c.server().effective_used();
 
     c.server_mut().set_capacity(capacity() * 0.75);
     let before = used(c);
-    let (reclaim, _) = allocations_of(|| c.deflate_into_capacity());
+    changed.clear();
+    let (reclaim, _) = allocations_of(|| c.deflate_into_capacity(changed));
     assert!(used(c).total() < before.total(), "the reclaim deflated");
+    assert!(!changed.is_empty(), "the reclaim logged its changes");
 
     c.server_mut().set_capacity(capacity());
     let before = used(c);
-    let (restore, _) = allocations_of(|| c.reinflate());
+    changed.clear();
+    let (restore, _) = allocations_of(|| c.reinflate(changed));
     assert!(used(c).total() > before.total(), "the restore reinflated");
 
     // A VM larger than any headroom: planned, rejected, nothing applied.
     let huge = VmSpec::on_demand(VmId(1_000), VmClass::Unknown, capacity() * 4.0);
-    let (rejected, out) = allocations_of(|| c.try_admit(huge).unwrap());
+    changed.clear();
+    let (rejected, out) = allocations_of(|| c.try_admit(huge, changed).unwrap());
     assert!(matches!(out, AdmissionOutcome::Rejected { .. }), "{out:?}");
+    assert!(changed.is_empty(), "a rejected admission changes nobody");
 
     // The deflation half of an admission under pressure: plan and apply.
     let before = used(c);
     let needed = ResourceVector::new(3_000.0, 6_144.0, 200.0, 1_000.0);
-    let (make_room, plan) = allocations_of(|| c.make_room(needed).unwrap());
+    changed.clear();
+    let (make_room, plan) = allocations_of(|| c.make_room(needed, changed).unwrap());
     assert!(plan.satisfied(), "{plan:?}");
     assert!(used(c).total() < before.total(), "the admission deflated");
     [reclaim, restore, rejected, make_room]
@@ -149,9 +157,11 @@ fn warm_controller_plans_and_applies_without_allocating() {
     for policy in &policies {
         for mechanism in mechanisms {
             let mut c = packed_controller(policy.clone(), mechanism);
+            // One entry per resident at most between clears.
+            let mut changed = Vec::with_capacity(RESIDENTS as usize);
             // Warm-up: the shared planner grows to this server's size.
-            cycle(&mut c);
-            let counts = cycle(&mut c);
+            cycle(&mut c, &mut changed);
+            let counts = cycle(&mut c, &mut changed);
             assert_eq!(
                 counts,
                 [0; 4],
