@@ -5,5 +5,4 @@ fn main() {
     deflate_bench::ablation::placement_ablation(scale).print();
     deflate_bench::ablation::partition_ablation(scale).print();
     deflate_bench::ablation::mechanism_ablation().print();
-    deflate_bench::report::append_process_footer_json("ablations");
 }

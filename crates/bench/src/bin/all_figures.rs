@@ -4,5 +4,4 @@
 use deflate_bench::Scale;
 fn main() {
     deflate_bench::print_all(Scale::from_env_and_args());
-    deflate_bench::report::append_process_footer_json("all_figures");
 }

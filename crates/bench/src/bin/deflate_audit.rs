@@ -27,7 +27,6 @@ fn main() {
         }
     }
     let failures: Vec<String> = cases.iter().flat_map(|c| c.failures()).collect();
-    deflate_bench::report::append_process_footer_json("deflate_audit");
     if !failures.is_empty() {
         eprintln!("AUDIT FAILURE: {}", failures.join("; "));
         std::process::exit(1);

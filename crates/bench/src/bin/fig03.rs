@@ -1,5 +1,4 @@
 //! Reproduce Figure 3: application performance under uniform deflation.
 fn main() {
     deflate_bench::apps_exp::fig03().print();
-    deflate_bench::report::append_process_footer_json("fig03");
 }

@@ -2,5 +2,4 @@
 //! memory deflation.
 fn main() {
     deflate_bench::apps_exp::fig14().print();
-    deflate_bench::report::append_process_footer_json("fig14");
 }

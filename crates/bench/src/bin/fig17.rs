@@ -2,5 +2,4 @@
 use deflate_bench::Scale;
 fn main() {
     deflate_bench::web::fig17(Scale::from_env_and_args()).print();
-    deflate_bench::report::append_process_footer_json("fig17");
 }

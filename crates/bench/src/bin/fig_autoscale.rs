@@ -5,5 +5,4 @@
 use deflate_bench::Scale;
 fn main() {
     deflate_bench::autoscale_exp::fig_autoscale_table(Scale::from_env_and_args()).print();
-    deflate_bench::report::append_process_footer_json("fig_autoscale");
 }

@@ -29,7 +29,6 @@ fn main() {
         memory_table(run).print();
         failures.extend(run.failures());
     }
-    deflate_bench::report::append_process_footer_json("fig_memory");
     if !failures.is_empty() {
         eprintln!("MEMORY FAILURE: {}", failures.join("; "));
         std::process::exit(1);

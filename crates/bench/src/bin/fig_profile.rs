@@ -12,7 +12,9 @@
 //! the 40 % ceiling (the incremental-placement regression gate), and the
 //! written trace must validate (parseable JSON array, matched begin/end
 //! pairs), and the process's peak RSS (`VmHWM`) must stay under
-//! `PROFILE_RSS_CEILING_MIB` (256 MiB; skipped where procfs is absent).
+//! `PROFILE_RSS_CEILING_MIB` (256 MiB) for quick runs and
+//! `PROFILE_RSS_CEILING_FULL_MIB` (1024 MiB) for full ones (skipped
+//! where procfs is absent).
 //! CI runs the quick profile as a smoke step and relies on this.
 use deflate_bench::profile_exp::{phase_table, profile_sweep, rss_ceiling_failure};
 use deflate_bench::Scale;
@@ -32,8 +34,10 @@ fn main() {
         println!("trace: {}", run.trace_path.display());
         failures.extend(run.failures());
     }
-    failures.extend(rss_ceiling_failure(deflate_telemetry::peak_rss_mib()));
-    deflate_bench::report::append_process_footer_json("fig_profile");
+    failures.extend(rss_ceiling_failure(
+        scale,
+        deflate_telemetry::peak_rss_mib(),
+    ));
     if !failures.is_empty() {
         eprintln!("PROFILE FAILURE: {}", failures.join("; "));
         std::process::exit(1);

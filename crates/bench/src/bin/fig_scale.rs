@@ -16,5 +16,4 @@ fn main() {
         _ => scale_sweep(scale),
     };
     table_from_rows(&rows).print();
-    deflate_bench::report::append_process_footer_json("fig_scale");
 }

@@ -5,5 +5,4 @@
 use deflate_bench::Scale;
 fn main() {
     deflate_bench::transient_exp::scheduler_sweep_table(Scale::from_env_and_args()).print();
-    deflate_bench::report::append_process_footer_json("fig_scheduler");
 }

@@ -15,7 +15,6 @@ fn main() {
     let outcome = whatif_mpc(Scale::from_env_and_args());
     whatif_decision_table(&outcome).print();
     whatif_summary_table(&outcome).print();
-    deflate_bench::report::append_process_footer_json("fig_whatif");
     let fifo_static = &outcome.statics[0];
     if score(&outcome.mpc) > score(&fifo_static.1) {
         eprintln!(

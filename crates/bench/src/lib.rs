@@ -5,9 +5,7 @@
 //! Each `figNN` module function regenerates the data series behind the
 //! corresponding figure and returns it both as structured data and as a
 //! printable [`report::Table`]. The `src/bin/figNN.rs` binaries print the
-//! tables (`cargo run --release -p deflate-bench --bin fig20`), and the
-//! Criterion benches in `benches/` measure the cost of regenerating each
-//! figure at `Quick` scale.
+//! tables (`cargo run --release -p deflate-bench --bin fig20`).
 //!
 //! | Module | Figures |
 //! |---|---|

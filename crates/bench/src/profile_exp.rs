@@ -19,8 +19,9 @@
 //! [`PLACEMENT_SHARE_CEILING`] (the PR 7 incremental-index gate), and
 //! the written Chrome trace must validate (parseable JSON array, matched
 //! begin/end pairs). The binary also holds the process's peak RSS under
-//! [`PROFILE_RSS_CEILING_MIB`]: the trace streams to disk and is
-//! validated by streaming it back, so neither may buffer it.
+//! [`PROFILE_RSS_CEILING_MIB`] (quick) or
+//! [`PROFILE_RSS_CEILING_FULL_MIB`] (full): the trace streams to disk
+//! and is validated by streaming it back, so neither may buffer it.
 
 use crate::report::{secs, RuntimeTally, Table, TallyRunStats};
 use crate::scale::Scale;
@@ -43,21 +44,29 @@ pub const COVERAGE_FLOOR: f64 = 0.90;
 /// when it creeps back up.
 pub const PLACEMENT_SHARE_CEILING: f64 = 0.40;
 
-/// Ceiling on the profiling process's peak RSS (`VmHWM`), MiB. The
-/// Chrome trace streams to disk and is validated in one streaming pass,
-/// so a profile should cost about what the unprofiled engine does
+/// Ceiling on the quick profiling process's peak RSS (`VmHWM`), MiB.
+/// The Chrome trace streams to disk and is validated in one streaming
+/// pass, so a profile should cost about what the unprofiled engine does
 /// (76 MiB at the 100k quick row); buffering the trace and parsing it
 /// into a JSON tree peaked at 1617 MiB.
 pub const PROFILE_RSS_CEILING_MIB: f64 = 256.0;
 
-/// The reason a process peak of `peak_mib` breaks
-/// [`PROFILE_RSS_CEILING_MIB`], if it does. `None` peak (no procfs)
-/// skips the check.
-pub fn rss_ceiling_failure(peak_mib: Option<f64>) -> Option<String> {
+/// [`PROFILE_RSS_CEILING_MIB`] for the full sweep, whose 1M row needs
+/// 720–741 MiB for the engine alone. Its capped 4M-event trace is about
+/// 250 MiB of JSON, so buffering it would still cross this ceiling.
+pub const PROFILE_RSS_CEILING_FULL_MIB: f64 = 1024.0;
+
+/// The reason a process peak of `peak_mib` breaks the RSS ceiling of
+/// `scale`, if it does. `None` peak (no procfs) skips the check.
+pub fn rss_ceiling_failure(scale: Scale, peak_mib: Option<f64>) -> Option<String> {
     let peak = peak_mib?;
-    (peak > PROFILE_RSS_CEILING_MIB).then(|| {
+    let ceiling = match scale {
+        Scale::Quick => PROFILE_RSS_CEILING_MIB,
+        Scale::Full => PROFILE_RSS_CEILING_FULL_MIB,
+    };
+    (peak > ceiling).then(|| {
         format!(
-            "peak RSS {peak:.0} MiB above the {PROFILE_RSS_CEILING_MIB:.0} MiB ceiling \
+            "peak RSS {peak:.0} MiB above the {ceiling:.0} MiB ceiling \
              (the trace sink or its validator is buffering)"
         )
     })
@@ -314,11 +323,20 @@ mod tests {
 
     #[test]
     fn rss_ceiling_gate() {
-        assert_eq!(rss_ceiling_failure(None), None, "no procfs: skipped");
-        assert_eq!(rss_ceiling_failure(Some(76.0)), None);
-        assert_eq!(rss_ceiling_failure(Some(PROFILE_RSS_CEILING_MIB)), None);
-        let err = rss_ceiling_failure(Some(1617.0)).expect("over the ceiling");
+        let quick = Scale::Quick;
+        assert_eq!(rss_ceiling_failure(quick, None), None, "no procfs: skipped");
+        assert_eq!(rss_ceiling_failure(quick, Some(76.0)), None);
+        assert_eq!(
+            rss_ceiling_failure(quick, Some(PROFILE_RSS_CEILING_MIB)),
+            None
+        );
+        let err = rss_ceiling_failure(quick, Some(1617.0)).expect("over the ceiling");
         assert!(err.contains("1617 MiB"), "{err}");
+        // The 1M row's engine peak passes at full scale only.
+        assert!(rss_ceiling_failure(quick, Some(741.0)).is_some());
+        assert_eq!(rss_ceiling_failure(Scale::Full, Some(741.0)), None);
+        let err = rss_ceiling_failure(Scale::Full, Some(1617.0)).expect("over the ceiling");
+        assert!(err.contains("1024 MiB ceiling"), "{err}");
     }
 
     #[test]

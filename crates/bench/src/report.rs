@@ -115,7 +115,7 @@ impl Table {
 /// so every `fig_*` table and the telemetry sink format runtime
 /// identically. The [`TallyRunStats`] extension folds a `SimResult`'s
 /// [`RunStats`] in directly.
-pub use deflate_telemetry::{append_process_footer_json, secs, RuntimeTally};
+pub use deflate_telemetry::{secs, RuntimeTally};
 
 /// Bench-side sugar on the shared [`RuntimeTally`]: fold one run's
 /// [`RunStats`] into the tally (`deflate-telemetry` cannot name the

@@ -1,7 +1,7 @@
 //! Experiment scale presets.
 //!
 //! Every experiment can run at two scales: `Quick` (seconds, used by unit
-//! tests and Criterion iterations) and `Full` (the default for the
+//! tests and CI smoke steps) and `Full` (the default for the
 //! experiment binaries, sized like the paper's evaluation: a 10,000-VM
 //! trace for the cluster simulation, thousands of VMs for the feasibility
 //! analysis, minutes of simulated web traffic).
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// Experiment size preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Small inputs for fast iteration (tests, Criterion).
+    /// Small inputs for fast iteration (tests, CI smoke steps).
     Quick,
     /// Paper-sized inputs for the experiment binaries.
     Full,

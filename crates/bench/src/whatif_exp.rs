@@ -327,15 +327,6 @@ pub fn whatif_summary_table(outcome: &WhatifOutcome) -> Table {
     table
 }
 
-/// Run the experiment and render both tables (the `fig_whatif` binary).
-pub fn fig_whatif_tables(scale: Scale) -> (Table, Table) {
-    let outcome = whatif_mpc(scale);
-    (
-        whatif_decision_table(&outcome),
-        whatif_summary_table(&outcome),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -425,7 +425,6 @@ struct StagedTransfer {
 pub struct ClusterManager {
     controllers: Vec<LocalController>,
     placement: Box<dyn PlacementPolicy>,
-    partitions: PartitionScheme,
     mechanism: DeflationMechanism,
     base_capacity: ResourceVector,
     mode: ReclamationMode,
@@ -501,7 +500,6 @@ impl ClusterManager {
         ClusterManager {
             controllers,
             placement: config.placement.build(config.partitions),
-            partitions: config.partitions,
             mechanism: config.mechanism,
             base_capacity: config.server_capacity,
             mode,
@@ -986,12 +984,24 @@ impl ClusterManager {
     }
 
     fn place_with_preemption(&mut self, slot: u32, spec: &VmSpec) -> PlacementResult {
+        // The ranking reads only the maximum allocation, so an invalid spec
+        // would pass it and then fail `create_domain` after the victims
+        // died, on every server in turn.
+        if spec.validate().is_err() {
+            return PlacementResult::Rejected;
+        }
         let mut excluded: Vec<ServerId> = Vec::new();
         loop {
             let Some(decision) = self.rank_servers(spec, &excluded) else {
                 return PlacementResult::Rejected;
             };
             let idx = self.server_index(decision.server);
+            // The ranking admits a server only if the VM fits its free
+            // capacity plus what the deflatable residents hold above their
+            // minimums, which is never more than killing them all frees:
+            // residents that may not be killed cannot make the loop below
+            // kill for a server it then gives up.
+            debug_assert!(self.fits_after_preemption(idx, spec));
             // Victim teardown and the admission below both change the
             // server's view; mark once up front.
             self.mark_server_dirty(idx);
@@ -1046,6 +1056,21 @@ impl ClusterManager {
                 return PlacementResult::Rejected;
             }
         }
+    }
+
+    /// Whether `spec` fits on server `idx` once every deflatable resident
+    /// is preempted: the free capacity the victim loop of
+    /// [`place_with_preemption`](Self::place_with_preemption) ends at if it
+    /// kills them all.
+    fn fits_after_preemption(&self, idx: usize, spec: &VmSpec) -> bool {
+        let server = self.controllers[idx].server();
+        let kept: ResourceVector = server
+            .domains()
+            .filter(|d| !d.spec.deflatable)
+            .map(|d| d.effective_allocation())
+            .sum();
+        spec.max_allocation
+            .fits_within(&server.capacity.saturating_sub(&kept))
     }
 
     /// Place a VM only where its full allocation fits free capacity — no
@@ -1827,12 +1852,6 @@ impl ClusterManager {
         Ok(())
     }
 
-    /// The partition scheme in effect (used by experiment harnesses for
-    /// reporting).
-    pub fn partition_scheme(&self) -> PartitionScheme {
-        self.partitions
-    }
-
     /// Check every server's capacity invariant, allowing in-flight
     /// transfers' pending outbound allocations to transiently exceed a
     /// reclaimed source's capacity (used by tests and debug assertions).
@@ -2514,6 +2533,53 @@ mod tests {
             other => panic!("expected preemption, got {other:?}"),
         }
         assert!(cluster.counters().preempted_vms >= 1);
+        assert!(cluster.check_invariants());
+    }
+
+    #[test]
+    fn preemption_spares_residents_of_servers_it_cannot_use() {
+        let mut cluster = small_cluster(ReclamationMode::Preemption);
+        // Each server: a 10-core on-demand VM plus a 6-core deflatable one
+        // filling the rest. Fit alone forces one of each per server.
+        for i in 0..2 {
+            let od = VmSpec::on_demand(
+                VmId(i),
+                VmClass::Unknown,
+                ResourceVector::cpu_mem(10_000.0, 8_192.0),
+            );
+            assert!(cluster.place_vm(od).is_placed());
+        }
+        for i in 2..4 {
+            assert!(cluster.place_vm(vm(i, 6.0, 0.2)).is_placed());
+        }
+        // 8 cores fit nowhere, even with every deflatable resident killed.
+        let result = cluster.place_vm(vm(10, 8.0, 0.9));
+        assert_eq!(result, PlacementResult::Rejected);
+        for i in 0..4 {
+            assert!(
+                cluster.locate(VmId(i)).is_some(),
+                "VM {i} was killed for a placement that failed"
+            );
+        }
+        assert_eq!(cluster.counters().preempted_vms, 0);
+        assert!(cluster.check_invariants());
+    }
+
+    #[test]
+    fn preemption_kills_nobody_for_an_invalid_spec() {
+        let mut cluster = small_cluster(ReclamationMode::Preemption);
+        for i in 0..4 {
+            assert!(cluster.place_vm(vm(i, 8.0, 0.2)).is_placed());
+        }
+        let mut bad = vm(10, 8.0, 0.9);
+        bad.min_allocation = ResourceVector::cpu_mem(12_000.0, 8_192.0);
+        assert_eq!(cluster.place_vm(bad), PlacementResult::Rejected);
+        for i in 0..4 {
+            assert!(
+                cluster.locate(VmId(i)).is_some(),
+                "VM {i} was killed for a placement that failed"
+            );
+        }
         assert!(cluster.check_invariants());
     }
 

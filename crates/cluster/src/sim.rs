@@ -71,9 +71,6 @@ pub struct ClusterSimulation {
     elastic_apps: Vec<ElasticApp>,
     telemetry: TelemetrySink,
     audit: AuditSpec,
-    /// Memory-ledger sampling cadence, in utilisation ticks (1 = every
-    /// tick). Only consulted when telemetry is enabled.
-    memory_sample_every_ticks: u64,
 }
 
 /// The engine's complete working state between event boundaries: the
@@ -122,7 +119,6 @@ impl ClusterSimulation {
             elastic_apps: Vec::new(),
             telemetry: TelemetrySink::disabled(),
             audit: AuditSpec::off(),
-            memory_sample_every_ticks: 1,
         }
     }
 
@@ -136,21 +132,6 @@ impl ClusterSimulation {
     /// [`Auditor`] documentation.
     pub fn with_audit(mut self, spec: AuditSpec) -> Self {
         self.audit = spec;
-        self
-    }
-
-    /// The audit spec in effect (off unless configured).
-    pub fn audit_spec(&self) -> AuditSpec {
-        self.audit
-    }
-
-    /// Sample the per-subsystem memory ledger every `ticks` utilisation
-    /// ticks (default 1 = every tick; values below 1 are clamped). The
-    /// ledger also publishes once at the end of every telemetry-enabled
-    /// run, so runs without utilisation ticks still report final `mem.*`
-    /// gauges.
-    pub fn with_memory_sample_every(mut self, ticks: u64) -> Self {
-        self.memory_sample_every_ticks = ticks.max(1);
         self
     }
 
@@ -628,14 +609,12 @@ impl ClusterSimulation {
                             queue.push(t, event);
                         }
                     }
-                    // Memory-ledger sampling rides the utilisation-tick
-                    // cadence: per-subsystem byte gauges plus the live
-                    // VmRSS ground truth. Gauges only — skipped entirely
-                    // when telemetry is off, and never consulted by any
+                    // The memory ledger is sampled at every utilisation
+                    // tick: per-subsystem byte gauges plus the live VmRSS
+                    // ground truth. Gauges only — skipped entirely when
+                    // telemetry is off, and never consulted by any
                     // decision path.
-                    if self.telemetry.enabled()
-                        && (utilization.len() as u64).is_multiple_of(self.memory_sample_every_ticks)
-                    {
+                    if self.telemetry.enabled() {
                         self.publish_memory(
                             workload,
                             manager,

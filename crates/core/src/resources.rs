@@ -248,12 +248,6 @@ impl ResourceVector {
         self.components.iter().sum()
     }
 
-    /// Largest component value.
-    #[inline]
-    pub fn max_component(&self) -> f64 {
-        self.components.iter().copied().fold(f64::MIN, f64::max)
-    }
-
     /// Cosine similarity with another vector, the placement "fitness" metric
     /// of §5.2: `fitness(D, A) = A·D / (|A||D|)`.
     ///
@@ -291,12 +285,6 @@ impl ResourceVector {
     /// True iff every component is (numerically) zero.
     pub fn is_zero(&self) -> bool {
         self.components.iter().all(|c| c.abs() <= 1e-12)
-    }
-
-    /// Scale each component by a per-component factor in `[0, 1]`, typically a
-    /// deflation ratio vector.
-    pub fn scaled_by(&self, factors: &Self) -> Self {
-        self.hadamard(factors)
     }
 
     /// The fraction of `capacity` used by `self`, component-wise, clamped to

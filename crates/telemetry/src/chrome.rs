@@ -6,12 +6,14 @@
 //! are microseconds since the sink was created. A file-backed trace
 //! streams: the opening `[` is written when the sink is created, each
 //! edge as it happens (through one 64 KiB buffer), and the closing `]`
-//! at [`ChromeTrace::close`]. A memory-backed trace keeps its events in
+//! at `ChromeTrace::close`. A memory-backed trace keeps its events in
 //! a `Vec` and serialises them on demand. Both go through the same
 //! per-event formatter, so their bytes are identical. The trace is
-//! capped: beyond [`ChromeTrace::DEFAULT_CAP`] events, new spans are
+//! capped: beyond `ChromeTrace::DEFAULT_CAP` events, new spans are
 //! counted as dropped rather than recorded, which bounds the file (or,
-//! for memory sinks, the buffer) of a million-VM run.
+//! for memory sinks, the buffer) of a million-VM run. A span whose begin
+//! was recorded still gets its end, so a capped trace stays balanced and
+//! holds at most the cap plus the span nesting depth.
 //!
 //! [`validate_chrome_trace_from`] checks a trace in one streaming pass,
 //! parsing one event at a time and holding only the open spans, so
@@ -104,6 +106,10 @@ pub(crate) struct ChromeTrace {
     len: usize,
     dropped: u64,
     cap: usize,
+    /// Spans whose begin was dropped and whose end has not come yet.
+    /// Spans nest on one thread, so these are always the innermost open
+    /// ones: an end drops while this is non-zero and is written otherwise.
+    dropped_open: u32,
 }
 
 impl ChromeTrace {
@@ -130,14 +136,26 @@ impl ChromeTrace {
             len: 0,
             dropped: 0,
             cap: Self::DEFAULT_CAP,
+            dropped_open: 0,
         }
     }
 
-    /// Record one event. Past the cap, or after a file trace was
-    /// closed, the event is counted as dropped. A failed file write is
-    /// returned; the event still counts as recorded.
+    /// Record one event. A begin past the cap, its matching end, and
+    /// any event after a file trace was closed are counted as dropped;
+    /// the end of a recorded begin is written even past the cap. A failed
+    /// file write is returned; the event still counts as recorded.
     pub(crate) fn push(&mut self, event: ChromeEvent) -> io::Result<()> {
-        if self.len >= self.cap {
+        let drop = if event.ph == b'B' {
+            let over = self.len >= self.cap;
+            self.dropped_open += u32::from(over);
+            over
+        } else if self.dropped_open > 0 {
+            self.dropped_open -= 1;
+            true
+        } else {
+            false
+        };
+        if drop {
             self.dropped += 1;
             return Ok(());
         }
@@ -607,5 +625,31 @@ mod tests {
         }
         assert_eq!(trace.len(), 2);
         assert_eq!(trace.dropped(), 3);
+
+        // The cap is hit inside three open spans: later spans are dropped
+        // whole, and the open ones still get their ends.
+        let mut trace = ChromeTrace::in_memory();
+        trace.cap = 3;
+        for e in [
+            ev("engine_total", b'B', 0),
+            ev("departure", b'B', 1),
+            ev("admission", b'B', 2),
+            ev("placement_rank", b'B', 3),
+            ev("placement_index", b'B', 4),
+            ev("placement_index", b'E', 5),
+            ev("placement_rank", b'E', 6),
+            ev("admission", b'E', 7),
+            ev("departure", b'E', 8),
+            ev("event_pop", b'B', 9),
+            ev("event_pop", b'E', 10),
+            ev("engine_total", b'E', 11),
+        ] {
+            trace.push(e).unwrap();
+        }
+        assert_eq!(trace.len(), 6, "the cap plus the open spans' ends");
+        assert_eq!(trace.dropped(), 6);
+        let stats = validate_chrome_trace(&trace.to_json().unwrap())
+            .expect("a capped trace stays balanced");
+        assert_eq!(stats.spans, 3);
     }
 }

@@ -47,7 +47,6 @@ pub use memory::{map_entry_bytes, vec_bytes, vec_capacity_bytes, MemoryLedger};
 pub use profiler::{Phase, PhaseReport, PhaseRow};
 pub use registry::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use runtime::{
-    append_process_footer_json, peak_rss_mib, peak_rss_mib_from, process_tally, reset_peak_rss,
-    rss_kib, rss_kib_from, secs, RuntimeTally,
+    peak_rss_mib, peak_rss_mib_from, reset_peak_rss, rss_kib, rss_kib_from, secs, RuntimeTally,
 };
 pub use sink::{SpanGuard, TelemetryReport, TelemetrySink};

@@ -19,40 +19,12 @@ pub struct RuntimeTally {
     pub events: u64,
 }
 
-/// The process-wide tally behind [`append_process_footer_json`]: every
-/// [`RuntimeTally::add_run`] also folds here, so a `fig_*` binary that
-/// spreads runs over several per-table tallies still has one aggregate
-/// footer for the machine-readable `DEFLATE_FOOTER_JSON` line.
-static PROCESS_TALLY: std::sync::Mutex<RuntimeTally> = std::sync::Mutex::new(RuntimeTally {
-    runs: 0,
-    wall_clock_secs: 0.0,
-    events: 0,
-});
-
-/// A copy of the process-wide runtime tally (all `add_run` calls made by
-/// this process so far).
-pub fn process_tally() -> RuntimeTally {
-    *PROCESS_TALLY.lock().expect("process tally lock")
-}
-
-/// Append the process-wide footer for `fig` as a JSON line to the path
-/// in `DEFLATE_FOOTER_JSON` — the one call every `fig_*` binary makes
-/// right before exiting. No-op when the variable is unset.
-pub fn append_process_footer_json(fig: &str) {
-    process_tally().append_footer_json(fig);
-}
-
 impl RuntimeTally {
-    /// Fold one run into the tally (and into the process-wide tally
-    /// behind [`process_tally`]).
+    /// Fold one run into the tally.
     pub fn add_run(&mut self, wall_clock_secs: f64, events: u64) {
         self.runs += 1;
         self.wall_clock_secs += wall_clock_secs;
         self.events += events;
-        let mut global = PROCESS_TALLY.lock().expect("process tally lock");
-        global.runs += 1;
-        global.wall_clock_secs += wall_clock_secs;
-        global.events += events;
     }
 
     /// Aggregate events/s across the tallied runs (0 before any run).
@@ -86,56 +58,6 @@ impl RuntimeTally {
             self.events_per_sec(),
             rss
         )
-    }
-
-    /// The footer as one JSON object line — the machine-readable twin of
-    /// [`footer`](Self::footer), keyed by the experiment name. `peak_rss_mib`
-    /// is `null` where procfs is unavailable.
-    pub fn footer_json(&self, fig: &str, rss_mib: Option<f64>) -> String {
-        let rss = match rss_mib {
-            Some(mib) => format!("{mib:.3}"),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"fig\":\"{}\",\"runs\":{},\"events\":{},",
-                "\"wall_clock_secs\":{:.6},\"events_per_sec\":{:.3},",
-                "\"peak_rss_mib\":{}}}"
-            ),
-            fig,
-            self.runs,
-            self.events,
-            self.wall_clock_secs,
-            self.events_per_sec(),
-            rss
-        )
-    }
-
-    /// Append the [`footer_json`](Self::footer_json) line to the path in
-    /// the `DEFLATE_FOOTER_JSON` environment variable, if set. Every
-    /// `fig_*` binary calls this right after printing its human footer;
-    /// CI points the variable at `bench.json` and uploads the artifact.
-    /// I/O problems degrade to a stderr warning — a metrics side-channel
-    /// must never fail the experiment.
-    pub fn append_footer_json(&self, fig: &str) {
-        let Ok(path) = std::env::var("DEFLATE_FOOTER_JSON") else {
-            return;
-        };
-        if path.is_empty() {
-            return;
-        }
-        let line = self.footer_json(fig, peak_rss_mib());
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| {
-                use std::io::Write;
-                writeln!(f, "{line}")
-            });
-        if let Err(err) = appended {
-            eprintln!("warning: DEFLATE_FOOTER_JSON append to {path} failed: {err}");
-        }
     }
 }
 
@@ -259,44 +181,5 @@ mod tests {
         assert_eq!(rss_kib_from("VmRSS:   0 kB\n"), None);
         assert_eq!(rss_kib_from("VmRSS:   junk kB\n"), None);
         assert_eq!(rss_kib_from("VmRSS:   2048 kB\n"), Some(2048.0));
-    }
-
-    #[test]
-    fn footer_json_shape() {
-        let mut tally = RuntimeTally::default();
-        tally.add_run(2.0, 100);
-        tally.add_run(2.0, 100);
-        assert_eq!(
-            tally.footer_json("fig_scale", Some(184.25)),
-            "{\"fig\":\"fig_scale\",\"runs\":2,\"events\":200,\
-             \"wall_clock_secs\":4.000000,\"events_per_sec\":50.000,\
-             \"peak_rss_mib\":184.250}"
-        );
-        assert_eq!(
-            tally.footer_json("fig_scale", None),
-            "{\"fig\":\"fig_scale\",\"runs\":2,\"events\":200,\
-             \"wall_clock_secs\":4.000000,\"events_per_sec\":50.000,\
-             \"peak_rss_mib\":null}"
-        );
-    }
-
-    #[test]
-    fn footer_json_appends_to_env_path() {
-        // Serialised with any other env-dependent test by cargo's
-        // per-process test lock being absent — so use a unique path and
-        // set/remove around the call.
-        let dir = std::env::temp_dir().join(format!("deflate_footer_{}", std::process::id()));
-        let _ = std::fs::remove_file(&dir);
-        let mut tally = RuntimeTally::default();
-        tally.add_run(1.0, 10);
-        std::env::set_var("DEFLATE_FOOTER_JSON", &dir);
-        tally.append_footer_json("fig_test");
-        tally.append_footer_json("fig_test");
-        std::env::remove_var("DEFLATE_FOOTER_JSON");
-        let body = std::fs::read_to_string(&dir).expect("footer file written");
-        let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"fig\":\"fig_test\","));
-        let _ = std::fs::remove_file(&dir);
     }
 }
