@@ -3,7 +3,8 @@
 //! per-phase self-time table per cluster size, the layer-by-layer cost
 //! any engine change is judged against. Each run also
 //! writes a Chrome `trace_event` file openable in Perfetto /
-//! `chrome://tracing` (`DEFLATE_TRACE_OUT` overrides the path).
+//! `chrome://tracing` (`DEFLATE_TRACE_OUT` names it, with each row's
+//! size spliced in before the extension).
 //!
 //! Exits non-zero when the observability acceptance contract breaks:
 //! attributed phases must cover ≥ 90 % of the engine total,

@@ -8,8 +8,10 @@
 //! layer inside it (`placement_rank`, `placement_index`, `admission`)
 //! in its own row, so an engine change can be judged phase by phase.
 //! A Chrome `trace_event` file (openable in Perfetto /
-//! `chrome://tracing`) is written per run; `DEFLATE_TRACE_OUT` overrides
-//! the output path, which otherwise lands in the system temp directory.
+//! `chrome://tracing`) is written per run; `DEFLATE_TRACE_OUT` names the
+//! output file, which gets the row's size spliced in before its
+//! extension (`fig_profile.trace.json` → `fig_profile-10000vms.trace.json`)
+//! and otherwise lands in the system temp directory.
 //!
 //! The binary enforces the observability acceptance contract and exits
 //! non-zero when it breaks: attributed phases must cover ≥ 90 % of the
@@ -90,6 +92,11 @@ pub struct ProfileRun {
     pub trace: Result<ChromeTraceStats, String>,
     /// Where the Chrome trace was written.
     pub trace_path: PathBuf,
+    /// The process's peak RSS (`VmHWM`) when this run and its trace
+    /// validation finished, MiB (`None` without procfs). Sampled then,
+    /// not when the table prints: a sweep prints every table after its
+    /// last, largest row.
+    pub peak_rss_mib: Option<f64>,
 }
 
 impl ProfileRun {
@@ -184,20 +191,36 @@ impl ProfileRun {
     }
 }
 
-/// Where the run's Chrome trace goes: `DEFLATE_TRACE_OUT` if set (one
-/// run's trace — with multiple sizes the last run wins), otherwise a
-/// per-size, pid-suffixed file in the system temp directory.
+/// Where the run's Chrome trace goes: derived from `DEFLATE_TRACE_OUT`
+/// if set (see [`trace_path_with`]), otherwise a per-size, pid-suffixed
+/// file in the system temp directory.
 pub fn trace_path_for(vms: usize) -> PathBuf {
-    if let Ok(path) = std::env::var("DEFLATE_TRACE_OUT") {
-        if !path.is_empty() {
-            return PathBuf::from(path);
-        }
-    }
-    std::env::temp_dir().join(format!(
-        "fig_profile_{}vms_{}.trace.json",
-        vms,
-        std::process::id()
-    ))
+    trace_path_with(std::env::var("DEFLATE_TRACE_OUT").ok().as_deref(), vms)
+}
+
+/// [`trace_path_for`] with the override passed in. A non-empty
+/// `override_path` gets `-{vms}vms` spliced in before its extension
+/// (`.trace.json` counts as one), so each row of a sweep keeps its own
+/// file: `out/fig_profile.trace.json` → `out/fig_profile-10000vms.trace.json`.
+pub fn trace_path_with(override_path: Option<&str>, vms: usize) -> PathBuf {
+    let Some(path) = override_path.filter(|p| !p.is_empty()) else {
+        return std::env::temp_dir().join(format!(
+            "fig_profile_{}vms_{}.trace.json",
+            vms,
+            std::process::id()
+        ));
+    };
+    let path = PathBuf::from(path);
+    let name = path
+        .file_name()
+        .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+    let split = name
+        .strip_suffix(".trace.json")
+        .map(str::len)
+        .or_else(|| name.rfind('.').filter(|&dot| dot > 0))
+        .unwrap_or(name.len());
+    let (stem, ext) = name.split_at(split);
+    path.with_file_name(format!("{stem}-{vms}vms{ext}"))
 }
 
 /// Profile one cluster size of the spot-market scenario.
@@ -212,6 +235,7 @@ pub fn profile_cell(scale: Scale, vms: usize) -> std::io::Result<ProfileRun> {
         Ok(file) => validate_chrome_trace_from(std::io::BufReader::new(file)),
         Err(err) => Err(format!("unreadable: {err}")),
     };
+    let peak_rss_mib = deflate_telemetry::peak_rss_mib();
     Ok(ProfileRun {
         vms,
         servers,
@@ -220,6 +244,7 @@ pub fn profile_cell(scale: Scale, vms: usize) -> std::io::Result<ProfileRun> {
         report,
         trace,
         trace_path,
+        peak_rss_mib,
     })
 }
 
@@ -285,7 +310,7 @@ pub fn phase_table(run: &ProfileRun) -> Table {
         wall_clock_secs: run.wall_clock_secs,
         events_processed: run.events,
     });
-    table.set_footer(tally.footer());
+    table.set_footer(tally.footer_with_rss(run.peak_rss_mib));
     table
 }
 
@@ -318,7 +343,16 @@ mod tests {
         assert!(rendered.contains("event_pop"));
         assert!(rendered.contains("engine_total"));
         assert!(rendered.contains("engine:"), "runtime footer expected");
+        // The footer shows the RSS stored with the run, not the
+        // process's peak at print time.
+        let rss = run
+            .peak_rss_mib
+            .map_or_else(|| "rss=n/a".to_string(), |mib| format!("rss={mib:.0} MiB"));
+        assert!(rendered.contains(&rss), "{rss} expected in:\n{rendered}");
         let _ = std::fs::remove_file(&run.trace_path);
+        let mut later = run;
+        later.peak_rss_mib = Some(12_345.0);
+        assert!(phase_table(&later).render().contains("rss=12345 MiB"));
     }
 
     #[test]
@@ -341,11 +375,28 @@ mod tests {
 
     #[test]
     fn trace_path_env_override_shape() {
-        // No env manipulation (tests run in parallel): check the default
-        // path shape only.
-        let path = trace_path_for(123);
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(name.starts_with("fig_profile_123vms_"));
-        assert!(name.ends_with(".trace.json"));
+        // No env manipulation (tests run in parallel): the override is
+        // passed to the pure helper instead.
+        for unset in [None, Some("")] {
+            let path = trace_path_with(unset, 123);
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            assert!(name.starts_with("fig_profile_123vms_"));
+            assert!(name.ends_with(".trace.json"));
+        }
+        for (given, want) in [
+            (
+                "out/fig_profile.trace.json",
+                "out/fig_profile-10000vms.trace.json",
+            ),
+            ("/tmp/engine.json", "/tmp/engine-10000vms.json"),
+            ("trace", "trace-10000vms"),
+            ("run.v2/.trace", "run.v2/.trace-10000vms"),
+        ] {
+            assert_eq!(
+                trace_path_with(Some(given), 10_000),
+                PathBuf::from(want),
+                "{given}"
+            );
+        }
     }
 }

@@ -406,7 +406,6 @@ fn walk_manager(l: &mut Lockstep<'_>) -> Step<()> {
             walk_domain(l, s, d)?;
         }
     }
-    l.f64_slice(|| "manager.last_reclaim_secs".into())?;
     for map in ["vm_location", "migration_origin"] {
         let entries = l.usize(move || format!("manager.{map}.len"))?;
         for i in 0..entries {
@@ -464,7 +463,7 @@ fn walk_manager(l: &mut Lockstep<'_>) -> Step<()> {
 }
 
 /// Mirror of `Domain::write_snapshot` (spec, mechanism, guest, cgroups,
-/// history, parked flag, cache clock).
+/// history, parked flag).
 fn walk_domain(l: &mut Lockstep<'_>, s: usize, d: usize) -> Step<()> {
     let p = move || format!("manager.server[{s}].domain[{d}]");
     l.vm_spec(|| format!("{}.vm_spec", p()))?;
@@ -475,13 +474,11 @@ fn walk_domain(l: &mut Lockstep<'_>, s: usize, d: usize) -> Step<()> {
     l.f64(|| format!("{}.guest.plugged_memory_mb", p()))?;
     l.f64(|| format!("{}.guest.rss_mb", p()))?;
     l.f64(|| format!("{}.guest.page_cache_mb", p()))?;
-    l.f64(|| format!("{}.guest.page_cache_target_mb", p()))?;
     l.f64(|| format!("{}.guest.cpu_busy_fraction", p()))?;
     l.resources(|| format!("{}.usages", p()))?;
     l.resources(|| format!("{}.limits", p()))?;
     l.f64_slice(|| format!("{}.cpu_util_history", p()))?;
     l.bool(|| format!("{}.parked", p()))?;
-    l.f64(|| format!("{}.cache_advance_secs", p()))?;
     Ok(())
 }
 

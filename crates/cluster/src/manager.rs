@@ -78,11 +78,11 @@ use deflate_core::placement::{
     BestFit, CosineFitness, FirstFit, PartitionScheme, PartitionedPlacement, PlacementDecision,
     PlacementPolicy, ServerView, WorstFit,
 };
-use deflate_core::policy::{DeflationPolicy, RestorePolicy, TransferPolicy};
+use deflate_core::policy::{DeflationPolicy, TransferPolicy};
 use deflate_core::resources::{ResourceKind, ResourceVector};
 use deflate_core::vm::{IdMap, ServerId, VmId, VmSpec};
 use deflate_hypervisor::controller::{AdmissionOutcome, LocalController};
-use deflate_hypervisor::domain::{CacheRegrowthModel, DeflationMechanism, Domain};
+use deflate_hypervisor::domain::{DeflationMechanism, Domain};
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_hypervisor::server::SimServer;
 use deflate_telemetry::{MemoryLedger, Phase, TelemetrySink};
@@ -452,17 +452,6 @@ pub struct ClusterManager {
     /// Transfers selected but not yet booked, within the current capacity
     /// event only (always empty between manager calls).
     staged: Vec<StagedTransfer>,
-    /// How residents are reinflated after capacity restitutions
-    /// (hysteresis / spread-out; the greedy default is bit-identical to
-    /// the pre-knob behaviour).
-    restore_policy: RestorePolicy,
-    /// Per-server time of the last capacity reclamation, for the restore
-    /// policy's hysteresis window (`-∞` before the first reclaim).
-    last_reclaim_secs: Vec<f64>,
-    /// Time-based page-cache regrowth model applied to a server's guests
-    /// ahead of each capacity event (disabled by default — caches then
-    /// only refill on usage reports, the historical behaviour).
-    cache_regrowth: CacheRegrowthModel,
     counters: AdmissionCounters,
     transient: TransientCounters,
     /// Observability sink (disabled by default): placement-ranking and
@@ -513,9 +502,6 @@ impl ClusterManager {
             next_migration_id: 0,
             scheduler: TransferScheduler::new(config.num_servers, TransferPolicy::default()),
             staged: Vec::new(),
-            restore_policy: RestorePolicy::default(),
-            last_reclaim_secs: vec![f64::NEG_INFINITY; config.num_servers],
-            cache_regrowth: CacheRegrowthModel::default(),
             counters: AdmissionCounters::default(),
             transient: TransientCounters::default(),
             telemetry: TelemetrySink::disabled(),
@@ -625,8 +611,8 @@ impl ClusterManager {
     /// changes (`set_capacity`), domain admission/teardown
     /// (`create_domain*` / `destroy_domain`), deflation state changes
     /// (`deflate_to` / `apply_targets` / `deflate_into_capacity` /
-    /// `reinflate*`). Page-cache-only moves (`advance_cache_regrowth`,
-    /// `deflate_for_migration`), usage observations
+    /// `reinflate*`). Page-cache-only moves (`deflate_for_migration`),
+    /// usage observations
     /// (`observe_cpu_utilization`), guest-state copies and the parked
     /// flag do not change `ServerView` and deliberately skip the mark —
     /// `tests/placement_equivalence.rs` pins the index against a full
@@ -645,39 +631,6 @@ impl ClusterManager {
         self.index
             .refresh(&self.telemetry, |i| controllers[i].server().view());
         self.index.rank(self.placement.as_ref(), vm, excluded)
-    }
-
-    /// Builder-style restore-policy override. The default is
-    /// [`RestorePolicy::greedy`] — every restitution immediately
-    /// reinflates residents into the whole returned room, bit-identical
-    /// to the behaviour before the knob existed. Hysteresis skips
-    /// reinflation while the server's last reclamation is recent;
-    /// spread-out reinflation hands back only a fraction of the room per
-    /// restitution.
-    pub fn with_restore_policy(mut self, policy: RestorePolicy) -> Self {
-        self.restore_policy = policy;
-        self
-    }
-
-    /// The restore policy in effect.
-    pub fn restore_policy(&self) -> RestorePolicy {
-        self.restore_policy
-    }
-
-    /// Builder-style cache-regrowth override. The default is
-    /// [`CacheRegrowthModel::disabled`] — squeezed page caches refill
-    /// only on usage reports, bit-identical to the behaviour before the
-    /// model existed. With a positive rate, a server's guests regrow
-    /// their caches over simulated time ahead of each capacity event, so
-    /// repeated deflate-then-migrate squeezes are no longer free.
-    pub fn with_cache_regrowth(mut self, model: CacheRegrowthModel) -> Self {
-        self.cache_regrowth = model;
-        self
-    }
-
-    /// The cache-regrowth model in effect.
-    pub fn cache_regrowth(&self) -> CacheRegrowthModel {
-        self.cache_regrowth
     }
 
     /// Builder-style migration cost model override. The default is
@@ -1124,8 +1077,6 @@ impl ClusterManager {
         }
         let fraction = available_fraction.clamp(0.0, 1.0);
         self.transient.reclaim_events += 1;
-        self.advance_caches_on(idx, now_secs);
-        self.last_reclaim_secs[idx] = now_secs;
         self.controllers[idx]
             .server_mut()
             .set_capacity(self.base_capacity * fraction);
@@ -1146,42 +1097,7 @@ impl ClusterManager {
         // `idx`; marking unconditionally (deduped) covers both that
         // mutation and any reinflation below.
         self.mark_server_dirty(idx);
-        self.controllers[idx].reinflate_if_fits(1.0, &mut self.changed);
-    }
-
-    /// The restitution-response variant of
-    /// [`reinflate_if_fits`](Self::reinflate_if_fits), filtered through the
-    /// [`RestorePolicy`]: within the hysteresis window of the server's last
-    /// reclamation nothing is reinflated (an oscillating signal would
-    /// squeeze it right back down), and with spread-out reinflation only a
-    /// fraction of the free room is handed back per restitution event.
-    /// Reinflation after departures and migration completions stays
-    /// greedy — freed room there is not a signal edge.
-    fn reinflate_after_restore(&mut self, idx: usize, now_secs: f64) {
-        // The capacity change that precedes every call already dirties the
-        // view; re-mark (deduped) so the reinflation below is covered even
-        // if a future caller skips the capacity change.
-        self.mark_server_dirty(idx);
-        if now_secs - self.last_reclaim_secs[idx] < self.restore_policy.hysteresis_secs {
-            return;
-        }
-        self.controllers[idx]
-            .reinflate_if_fits(self.restore_policy.step_fraction, &mut self.changed);
-    }
-
-    /// Advance the time-based page-cache regrowth of every guest on one
-    /// server to `now_secs` — called ahead of each capacity event so the
-    /// migration cost model sees caches that refilled since the last
-    /// squeeze. A no-op (and bit-identical to the pre-model behaviour)
-    /// while the model is disabled.
-    fn advance_caches_on(&mut self, idx: usize, now_secs: f64) {
-        if !self.cache_regrowth.is_enabled() {
-            return;
-        }
-        let model = self.cache_regrowth;
-        for domain in self.controllers[idx].server_mut().domains_mut() {
-            domain.advance_cache_regrowth(now_secs, model);
-        }
+        self.controllers[idx].reinflate_if_fits(&mut self.changed);
     }
 
     /// Destroy a VM's domain on one server and reinflate the survivors if
@@ -1243,24 +1159,18 @@ impl ClusterManager {
         }
         let fraction = available_fraction.clamp(0.0, 1.0);
         self.transient.restore_events += 1;
-        self.advance_caches_on(idx, now_secs);
         self.controllers[idx]
             .server_mut()
             .set_capacity(self.base_capacity * fraction);
-        self.mark_server_dirty(idx);
-        self.reinflate_after_restore(idx, now_secs);
+        self.reinflate_if_fits(idx);
         // A "restitution" to a fraction below the current usage is really a
         // reclamation in disguise (e.g. a hand-built schedule with a
         // mislabelled direction): absorb it the same way rather than leaving
         // the server over capacity, and hand any room migration freed back
-        // to the surviving residents. It opens the restore policy's
-        // hysteresis window like any real reclamation — residents were
-        // just squeezed, so an immediately following restitution must not
-        // pump them straight back up.
+        // to the surviving residents.
         if !self.fits_with_pending(idx) {
-            self.last_reclaim_secs[idx] = now_secs;
             self.absorb_overage(idx, now_secs, &mut outcome);
-            self.reinflate_after_restore(idx, now_secs);
+            self.reinflate_if_fits(idx);
         }
 
         if migrate_back {
@@ -1281,9 +1191,6 @@ impl ClusterManager {
                 let Some(current) = self.vms[slot as usize].location() else {
                     continue;
                 };
-                // The candidate's cache may have regrown since it was last
-                // squeezed; bring it up to date before costing the copy.
-                self.advance_caches_on(current, now_secs);
                 let Some(domain) = self.controllers[current].server().domain(vm) else {
                     continue;
                 };
@@ -2013,8 +1920,7 @@ impl ClusterManager {
             + vec_capacity_bytes(&self.changed)
             + self.in_flight.len() as u64
                 * map_entry_bytes(size_of::<u64>(), size_of::<InFlight>())
-            + vec_capacity_bytes(&self.staged)
-            + vec_capacity_bytes(&self.last_reclaim_secs);
+            + vec_capacity_bytes(&self.staged);
         ledger.record("migrations", migrations);
     }
 
@@ -2068,13 +1974,13 @@ impl ClusterManager {
 
     /// Serialize the manager's **dynamic** state for an engine checkpoint:
     /// per-server capacities and resident domains (in `VmId` order — the
-    /// `BTreeMap` iteration order), the reclaim-hysteresis clocks, the VM
-    /// location and migration-origin maps (sorted by VM id), the in-flight
-    /// transfers (sorted by migration id), the transfer scheduler's
-    /// ledgers, the admission/transient counters and the placement index's
-    /// queued dirty marks. Static configuration (placement policy,
-    /// partitions, mechanism, cost model, restore policy, cache regrowth,
-    /// telemetry) is **not** written — the restoring side rebuilds it
+    /// `BTreeMap` iteration order), the VM location and migration-origin
+    /// maps (sorted by VM id), the in-flight transfers (sorted by
+    /// migration id), the transfer scheduler's ledgers, the
+    /// admission/transient counters and the placement index's queued dirty
+    /// marks. Static configuration (placement policy, partitions,
+    /// mechanism, cost model, telemetry) is **not** written — the
+    /// restoring side rebuilds it
     /// from the same [`ClusterConfig`] and builder calls,
     /// which is also what lets a fork restore under a *different*
     /// [`TransferPolicy`]. Every map is emitted in sorted order, so the
@@ -2096,7 +2002,6 @@ impl ClusterManager {
                 domain.write_snapshot(w);
             }
         }
-        w.put_f64_slice(&self.last_reclaim_secs);
         let mut locations: Vec<(u64, u64)> = self
             .vms
             .iter()
@@ -2192,15 +2097,6 @@ impl ClusterManager {
                 server.restore_domain(Domain::read_snapshot(r)?);
             }
         }
-        let last_reclaim = r.get_f64_vec()?;
-        if last_reclaim.len() != num_servers {
-            return Err(CheckpointError::Corrupt(format!(
-                "reclaim clocks for {} servers, expected {}",
-                last_reclaim.len(),
-                num_servers
-            )));
-        }
-        self.last_reclaim_secs = last_reclaim;
         // Every decoded server index must name a server of this cluster.
         let server_index = |what: &str, idx: u64| match usize::try_from(idx) {
             Ok(idx) if idx < num_servers => Ok(idx),
@@ -2613,72 +2509,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_hysteresis_defers_reinflation_after_a_recent_reclaim() {
-        let policy = RestorePolicy::hysteresis(60.0);
-        let mut cluster = small_cluster(deflation_mode()).with_restore_policy(policy);
-        assert_eq!(cluster.restore_policy(), policy);
-        for i in 0..4 {
-            assert!(cluster.place_vm(vm(i, 8.0, 0.5)).is_placed());
-        }
-        cluster.reclaim_capacity(ServerId(0), 0.5, 0.0);
-        assert!(cluster
-            .running_allocation_fractions()
-            .iter()
-            .any(|(_, f)| *f < 1.0 - 1e-9));
-        // A restitution 10 s after the reclaim is inside the hysteresis
-        // window: capacity returns, residents stay deflated.
-        cluster.restore_capacity(ServerId(0), 1.0, false, 10.0);
-        assert!((cluster.capacity_fraction(ServerId(0)) - 1.0).abs() < 1e-9);
-        assert!(cluster
-            .running_allocation_fractions()
-            .iter()
-            .any(|(_, f)| *f < 1.0 - 1e-9));
-        // A restitution outside the window reinflates fully.
-        cluster.restore_capacity(ServerId(0), 1.0, false, 100.0);
-        assert!(cluster
-            .running_allocation_fractions()
-            .iter()
-            .all(|(_, f)| (*f - 1.0).abs() < 1e-6));
-        assert!(cluster.check_invariants());
-    }
-
-    /// Sum of the CPU fractions of the VMs running on `server`.
-    fn fraction_sum_on(cluster: &ClusterManager, server: ServerId) -> f64 {
-        cluster
-            .running_allocation_fractions()
-            .into_iter()
-            .filter(|&(vm, _)| cluster.locate(vm) == Some(server))
-            .map(|(_, f)| f)
-            .sum()
-    }
-
-    #[test]
-    fn spread_out_restores_reinflate_geometrically() {
-        let mut cluster =
-            small_cluster(deflation_mode()).with_restore_policy(RestorePolicy::spread(0.5));
-        for i in 0..4 {
-            assert!(cluster.place_vm(vm(i, 8.0, 0.5)).is_placed());
-        }
-        cluster.reclaim_capacity(ServerId(0), 0.5, 0.0);
-        let deflated = fraction_sum_on(&cluster, ServerId(0));
-        // One restitution returns only half the free room.
-        cluster.restore_capacity(ServerId(0), 1.0, false, 100.0);
-        let after_one = fraction_sum_on(&cluster, ServerId(0));
-        assert!(after_one > deflated + 1e-6, "some room came back");
-        assert!(
-            after_one < 2.0 - 1e-6,
-            "full reinflation must take several events, got {after_one}"
-        );
-        // Repeated restitutions converge towards full size.
-        for k in 1..=6 {
-            cluster.restore_capacity(ServerId(0), 1.0, false, 100.0 + k as f64);
-        }
-        let converged = fraction_sum_on(&cluster, ServerId(0));
-        assert!(converged > 1.95, "converged sum {converged}");
-        assert!(cluster.check_invariants());
-    }
-
-    #[test]
     fn parked_replicas_are_never_migration_candidates() {
         // First-fit packs both VMs onto server 0 of a 3-server cluster.
         let config = ClusterConfig {
@@ -2706,34 +2536,6 @@ mod tests {
             "the parked sliver must not reinflate"
         );
         assert!(cluster.check_invariants());
-    }
-
-    #[test]
-    fn disguised_reclamation_opens_the_hysteresis_window() {
-        let mut cluster =
-            small_cluster(deflation_mode()).with_restore_policy(RestorePolicy::hysteresis(60.0));
-        for i in 0..4 {
-            assert!(cluster.place_vm(vm(i, 8.0, 0.5)).is_placed());
-        }
-        // A "restore" below usage at t=100 squeezes like a reclamation…
-        cluster.restore_capacity(ServerId(0), 0.5, false, 100.0);
-        assert!(cluster
-            .running_allocation_fractions()
-            .iter()
-            .any(|(_, f)| *f < 1.0 - 1e-9));
-        // …so a true restitution one second later is inside the window:
-        // residents must stay deflated, not bounce straight back up.
-        cluster.restore_capacity(ServerId(0), 1.0, false, 101.0);
-        assert!(cluster
-            .running_allocation_fractions()
-            .iter()
-            .any(|(_, f)| *f < 1.0 - 1e-9));
-        // Outside the window they reinflate.
-        cluster.restore_capacity(ServerId(0), 1.0, false, 200.0);
-        assert!(cluster
-            .running_allocation_fractions()
-            .iter()
-            .all(|(_, f)| (*f - 1.0).abs() < 1e-6));
     }
 
     #[test]

@@ -47,10 +47,9 @@ use crate::spec::WorkloadVm;
 use deflate_autoscale::{Autoscaler, ElasticApp};
 use deflate_core::audit::AuditSpec;
 use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
-use deflate_core::policy::{AutoscalePolicy, RestorePolicy, TransferPolicy};
+use deflate_core::policy::{AutoscalePolicy, TransferPolicy};
 use deflate_core::telemetry::TelemetrySpec;
 use deflate_core::vm::{IdMap, ServerId, VmId};
-use deflate_hypervisor::domain::CacheRegrowthModel;
 use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_telemetry::{EventField, MemoryLedger, Phase, TelemetryEventKind, TelemetrySink};
 use deflate_transient::events::{EventQueue, SimEvent};
@@ -65,8 +64,6 @@ pub struct ClusterSimulation {
     migrate_back: bool,
     migration_cost: MigrationCostModel,
     transfer_policy: TransferPolicy,
-    restore_policy: RestorePolicy,
-    cache_regrowth: CacheRegrowthModel,
     autoscale_policy: AutoscalePolicy,
     elastic_apps: Vec<ElasticApp>,
     telemetry: TelemetrySink,
@@ -113,8 +110,6 @@ impl ClusterSimulation {
             migrate_back: false,
             migration_cost: MigrationCostModel::instant(),
             transfer_policy: TransferPolicy::default(),
-            restore_policy: RestorePolicy::default(),
-            cache_regrowth: CacheRegrowthModel::default(),
             autoscale_policy: AutoscalePolicy::default(),
             elastic_apps: Vec::new(),
             telemetry: TelemetrySink::disabled(),
@@ -171,25 +166,6 @@ impl ClusterSimulation {
     /// control. See [`TransferPolicy`].
     pub fn with_transfer_policy(mut self, policy: TransferPolicy) -> Self {
         self.transfer_policy = policy;
-        self
-    }
-
-    /// Reinflate residents after capacity restitutions under the given
-    /// [`RestorePolicy`]: the greedy default hands the whole returned room
-    /// back immediately (bit-identical to the pre-knob behaviour);
-    /// hysteresis and spread-out variants damp the response to
-    /// fast-oscillating capacity signals.
-    pub fn with_restore_policy(mut self, policy: RestorePolicy) -> Self {
-        self.restore_policy = policy;
-        self
-    }
-
-    /// Regrow squeezed page caches over simulated time with the given
-    /// model (default: disabled — caches refill only on usage reports).
-    /// With a positive rate, repeated deflate-then-migrate squeezes of the
-    /// same guest are no longer free.
-    pub fn with_cache_regrowth(mut self, model: CacheRegrowthModel) -> Self {
-        self.cache_regrowth = model;
         self
     }
 
@@ -325,8 +301,6 @@ impl ClusterSimulation {
         let manager = ClusterManager::new(&self.config, self.mode.clone())
             .with_migration_cost(self.migration_cost)
             .with_transfer_policy(self.transfer_policy)
-            .with_restore_policy(self.restore_policy)
-            .with_cache_regrowth(self.cache_regrowth)
             .with_telemetry(self.telemetry.clone())
             .with_reserved_slots(workload.len());
         // The autoscaler exists only for enabled policies: a Disabled run

@@ -31,7 +31,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"DFLS";
 
 /// Current snapshot format version. Bump on ANY byte-format change —
 /// the golden digest test will force the bump by failing otherwise.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]

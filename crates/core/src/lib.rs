@@ -93,8 +93,8 @@ pub mod prelude {
     };
     pub use crate::policy::{
         AllocationView, AutoscaleParams, AutoscalePolicy, DeflationPolicy, DeterministicDeflation,
-        PlanScratch, PlanTotals, PriorityDeflation, ProportionalDeflation, RestorePolicy,
-        ScalarPlan, VectorPlan, VectorPlanner, VmResourceState,
+        PlanScratch, PlanTotals, PriorityDeflation, ProportionalDeflation, ScalarPlan, VectorPlan,
+        VectorPlanner, VmResourceState,
     };
     pub use crate::pricing::{PricingPolicy, RateCard};
     pub use crate::resources::{ResourceKind, ResourceVector};

@@ -18,14 +18,13 @@
 //! memory, disk bandwidth, network bandwidth) individually" (§5.1.1). The
 //! [`VectorPlanner`] lifts any scalar policy to full [`ResourceVector`]s.
 //!
-//! Besides the deflation policies this module also carries three
+//! Besides the deflation policies this module also carries two
 //! cluster-level knobs: the [`transfer`] knob ([`TransferPolicy`],
 //! describing how queued live migrations are ordered against per-server
 //! bandwidth budgets — FIFO / smallest-first / deadline-aware EDF,
-//! optionally deflate-then-migrate), the [`restore`] knob
-//! ([`RestorePolicy`], hysteresis / spread-out reinflation after capacity
-//! restitutions) and the [`autoscale`] knob ([`AutoscalePolicy`], the
-//! elastic cluster-resizing policy driven by utilisation ticks).
+//! optionally deflate-then-migrate) and the [`autoscale`] knob
+//! ([`AutoscalePolicy`], the elastic cluster-resizing policy driven by
+//! utilisation ticks).
 //!
 //! Reinflation (§5.1.3 "Reinflation") is expressed by calling
 //! [`DeflationPolicy::plan`] with a *negative* demand: the policy runs
@@ -36,14 +35,12 @@ pub mod autoscale;
 pub mod deterministic;
 pub mod priority;
 pub mod proportional;
-pub mod restore;
 pub mod transfer;
 
 pub use autoscale::{AutoscaleParams, AutoscalePolicy};
 pub use deterministic::DeterministicDeflation;
 pub use priority::PriorityDeflation;
 pub use proportional::ProportionalDeflation;
-pub use restore::RestorePolicy;
 pub use transfer::{TransferOrdering, TransferPolicy};
 
 use crate::resources::{ResourceKind, ResourceVector};

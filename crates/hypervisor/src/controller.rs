@@ -197,29 +197,26 @@ impl LocalController {
     /// the autoscaler unparks them.
     pub fn reinflate(&mut self, changed: &mut Vec<u32>) {
         let used = self.server.effective_used();
-        self.reinflate_into(used, 1.0, changed);
+        self.reinflate_into(used, changed);
     }
 
-    /// Reinflate residents into only `fraction` (clamped to `[0, 1]`) of
-    /// the currently free capacity, and only while the residents fit the
-    /// capacity; returns whether they did. A server kept over capacity (by
-    /// in-flight outbound transfers, say) has no room to hand out. A
-    /// fraction below one is the spread-out half of the restore-hysteresis
-    /// policy. One walk over the residents serves both the check and the
-    /// free room.
-    pub fn reinflate_if_fits(&mut self, fraction: f64, changed: &mut Vec<u32>) -> bool {
+    /// Reinflate residents into the currently free capacity, but only
+    /// while the residents fit the capacity; returns whether they did. A
+    /// server kept over capacity (by in-flight outbound transfers, say)
+    /// has no room to hand out. One walk over the residents serves both
+    /// the check and the free room.
+    pub fn reinflate_if_fits(&mut self, changed: &mut Vec<u32>) -> bool {
         let used = self.server.effective_used();
         if !used.fits_within(&self.server.capacity) {
             return false;
         }
-        self.reinflate_into(used, fraction, changed);
+        self.reinflate_into(used, changed);
         true
     }
 
-    /// Hand `fraction` of the room left by `used` back to the unparked
-    /// residents.
-    fn reinflate_into(&mut self, used: ResourceVector, fraction: f64, changed: &mut Vec<u32>) {
-        let free = self.server.capacity.saturating_sub(&used) * fraction.clamp(0.0, 1.0);
+    /// Hand the room left by `used` back to the unparked residents.
+    fn reinflate_into(&mut self, used: ResourceVector, changed: &mut Vec<u32>) {
+        let free = self.server.capacity.saturating_sub(&used);
         if free.is_zero() {
             return;
         }
@@ -430,32 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_reinflation_returns_only_a_fraction_of_the_room() {
-        let mut c = controller();
-        let mut log = Vec::new();
-        c.try_admit(vm(1, 16.0, 16_384.0), &mut log).unwrap();
-        // Deflate to half, then hand back only a quarter of the free room.
-        let d1 = c.server_mut().domain_mut(VmId(1)).unwrap();
-        let half = d1.spec.max_allocation * 0.5;
-        d1.deflate_to(half);
-        assert!(c.reinflate_if_fits(0.25, &mut log));
-        let cpu = c
-            .server()
-            .domain(VmId(1))
-            .unwrap()
-            .effective_allocation()
-            .cpu();
-        // Free room was 8000 millicores; a quarter of it is 2000.
-        assert!((cpu - 10_000.0).abs() < 1e-6, "cpu after partial: {cpu}");
-        // A full pass finishes the job.
-        c.reinflate(&mut log);
-        assert_eq!(
-            c.server().domain(VmId(1)).unwrap().effective_allocation(),
-            c.server().domain(VmId(1)).unwrap().spec.max_allocation
-        );
-    }
-
-    #[test]
     fn reinflation_waits_while_over_capacity() {
         let mut c = controller();
         let mut log = Vec::new();
@@ -467,10 +438,10 @@ mod tests {
         let deflated = allocations(&c);
         // Over capacity (as with transfers still in flight): nothing moves.
         c.server_mut().set_capacity(full * 0.25);
-        assert!(!c.reinflate_if_fits(1.0, &mut log));
+        assert!(!c.reinflate_if_fits(&mut log));
         assert_eq!(allocations(&c), deflated);
         c.server_mut().set_capacity(full);
-        assert!(c.reinflate_if_fits(1.0, &mut log));
+        assert!(c.reinflate_if_fits(&mut log));
         for d in c.server().domains() {
             assert_eq!(d.effective_allocation(), d.spec.max_allocation);
         }

@@ -66,52 +66,6 @@ pub struct DeflationOutcome {
 /// estimation (the "recent history" window).
 pub const CPU_UTIL_HISTORY_LEN: usize = 8;
 
-/// Time-based page-cache regrowth model.
-///
-/// A squeezed guest (deflate-then-migrate, autoscale parking) surrenders
-/// its page cache, and historically the cache only returned with the next
-/// explicit usage report — making *repeated* squeezes free: the second
-/// deflate-then-migrate of the same VM copied nothing but the RSS again.
-/// With a positive regrowth rate the cache refills over simulated time
-/// (the guest re-reads its working set from disk), so a VM squeezed at
-/// `t` and migrated again at `t + Δ` has `rate × Δ` MiB of cache back on
-/// its hot footprint — repeated squeezes are no longer free. The default
-/// rate of `0` reproduces the historical report-only behaviour
-/// bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CacheRegrowthModel {
-    /// Page-cache refill bandwidth, MiB per simulated second. `0.0`
-    /// disables time-based regrowth (the historical behaviour).
-    pub rate_mbps: f64,
-}
-
-impl Default for CacheRegrowthModel {
-    fn default() -> Self {
-        CacheRegrowthModel::disabled()
-    }
-}
-
-impl CacheRegrowthModel {
-    /// No time-based regrowth — caches refill only on usage reports, the
-    /// behaviour before the model existed.
-    pub fn disabled() -> Self {
-        CacheRegrowthModel { rate_mbps: 0.0 }
-    }
-
-    /// Regrow at `rate_mbps` MiB of cache per simulated second (a few
-    /// hundred MiB/s is a reasonable sequential re-read rate).
-    pub fn with_rate(rate_mbps: f64) -> Self {
-        CacheRegrowthModel {
-            rate_mbps: rate_mbps.max(0.0),
-        }
-    }
-
-    /// True when the model actually regrows caches over time.
-    pub fn is_enabled(&self) -> bool {
-        self.rate_mbps > 0.0
-    }
-}
-
 /// The [`Domain::slot`] of a domain no cluster has given a slot.
 pub const NO_SLOT: u32 = u32::MAX;
 
@@ -144,12 +98,6 @@ pub struct Domain {
     /// autoscaler explicitly unparks the replica — otherwise the first
     /// departure on the server would silently undo the scale-in.
     parked: bool,
-    /// Simulation time of the last cache-regrowth advance, or `-∞` before
-    /// the first advance (the first call only stamps the clock — a domain
-    /// starts with a warm cache, so there is nothing to regrow before its
-    /// first squeeze anyway). `-∞` rather than `NaN` so the derived
-    /// `PartialEq` keeps fresh domains equal.
-    cache_advance_secs: f64,
 }
 
 impl Domain {
@@ -171,7 +119,6 @@ impl Domain {
             mechanism,
             cpu_util_history: Vec::new(),
             parked: false,
-            cache_advance_secs: f64::NEG_INFINITY,
         }
     }
 
@@ -187,26 +134,6 @@ impl Domain {
     /// domain to the park target and, on unpark, reinflates the server.
     pub fn set_parked(&mut self, parked: bool) {
         self.parked = parked;
-    }
-
-    /// Advance the time-based cache-regrowth clock to `now_secs`, refilling
-    /// the guest's dropped page cache at the model's rate for the elapsed
-    /// interval. The first call only stamps the clock (the cache starts
-    /// warm); a disabled model is a no-op and keeps the domain bit-identical
-    /// to the pre-model behaviour.
-    pub fn advance_cache_regrowth(&mut self, now_secs: f64, model: CacheRegrowthModel) {
-        if !model.is_enabled() {
-            return;
-        }
-        if self.cache_advance_secs.is_infinite() {
-            self.cache_advance_secs = now_secs;
-            return;
-        }
-        let dt = now_secs - self.cache_advance_secs;
-        if dt > 0.0 {
-            self.guest.regrow_page_cache(model.rate_mbps * dt);
-            self.cache_advance_secs = now_secs;
-        }
     }
 
     /// Record one CPU-utilisation sample (fraction of the full allocation,
@@ -246,14 +173,12 @@ impl Domain {
     pub fn migrate_guest_state_from(&mut self, source: &Domain) {
         self.guest = source.guest.clone();
         self.cpu_util_history = source.cpu_util_history.clone();
-        self.cache_advance_secs = source.cache_advance_secs;
         self.parked = source.parked;
     }
 
     /// Serialize the full domain state for an engine checkpoint: spec,
     /// mechanism, raw guest state, cgroup usages + limits (ceilings are
-    /// rebuilt from the spec), utilisation history, the parked flag and
-    /// the cache-regrowth clock.
+    /// rebuilt from the spec), utilisation history and the parked flag.
     pub fn write_snapshot(&self, w: &mut ByteWriter) {
         w.put_vm_spec(&self.spec);
         w.put_u8(match self.mechanism {
@@ -269,7 +194,6 @@ impl Domain {
         w.put_resources(&self.cgroups.limits());
         w.put_f64_slice(&self.cpu_util_history);
         w.put_bool(self.parked);
-        w.put_f64(self.cache_advance_secs);
     }
 
     /// Rebuild a domain from [`write_snapshot`](Self::write_snapshot)
@@ -311,7 +235,6 @@ impl Domain {
             )));
         }
         let parked = r.get_bool()?;
-        let cache_advance_secs = r.get_f64()?;
         Ok(Domain {
             spec,
             slot: NO_SLOT,
@@ -320,7 +243,6 @@ impl Domain {
             mechanism,
             cpu_util_history,
             parked,
-            cache_advance_secs,
         })
     }
 
@@ -581,30 +503,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_regrowth_refills_a_squeezed_guest_over_time() {
-        let model = CacheRegrowthModel::with_rate(10.0);
-        let mut d = Domain::launch(spec());
-        d.report_guest_usage(ResourceVector::new(2000.0, 4096.0, 50.0, 100.0), 2048.0);
-        // First advance only stamps the clock.
-        d.advance_cache_regrowth(100.0, model);
-        assert_eq!(d.guest.page_cache_mb(), 2048.0);
-        d.deflate_for_migration();
-        assert_eq!(d.guest.page_cache_mb(), 0.0);
-        // 50 s later, 500 MiB of cache is back on the footprint.
-        d.advance_cache_regrowth(150.0, model);
-        assert!((d.guest.page_cache_mb() - 500.0).abs() < 1e-9);
-        // A second squeeze is therefore no longer free.
-        assert!((d.deflate_for_migration() - 500.0).abs() < 1e-9);
-        // The disabled model never regrows (the historical behaviour).
-        let mut frozen = Domain::launch(spec());
-        frozen.report_guest_usage(ResourceVector::new(2000.0, 4096.0, 50.0, 100.0), 2048.0);
-        frozen.advance_cache_regrowth(100.0, CacheRegrowthModel::disabled());
-        frozen.deflate_for_migration();
-        frozen.advance_cache_regrowth(1e9, CacheRegrowthModel::disabled());
-        assert_eq!(frozen.guest.page_cache_mb(), 0.0);
-    }
-
-    #[test]
     fn cpu_utilization_history_is_bounded_and_averaged() {
         let mut d = Domain::launch(spec());
         assert_eq!(d.recent_cpu_utilization(), 0.0, "fresh guests are idle");
@@ -746,7 +644,6 @@ mod tests {
         d.deflate_to(ResourceVector::new(2500.0, 4000.0, 50.0, 100.0));
         d.observe_cpu_utilization(0.7);
         d.set_parked(true);
-        d.advance_cache_regrowth(123.0, CacheRegrowthModel::with_rate(5.0));
         let mut w = deflate_core::checkpoint::ByteWriter::new();
         d.write_snapshot(&mut w);
         let bytes = w.into_bytes();

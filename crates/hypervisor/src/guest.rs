@@ -62,10 +62,6 @@ pub struct GuestOs {
     /// Page-cache / buffer memory, MiB. The guest willingly surrenders this
     /// when asked explicitly, which is what gives hybrid deflation its edge.
     page_cache_mb: f64,
-    /// The page-cache size the workload *wants*, MiB — the level the cache
-    /// regrows towards after being dropped (deflate-then-migrate squeeze,
-    /// autoscale parking). Updated by every usage report.
-    page_cache_target_mb: f64,
     /// Fraction of busy threads; used to decide whether a vCPU can be safely
     /// unplugged (a fully busy guest refuses to drop below the number of
     /// runnable threads' worth of CPUs).
@@ -84,7 +80,6 @@ impl GuestOs {
             plugged_memory_mb: memory_mb,
             rss_mb: 0.25 * memory_mb,
             page_cache_mb: 0.25 * memory_mb,
-            page_cache_target_mb: 0.25 * memory_mb,
             // A freshly booted guest is essentially idle; the busy fraction
             // (and with it the vCPU-unplug floor) rises once the workload
             // reports usage.
@@ -123,15 +118,12 @@ impl GuestOs {
     }
 
     /// Report workload state: the application's RSS, page-cache footprint and
-    /// CPU busy fraction. RSS and cache are clamped to plugged memory. The
-    /// reported cache also becomes the regrowth target (see
-    /// [`regrow_page_cache`](Self::regrow_page_cache)).
+    /// CPU busy fraction. RSS and cache are clamped to plugged memory.
     pub fn report_usage(&mut self, rss_mb: f64, page_cache_mb: f64, cpu_busy_fraction: f64) {
         self.rss_mb = rss_mb.clamp(0.0, self.plugged_memory_mb);
         self.page_cache_mb = page_cache_mb
             .max(0.0)
             .min(self.plugged_memory_mb - self.rss_mb);
-        self.page_cache_target_mb = self.page_cache_mb;
         self.cpu_busy_fraction = cpu_busy_fraction.clamp(0.0, 1.0);
     }
 
@@ -194,18 +186,11 @@ impl GuestOs {
     /// squeeze): clean cache pages are dropped instead of being copied over
     /// the migration link, shrinking the hot footprint down to the RSS.
     /// Returns the MiB released. The cache regrows the next time the
-    /// workload reports usage — or gradually over time, when the
-    /// cache-regrowth model feeds [`regrow_page_cache`](Self::regrow_page_cache).
+    /// workload reports usage.
     pub fn drop_page_cache(&mut self) -> f64 {
         let dropped = self.page_cache_mb;
         self.page_cache_mb = 0.0;
         dropped
-    }
-
-    /// The page-cache size the workload currently wants, MiB (the regrowth
-    /// target).
-    pub fn page_cache_target_mb(&self) -> f64 {
-        self.page_cache_target_mb
     }
 
     /// Serialize the raw guest state for an engine checkpoint. Every
@@ -218,7 +203,6 @@ impl GuestOs {
         w.put_f64(self.plugged_memory_mb);
         w.put_f64(self.rss_mb);
         w.put_f64(self.page_cache_mb);
-        w.put_f64(self.page_cache_target_mb);
         w.put_f64(self.cpu_busy_fraction);
     }
 
@@ -232,7 +216,6 @@ impl GuestOs {
             plugged_memory_mb: r.get_f64()?,
             rss_mb: r.get_f64()?,
             page_cache_mb: r.get_f64()?,
-            page_cache_target_mb: r.get_f64()?,
             cpu_busy_fraction: r.get_f64()?,
         };
         let floats = [
@@ -240,7 +223,6 @@ impl GuestOs {
             guest.plugged_memory_mb,
             guest.rss_mb,
             guest.page_cache_mb,
-            guest.page_cache_target_mb,
             guest.cpu_busy_fraction,
         ];
         if !floats.iter().all(|x| x.is_finite()) {
@@ -249,21 +231,6 @@ impl GuestOs {
             )));
         }
         Ok(guest)
-    }
-
-    /// Regrow up to `mb` MiB of previously dropped page cache — the
-    /// time-based half of the cache-regrowth model. Growth is capped at
-    /// the workload's reported cache target and at the memory left under
-    /// the plugged size after the RSS; a guest that never dropped its
-    /// cache regrows nothing. Returns the MiB actually regrown.
-    pub fn regrow_page_cache(&mut self, mb: f64) -> f64 {
-        let ceiling = self
-            .page_cache_target_mb
-            .min((self.plugged_memory_mb - self.rss_mb).max(0.0));
-        let grown = (self.page_cache_mb + mb.max(0.0)).min(ceiling);
-        let delta = (grown - self.page_cache_mb).max(0.0);
-        self.page_cache_mb += delta;
-        delta
     }
 }
 
@@ -291,24 +258,6 @@ mod tests {
         // The next usage report regrows the cache.
         g.report_usage(2048.0, 512.0, 0.2);
         assert_eq!(g.page_cache_mb(), 512.0);
-    }
-
-    #[test]
-    fn page_cache_regrows_toward_the_reported_target() {
-        let mut g = GuestOs::boot(4, 8192.0);
-        g.report_usage(2048.0, 1024.0, 0.2);
-        assert_eq!(g.page_cache_target_mb(), 1024.0);
-        assert_eq!(g.drop_page_cache(), 1024.0);
-        // Regrowth is capped at the target.
-        assert_eq!(g.regrow_page_cache(300.0), 300.0);
-        assert_eq!(g.regrow_page_cache(10_000.0), 724.0);
-        assert_eq!(g.page_cache_mb(), 1024.0);
-        // A warm cache regrows nothing.
-        assert_eq!(g.regrow_page_cache(100.0), 0.0);
-        // Regrowth never exceeds plugged memory minus RSS.
-        g.report_usage(8000.0, 192.0, 0.2);
-        g.drop_page_cache();
-        assert!(g.regrow_page_cache(1e9) <= 192.0 + 1e-9);
     }
 
     #[test]

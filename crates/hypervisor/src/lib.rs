@@ -36,7 +36,7 @@ pub mod migration;
 pub mod server;
 
 pub use controller::{AdmissionOutcome, LocalController};
-pub use domain::{CacheRegrowthModel, DeflationMechanism, DeflationOutcome, Domain};
+pub use domain::{DeflationMechanism, DeflationOutcome, Domain};
 pub use guest::{GuestOs, HotplugOutcome, MEMORY_BLOCK_MB};
 pub use migration::MigrationCostModel;
 pub use server::SimServer;
@@ -45,7 +45,7 @@ pub use server::SimServer;
 pub mod prelude {
     pub use crate::cgroups::{CgroupController, CgroupSet};
     pub use crate::controller::{AdmissionOutcome, LocalController};
-    pub use crate::domain::{CacheRegrowthModel, DeflationMechanism, DeflationOutcome, Domain};
+    pub use crate::domain::{DeflationMechanism, DeflationOutcome, Domain};
     pub use crate::guest::{GuestOs, HotplugOutcome};
     pub use crate::migration::MigrationCostModel;
     pub use crate::server::SimServer;

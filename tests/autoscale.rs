@@ -9,9 +9,6 @@
 //!   launched is an admission attempt in the manager's counters, and ends
 //!   the run either still in the pool, retired by a scale-in, or evicted
 //!   by a reclamation.
-//! * **Cache regrowth** — with the time-based regrowth model enabled,
-//!   repeated squeezes move more bytes than the historical
-//!   report-only refill; disabled, behaviour is bit-identical.
 
 use deflate_bench::autoscale_exp::{run_autoscale, AutoscaleVariant};
 use deflate_bench::scale::Scale;
@@ -27,7 +24,7 @@ use vmdeflate::core::placement::PartitionScheme;
 use vmdeflate::core::policy::{ProportionalDeflation, TransferPolicy};
 use vmdeflate::core::resources::ResourceVector;
 use vmdeflate::core::vm::Priority;
-use vmdeflate::hypervisor::domain::{CacheRegrowthModel, DeflationMechanism};
+use vmdeflate::hypervisor::domain::DeflationMechanism;
 use vmdeflate::transient::signal::{CapacityProfile, CapacitySchedule, TransientConfig};
 
 /// `Disabled` autoscaling (with apps configured!) is bit-identical to a
@@ -125,64 +122,6 @@ fn autoscaler_capacity_flows_through_manager_accounting() {
             variant.name()
         );
     }
-}
-
-/// Repeated deflate-then-migrate squeezes are free without the
-/// cache-regrowth model and charged with it; a zero-rate model is
-/// bit-identical to no model at all.
-#[test]
-fn cache_regrowth_charges_repeated_squeezes() {
-    let scale = Scale::Quick;
-    let workload = transient_workload(scale);
-    let profile = CapacityProfile::spot_market_default();
-    let policy = TransferPolicy::edf().with_deflate_then_migrate(true);
-    let run = |model: Option<CacheRegrowthModel>| {
-        let capacity = vmdeflate::cluster::spec::paper_server_capacity();
-        let servers = vmdeflate::cluster::spec::servers_for_transient_overcommitment(
-            &workload,
-            capacity,
-            0.0,
-            profile.mean_availability(),
-        );
-        let schedule = CapacitySchedule::generate(&TransientConfig {
-            num_servers: servers,
-            transient_fraction: 1.0,
-            duration_secs: scale.cluster_trace_hours() * 3600.0,
-            profile,
-            seed: scale.seed(),
-        });
-        let config = ClusterConfig {
-            num_servers: servers,
-            server_capacity: capacity,
-            placement: PlacementKind::CosineFitness,
-            partitions: PartitionScheme::None,
-            mechanism: DeflationMechanism::Transparent,
-        };
-        let mut sim = ClusterSimulation::new(
-            config,
-            ReclamationMode::Deflation(Arc::new(ProportionalDeflation::default())),
-        )
-        .with_capacity_schedule(schedule)
-        .with_migrate_back(true)
-        .with_migration_cost(default_migration_cost())
-        .with_transfer_policy(policy);
-        if let Some(model) = model {
-            sim = sim.with_cache_regrowth(model);
-        }
-        sim.run(&workload)
-    };
-    let baseline = run(None);
-    let zero_rate = run(Some(CacheRegrowthModel::disabled()));
-    assert_eq!(baseline, zero_rate, "a disabled model must change nothing");
-    let regrowing = run(Some(CacheRegrowthModel::with_rate(50.0)));
-    // Regrown caches ride along on later transfers: strictly more bytes
-    // on the wire than the squeeze-once-free baseline.
-    assert!(
-        regrowing.total_migration_volume_mb() > baseline.total_migration_volume_mb(),
-        "regrowth {} MiB must exceed baseline {} MiB",
-        regrowing.total_migration_volume_mb(),
-        baseline.total_migration_volume_mb()
-    );
 }
 
 proptest! {

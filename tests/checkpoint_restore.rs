@@ -305,13 +305,20 @@ fn malformed_snapshots_are_rejected() {
         sim.resume(&workload, &bad).unwrap_err(),
         CheckpointError::BadMagic
     );
-    // Future version.
-    let mut future = snapshot.clone();
-    future[4..8].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-    assert!(matches!(
-        sim.resume(&workload, &future).unwrap_err(),
-        CheckpointError::VersionMismatch { .. }
-    ));
+    // A future version, and the previous one: an old snapshot is refused,
+    // never misread under the current layout.
+    for version in [SNAPSHOT_VERSION + 1, SNAPSHOT_VERSION - 1] {
+        let mut other = snapshot.clone();
+        other[4..8].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            sim.resume(&workload, &other).unwrap_err(),
+            CheckpointError::VersionMismatch {
+                found: version,
+                expected: SNAPSHOT_VERSION,
+            },
+            "version {version}"
+        );
+    }
     // Truncation anywhere must surface as an error, not a bogus state.
     assert!(sim
         .resume(&workload, &snapshot[..snapshot.len() - 1])
@@ -401,7 +408,6 @@ fn field_offsets(snapshot: &[u8], num_vms: usize) -> FieldOffsets {
             Domain::read_snapshot(&mut r).unwrap();
         }
     }
-    r.get_f64_vec().unwrap();
     for _ in 0..2 {
         for _ in 0..r.get_usize().unwrap() {
             r.get_u64().unwrap();
@@ -582,8 +588,8 @@ fn invalid_domain_specs_and_guest_floats_are_rejected() {
     assert!(domains.len() > 3, "too few resident domains");
     // Frame layout: id u64, class u8, max and min allocations (4 × f64
     // each), priority f64, deflatable u8, mechanism u8, two u32 vCPU
-    // counts, six guest f64s, then the usage and limit vectors.
-    let (max_at, min_at, guest_at, cgroups_at) = (9, 41, 91, 139);
+    // counts, five guest f64s, then the usage and limit vectors.
+    let (max_at, min_at, guest_at, cgroups_at) = (9, 41, 91, 131);
     let f64_at =
         |bytes: &[u8], at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
     let mut patches: Vec<(String, usize, f64)> = Vec::new();
@@ -608,7 +614,7 @@ fn invalid_domain_specs_and_guest_floats_are_rejected() {
                 above,
             ));
         }
-        for j in 0..6 {
+        for j in 0..5 {
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 patches.push((
                     format!("guest float {j} = {bad}"),
@@ -648,15 +654,13 @@ fn length_prefix_offsets(snapshot: &[u8]) -> (usize, usize) {
         r.get_f64().unwrap();
         SimEvent::read_snapshot(&mut r).unwrap();
     }
-    // The manager: every server's capacity and residents, then the
-    // per-server reclaim clocks.
+    // The manager: every server's capacity and residents.
     for _ in 0..r.get_usize().unwrap() {
         r.get_resources().unwrap();
         for _ in 0..r.get_usize().unwrap() {
             Domain::read_snapshot(&mut r).unwrap();
         }
     }
-    r.get_f64_vec().unwrap();
     let locations_at = snapshot.len() - r.remaining();
     assert!(r.get_usize().unwrap() > 0, "VMs run at the boundary");
     (queue_at, locations_at)
@@ -672,7 +676,7 @@ fn length_prefix_offsets(snapshot: &[u8]) -> (usize, usize) {
 #[test]
 fn snapshot_byte_format_is_golden_pinned() {
     assert_eq!(
-        SNAPSHOT_VERSION, 2,
+        SNAPSHOT_VERSION, 3,
         "version bump requires re-pinning SNAPSHOT_GOLDEN"
     );
     let snapshot = golden_snapshot();
@@ -687,9 +691,9 @@ fn snapshot_byte_format_is_golden_pinned() {
     );
 }
 
-/// Golden digest captured from the version-2 snapshot format (per-VM
-/// usage summaries instead of allocation histories).
-const SNAPSHOT_GOLDEN: u64 = 0x92ec_2a1d_9fd6_4bc4;
+/// Golden digest captured from the version-3 snapshot format (no
+/// reclaim clocks, cache-regrowth clocks or page-cache targets).
+const SNAPSHOT_GOLDEN: u64 = 0x4a73_8f62_c84b_2d6a;
 
 fn golden_snapshot() -> Vec<u8> {
     let workload = transient_workload(Scale::Quick);
@@ -708,8 +712,10 @@ fn golden_snapshot() -> Vec<u8> {
 #[test]
 #[ignore = "re-pinning helper, run with --ignored --nocapture"]
 fn print_current_snapshot_digest() {
+    let snapshot = golden_snapshot();
+    println!("// {} bytes", snapshot.len());
     println!(
         "const SNAPSHOT_GOLDEN: u64 = 0x{:016x};",
-        fnv1a64(&golden_snapshot())
+        fnv1a64(&snapshot)
     );
 }
