@@ -133,7 +133,7 @@ impl SpecJbbMemoryExperiment {
         //  * explicitly unplugged idle memory shrinks the heap the JVM must
         //    manage, a small improvement (hybrid dips below 1.0).
         let working_set_overflow = ((rss - effective) / self.memory_mb).max(0.0);
-        let believed = domain.guest.plugged_memory_mb();
+        let believed = domain.guest().plugged_memory_mb();
         let transparent_squeeze = ((believed - effective.max(rss)) / self.memory_mb)
             .max(0.0)
             .min(((rss + cache - effective).max(0.0)) / self.memory_mb);

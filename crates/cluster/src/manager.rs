@@ -1575,24 +1575,31 @@ impl ClusterManager {
     /// are on their way out (or will be evicted at the deadline), so
     /// capacity checks during a transfer subtract them.
     fn pending_outbound(&self, idx: usize) -> ResourceVector {
-        // Sum in VM-id order, not HashMap iteration order: f64 addition is
-        // not associative and a run-to-run fold-order difference could
-        // flip a borderline fits_within decision, breaking the bit-exact
-        // determinism the simulator guarantees.
-        let mut vms: Vec<VmId> = self
-            .in_flight
-            .values()
-            .filter(|m| m.source == idx)
-            .map(|m| m.vm)
-            .chain(self.staged.iter().filter(|s| s.source == idx).map(|s| s.vm))
-            .collect();
-        vms.sort();
-        vms.dedup();
-        vms.into_iter()
-            .filter_map(|vm| self.controllers[idx].server().domain(vm))
+        // Sum in VM-id order (the server's map order), not HashMap
+        // iteration order: f64 addition is not associative and a
+        // run-to-run fold-order difference could flip a borderline
+        // fits_within decision, breaking the bit-exact determinism the
+        // simulator guarantees.
+        self.controllers[idx]
+            .server()
+            .domains()
+            .filter(|d| self.leaves(idx, d))
             .fold(ResourceVector::ZERO, |acc, d| {
                 acc + d.effective_allocation()
             })
+    }
+
+    /// Whether `domain`, resident on server `idx`, is pledged to leave it:
+    /// its in-flight or staged transfer has `idx` as its source.
+    fn leaves(&self, idx: usize, domain: &Domain) -> bool {
+        let vm = domain.spec.id;
+        let in_flight = self
+            .vms
+            .get(domain.slot as usize)
+            .and_then(VmSlot::flight)
+            .and_then(|mid| self.in_flight.get(&mid))
+            .is_some_and(|f| f.source == idx && f.vm == vm);
+        in_flight || self.staged.iter().any(|s| s.source == idx && s.vm == vm)
     }
 
     /// The capacity invariant adjusted for in-flight transfers: effective
@@ -2591,6 +2598,124 @@ mod tests {
             reclaim_deadline_secs: f64::INFINITY,
             ..MigrationCostModel::instant()
         }
+    }
+
+    /// `pending_outbound` as it was before it walked the source's domains:
+    /// kept verbatim as the oracle the current one must match bit for bit.
+    fn pending_outbound_oracle(cluster: &ClusterManager, idx: usize) -> ResourceVector {
+        let mut vms: Vec<VmId> = cluster
+            .in_flight
+            .values()
+            .filter(|m| m.source == idx)
+            .map(|m| m.vm)
+            .chain(
+                cluster
+                    .staged
+                    .iter()
+                    .filter(|s| s.source == idx)
+                    .map(|s| s.vm),
+            )
+            .collect();
+        vms.sort();
+        vms.dedup();
+        vms.into_iter()
+            .filter_map(|vm| cluster.controllers[idx].server().domain(vm))
+            .fold(ResourceVector::ZERO, |acc, d| {
+                acc + d.effective_allocation()
+            })
+    }
+
+    /// Over deflated residents, real in-flight transfers (with their
+    /// destination copies), synthetic flights from the VM's server or from
+    /// elsewhere, and staged transfers — alone, on top of a flight, or
+    /// from a server the VM is not on — the walk over the source's
+    /// domains sums the same allocations in the same order as the oracle.
+    #[test]
+    fn pending_outbound_matches_the_oracle() {
+        let mut seed = 5u64;
+        let mut next = move |n: usize| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((seed >> 33) % n as u64) as usize
+        };
+        let (mut started, mut nonzero) = (0, 0);
+        for round in 0..40 {
+            let config = ClusterConfig {
+                num_servers: 4,
+                server_capacity: ResourceVector::cpu_mem(16_000.0, 32_768.0),
+                placement: PlacementKind::CosineFitness,
+                partitions: PartitionScheme::None,
+                mechanism: DeflationMechanism::Transparent,
+            };
+            let mut cluster =
+                ClusterManager::new(&config, deflation_mode()).with_migration_cost(slow_model());
+            let count = 6 + next(14) as u64;
+            for id in 0..count {
+                let cores = 1.0 + next(7) as f64 + 0.25 * next(4) as f64;
+                let priority = 0.1 + 0.1 * next(9) as f64;
+                // A floor under each VM: deflation cannot absorb the
+                // whole reclamation, so some VMs must leave.
+                cluster.place_vm(vm(id, cores, priority).with_priority_derived_min());
+            }
+            if round % 2 == 0 {
+                let victim = ServerId(next(4) as u32);
+                started += cluster.reclaim_capacity(victim, 0.1, 10.0).started.len();
+            }
+            let residents: Vec<(VmId, usize)> = (0..count)
+                .filter_map(|id| {
+                    let vm = VmId(id);
+                    let server = cluster.locate(vm)?;
+                    (!cluster.is_in_flight(vm)).then(|| (vm, cluster.server_index(server)))
+                })
+                .collect();
+            for &(vm, location) in &residents {
+                let elsewhere = (location + 1 + next(3)) % 4;
+                let slot = cluster.slot_by_id(vm).unwrap();
+                let stage = |cluster: &mut ClusterManager, source: usize| {
+                    cluster.staged.push(StagedTransfer {
+                        vm,
+                        slot,
+                        source,
+                        dest: (source + 1) % 4,
+                        duration_secs: 1.0,
+                        volume_mb: 0.0,
+                        deadline_secs: f64::INFINITY,
+                        back: false,
+                        origin_inserted: false,
+                    });
+                };
+                match next(6) {
+                    0 => {
+                        cluster.inject_test_flight(vm, location, elsewhere, 0.0, 1.0, 2.0);
+                    }
+                    1 => {
+                        cluster.inject_test_flight(vm, elsewhere, location, 0.0, 1.0, 2.0);
+                    }
+                    2 => stage(&mut cluster, location),
+                    3 => stage(&mut cluster, elsewhere),
+                    4 => {
+                        cluster.inject_test_flight(vm, location, elsewhere, 0.0, 1.0, 2.0);
+                        stage(&mut cluster, location);
+                    }
+                    _ => {}
+                }
+            }
+            let bits = |v: ResourceVector| v.iter().map(|(_, x)| x.to_bits()).collect::<Vec<_>>();
+            for idx in 0..4 {
+                let pending = cluster.pending_outbound(idx);
+                assert_eq!(
+                    bits(pending),
+                    bits(pending_outbound_oracle(&cluster, idx)),
+                    "round {round}, server {idx}"
+                );
+                nonzero += usize::from(!pending.is_zero());
+            }
+        }
+        assert!(
+            started > 10 && nonzero > 80,
+            "{started} real transfers, {nonzero} sums"
+        );
     }
 
     #[test]

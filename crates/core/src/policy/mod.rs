@@ -190,7 +190,12 @@ pub trait DeflationPolicy: Send + Sync {
     /// * `shortfall` is non-negative for deflation and non-positive for
     ///   reinflation, and zero when the demand was fully met;
     /// * the result depends only on `vms` and `demand`, never on what an
-    ///   earlier call left in `scratch`.
+    ///   earlier call left in `scratch`;
+    /// * a reinflation (`demand < 0`) over VMs that all hold exactly their
+    ///   finite, non-negative-zero maximum (`current == max`), or over no
+    ///   VMs at all, returns every target equal to its `current`, with
+    ///   `reclaimed == 0.0` and `shortfall == demand`. [`VectorPlanner`]
+    ///   relies on this to skip such a plan.
     fn plan_into(
         &self,
         vms: &[VmResourceState],
@@ -418,6 +423,20 @@ impl VectorPlanner {
             if d.abs() <= 1e-12 {
                 continue;
             }
+            if d < 0.0
+                && self
+                    .bounds
+                    .iter()
+                    .zip(&self.targets)
+                    .all(|(bounds, (_, current))| at_max(current[kind], bounds.max[kind]))
+            {
+                // Nobody can grow: by the `DeflationPolicy` contract the
+                // plan would return the current allocations, reclaim
+                // nothing and leave the whole demand unmet.
+                totals.reclaimed[kind] = 0.0;
+                totals.shortfall[kind] = d;
+                continue;
+            }
             // Each kind is written back once, after it is planned, so this
             // kind's entry of every target still holds the current value.
             self.states.clear();
@@ -469,6 +488,14 @@ impl VectorPlanner {
             shortfall: totals.shortfall,
         }
     }
+}
+
+/// Whether a reinflation leaves an input with allocation `current` and
+/// maximum `max` bit for bit as it is: it holds exactly its finite
+/// maximum. Negative zero is excluded, because a plan's `current + 0.0`
+/// would turn it into positive zero.
+fn at_max(current: f64, max: f64) -> bool {
+    current == max && max.is_finite() && current.is_sign_positive()
 }
 
 /// Write each VM's target `current − reclaim`, clamped to its bounds, and
@@ -693,6 +720,122 @@ mod tests {
             );
             // Dimensions without demand keep the current allocation.
             assert_eq!(target[ResourceKind::DiskBw], 100.0);
+        }
+    }
+
+    /// Every deflation policy of this crate, in each of its modes.
+    fn all_policies() -> Vec<Box<dyn DeflationPolicy>> {
+        vec![
+            Box::new(ProportionalDeflation::by_size()),
+            Box::new(ProportionalDeflation::by_deflatable_span()),
+            Box::new(PriorityDeflation::weighted()),
+            Box::new(PriorityDeflation::with_priority_floor()),
+            Box::new(DeterministicDeflation::binary()),
+            Box::new(DeterministicDeflation::with_partial_last()),
+        ]
+    }
+
+    /// A reinflation the planner skips (every input at its maximum, or no
+    /// input at all) returns the same target, `reclaimed` and `shortfall`
+    /// bits as the policy's own plan, for every policy. Kinds with an
+    /// input below its maximum are planned as before, alongside.
+    #[test]
+    fn skipped_reinflation_matches_the_policy_bit_for_bit() {
+        let mut seed = 11u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let bits = |v: ResourceVector| v.iter().map(|(_, x)| x.to_bits()).collect::<Vec<_>>();
+        let mut planner = VectorPlanner::new();
+        for case in 0..300 {
+            let n = case % 9;
+            let vms: Vec<VmAllocation> = (0..n)
+                .map(|i| {
+                    let size = |u: f64| if u < 0.15 { 0.0 } else { 10_000.0 * u };
+                    let max = ResourceVector::new(size(next()), size(next()), size(next()), 0.0);
+                    let spec = VmSpec::deflatable(VmId(i as u64), VmClass::Interactive, max)
+                        .with_priority(Priority::new(0.05 + 0.95 * next()))
+                        .with_min_allocation(max * (0.5 * next()));
+                    let mut vm = VmAllocation::new(spec);
+                    // Pull the memory of some VMs below its maximum: that
+                    // kind is planned, the other three are skipped.
+                    if case % 3 == 0 && next() < 0.5 {
+                        vm.set_current(ResourceVector::new(max.cpu(), 0.0, max.disk_bw(), 0.0));
+                    }
+                    vm
+                })
+                .collect();
+            let demand =
+                -ResourceVector::new(50_000.0 * next(), 50_000.0 * next(), 50_000.0 * next(), 1.0);
+            for policy in all_policies() {
+                let totals = planner.plan_into(policy.as_ref(), &vms, demand);
+                let mut want_targets: Vec<ResourceVector> =
+                    vms.iter().map(|v| v.current()).collect();
+                let mut want = PlanTotals {
+                    reclaimed: ResourceVector::ZERO,
+                    shortfall: ResourceVector::ZERO,
+                };
+                for kind in ResourceKind::ALL {
+                    let states: Vec<VmResourceState> = vms
+                        .iter()
+                        .map(|v| VmResourceState {
+                            id: v.spec.id,
+                            max: v.spec.max_allocation[kind],
+                            min: v.spec.min_allocation[kind],
+                            current: v.current()[kind],
+                            priority: v.spec.priority.value(),
+                        })
+                        .collect();
+                    let plan = policy.plan(&states, demand[kind]);
+                    for ((_, t), target) in plan.targets.iter().zip(&mut want_targets) {
+                        target[kind] = *t;
+                    }
+                    want.reclaimed[kind] = plan.reclaimed;
+                    want.shortfall[kind] = plan.shortfall;
+                }
+                let case = format!("case {case} {}", policy.name());
+                assert_eq!(bits(totals.reclaimed), bits(want.reclaimed), "{case}");
+                assert_eq!(bits(totals.shortfall), bits(want.shortfall), "{case}");
+                let got: Vec<_> = planner.targets().iter().map(|(_, t)| bits(*t)).collect();
+                let want_targets: Vec<_> = want_targets.into_iter().map(bits).collect();
+                assert_eq!(got, want_targets, "{case}");
+            }
+        }
+    }
+
+    /// The `DeflationPolicy` contract the planner's skip relies on, checked
+    /// on each policy directly.
+    #[test]
+    fn reinflation_at_max_returns_inputs_unchanged() {
+        let vms = [
+            state(1, 8.0, 2.0, 8.0, 0.3),
+            state(2, 0.0, 0.0, 0.0, 0.9),
+            state(3, 1e-13, 0.0, 1e-13, 0.5),
+        ];
+        for policy in all_policies() {
+            for inputs in [&vms[..], &[]] {
+                for demand in [-1e-9, -3.0, -1e9] {
+                    let plan = policy.plan(inputs, demand);
+                    for ((_, target), vm) in plan.targets.iter().zip(inputs) {
+                        assert_eq!(target.to_bits(), vm.current.to_bits(), "{}", policy.name());
+                    }
+                    assert_eq!(
+                        plan.reclaimed.to_bits(),
+                        0.0f64.to_bits(),
+                        "{}",
+                        policy.name()
+                    );
+                    assert_eq!(
+                        plan.shortfall.to_bits(),
+                        demand.to_bits(),
+                        "{}",
+                        policy.name()
+                    );
+                }
+            }
         }
     }
 

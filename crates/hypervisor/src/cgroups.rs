@@ -18,12 +18,11 @@ use deflate_core::resources::{ResourceKind, ResourceVector};
 use serde::{Deserialize, Serialize};
 
 /// One simulated cgroup controller (e.g. the memory controller of one VM).
+/// Its slot in the [`CgroupSet`] names the resource it limits.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CgroupController {
-    /// Which resource this controller limits.
-    pub kind: ResourceKind,
     /// Current limit (`cpu.cfs_quota`-equivalent, `memory.limit_in_bytes`,
-    /// blkio throttle, …) in the canonical unit of `kind`.
+    /// blkio throttle, …) in the canonical unit of the resource.
     limit: f64,
     /// Hard ceiling: the limit can never exceed this (host capacity or the
     /// VM's configured maximum).
@@ -34,9 +33,8 @@ pub struct CgroupController {
 
 impl CgroupController {
     /// Create a controller with `limit == ceiling` and zero usage.
-    pub fn new(kind: ResourceKind, ceiling: f64) -> Self {
+    pub fn new(ceiling: f64) -> Self {
         CgroupController {
-            kind,
             limit: ceiling,
             ceiling,
             usage: 0.0,
@@ -114,10 +112,10 @@ impl CgroupSet {
     /// Create a cgroup set whose ceilings are the VM's maximum allocation.
     pub fn new(max_allocation: ResourceVector) -> Self {
         CgroupSet {
-            cpu: CgroupController::new(ResourceKind::Cpu, max_allocation.cpu()),
-            memory: CgroupController::new(ResourceKind::Memory, max_allocation.memory()),
-            blkio: CgroupController::new(ResourceKind::DiskBw, max_allocation.disk_bw()),
-            net: CgroupController::new(ResourceKind::NetBw, max_allocation.net_bw()),
+            cpu: CgroupController::new(max_allocation.cpu()),
+            memory: CgroupController::new(max_allocation.memory()),
+            blkio: CgroupController::new(max_allocation.disk_bw()),
+            net: CgroupController::new(max_allocation.net_bw()),
         }
     }
 
@@ -185,7 +183,7 @@ mod tests {
 
     #[test]
     fn limits_clamp_to_ceiling_and_zero() {
-        let mut c = CgroupController::new(ResourceKind::Cpu, 4000.0);
+        let mut c = CgroupController::new(4000.0);
         assert_eq!(c.set_limit(10_000.0), 4000.0);
         assert_eq!(c.set_limit(-5.0), 0.0);
         assert_eq!(c.set_limit(2500.0), 2500.0);
@@ -195,7 +193,7 @@ mod tests {
 
     #[test]
     fn usage_clamped_to_limit() {
-        let mut c = CgroupController::new(ResourceKind::Memory, 8192.0);
+        let mut c = CgroupController::new(8192.0);
         c.set_limit(4096.0);
         c.set_usage(6000.0);
         assert_eq!(c.usage(), 4096.0);
@@ -205,7 +203,7 @@ mod tests {
 
     #[test]
     fn pressure_measures_unmet_demand() {
-        let mut c = CgroupController::new(ResourceKind::Cpu, 4000.0);
+        let mut c = CgroupController::new(4000.0);
         c.set_limit(2000.0);
         assert_eq!(c.pressure(1000.0), 0.0);
         assert!((c.pressure(3000.0) - 0.5).abs() < 1e-12);
@@ -216,11 +214,11 @@ mod tests {
 
     #[test]
     fn grant_fraction_tracks_deflation() {
-        let mut c = CgroupController::new(ResourceKind::DiskBw, 200.0);
+        let mut c = CgroupController::new(200.0);
         assert_eq!(c.grant_fraction(), 1.0);
         c.set_limit(50.0);
         assert!((c.grant_fraction() - 0.25).abs() < 1e-12);
-        let zero = CgroupController::new(ResourceKind::NetBw, 0.0);
+        let zero = CgroupController::new(0.0);
         assert_eq!(zero.grant_fraction(), 1.0);
     }
 

@@ -194,23 +194,29 @@ impl LocalController {
     /// Reinflate resident VMs using whatever capacity is currently free.
     /// Domains *parked* by the autoscaler (deflated instead of terminated)
     /// are skipped — their deflation is deliberate and must stick until
-    /// the autoscaler unparks them.
+    /// the autoscaler unparks them. A server whose unparked deflatable
+    /// residents all hold their maximum has nobody to grow, so it is not
+    /// planned at all.
     pub fn reinflate(&mut self, changed: &mut Vec<u32>) {
-        let used = self.server.effective_used();
-        self.reinflate_into(used, changed);
+        let (used, reinflatable) = self.server.used_and_reinflatable();
+        if reinflatable {
+            self.reinflate_into(used, changed);
+        }
     }
 
     /// Reinflate residents into the currently free capacity, but only
     /// while the residents fit the capacity; returns whether they did. A
     /// server kept over capacity (by in-flight outbound transfers, say)
-    /// has no room to hand out. One walk over the residents serves both
-    /// the check and the free room.
+    /// has no room to hand out. One walk over the residents serves the
+    /// check, the free room and whether anyone can grow at all.
     pub fn reinflate_if_fits(&mut self, changed: &mut Vec<u32>) -> bool {
-        let used = self.server.effective_used();
+        let (used, reinflatable) = self.server.used_and_reinflatable();
         if !used.fits_within(&self.server.capacity) {
             return false;
         }
-        self.reinflate_into(used, changed);
+        if reinflatable {
+            self.reinflate_into(used, changed);
+        }
         true
     }
 
@@ -444,6 +450,130 @@ mod tests {
         assert!(c.reinflate_if_fits(&mut log));
         for d in c.server().domains() {
             assert_eq!(d.effective_allocation(), d.spec.max_allocation);
+        }
+    }
+
+    /// Reinflation through the full path, with no skip anywhere: each
+    /// kind planned by the scalar water-fill, every unparked deflatable
+    /// resident retargeted. Returns the change log.
+    fn full_reinflate(server: &mut SimServer, policy: &dyn DeflationPolicy) -> Vec<u32> {
+        use deflate_core::policy::VmResourceState;
+        use deflate_core::resources::ResourceKind;
+        let free = server.capacity.saturating_sub(&server.effective_used());
+        let residents: Vec<_> = server
+            .domains()
+            .filter(|d| d.spec.deflatable && !d.is_parked())
+            .map(|d| (d.spec.clone(), d.effective_allocation()))
+            .collect();
+        let mut targets: Vec<_> = residents.iter().map(|(s, a)| (s.id, *a)).collect();
+        for kind in ResourceKind::ALL {
+            if free[kind].abs() <= 1e-12 {
+                continue;
+            }
+            let states: Vec<_> = residents
+                .iter()
+                .map(|(spec, current)| VmResourceState {
+                    id: spec.id,
+                    max: spec.max_allocation[kind],
+                    min: spec.min_allocation[kind],
+                    current: current[kind],
+                    priority: spec.priority.value(),
+                })
+                .collect();
+            let plan = policy.plan(&states, -free[kind]);
+            for ((_, target), (_, v)) in plan.targets.iter().zip(targets.iter_mut()) {
+                v[kind] = *target;
+            }
+        }
+        let mut changed = Vec::new();
+        server.apply_targets(&targets, &mut changed).unwrap();
+        changed
+    }
+
+    /// Every domain's snapshot bytes and effective allocation bits.
+    fn domain_bits(server: &SimServer) -> Vec<(Vec<u8>, Vec<u64>)> {
+        server
+            .domains()
+            .map(|d| {
+                let mut w = deflate_core::checkpoint::ByteWriter::new();
+                d.write_snapshot(&mut w);
+                let eff = d.effective_allocation();
+                (
+                    w.into_bytes(),
+                    eff.iter().map(|(_, x)| x.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// A server whose unparked deflatable residents all hold their maximum
+    /// — next to a parked resident and a deflated non-deflatable one — is
+    /// not planned, and ends bit-identical to the full plan-and-apply
+    /// path, under every mechanism and policy. With one resident below
+    /// its maximum both paths plan, and still agree.
+    #[test]
+    fn reinflation_skip_matches_the_full_path() {
+        use deflate_core::policy::{DeterministicDeflation, PriorityDeflation};
+        let policies: [Arc<dyn DeflationPolicy>; 3] = [
+            Arc::new(ProportionalDeflation::default()),
+            Arc::new(PriorityDeflation::default()),
+            Arc::new(DeterministicDeflation::default()),
+        ];
+        for mechanism in [
+            DeflationMechanism::Transparent,
+            DeflationMechanism::Explicit,
+            DeflationMechanism::Hybrid,
+        ] {
+            for policy in &policies {
+                for grown in [false, true] {
+                    let server = SimServer::new(
+                        ServerId(1),
+                        ResourceVector::new(64_000.0, 131_072.0, 2_000.0, 10_000.0),
+                    );
+                    let mut c = LocalController::new(server, Arc::clone(policy), mechanism);
+                    let mut log = Vec::new();
+                    c.try_admit(vm(1, 3.5, 6000.0), &mut log).unwrap();
+                    c.try_admit(vm(2, 6.0, 8192.0), &mut log).unwrap();
+                    c.try_admit(vm(3, 4.0, 4096.0), &mut log).unwrap();
+                    let od = VmSpec::on_demand(
+                        VmId(4),
+                        VmClass::Unknown,
+                        ResourceVector::new(2000.0, 4096.0, 100.0, 100.0),
+                    );
+                    c.try_admit(od, &mut log).unwrap();
+                    for (slot, d) in c.server_mut().domains_mut().enumerate() {
+                        d.slot = slot as u32;
+                        d.report_guest_usage(ResourceVector::new(700.0, 1500.0, 10.0, 20.0), 400.0);
+                    }
+                    let server = c.server_mut();
+                    let parked = server.domain_mut(VmId(3)).unwrap();
+                    parked.deflate_to(parked.spec.max_allocation * 0.25);
+                    parked.set_parked(true);
+                    let od = server.domain_mut(VmId(4)).unwrap();
+                    od.deflate_to(od.spec.max_allocation * 0.5);
+                    if grown {
+                        let d = server.domain_mut(VmId(2)).unwrap();
+                        d.deflate_to(d.spec.max_allocation * 0.6);
+                    }
+                    let mut full = server.clone();
+                    let want_log = full_reinflate(&mut full, policy.as_ref());
+                    let want = domain_bits(&full);
+                    let before = c.server().clone();
+                    for if_fits in [false, true] {
+                        *c.server_mut() = before.clone();
+                        let mut log = Vec::new();
+                        if if_fits {
+                            assert!(c.reinflate_if_fits(&mut log));
+                        } else {
+                            c.reinflate(&mut log);
+                        }
+                        let case = format!("{} {} grown={grown}", mechanism.name(), policy.name());
+                        assert_eq!(log, want_log, "{case}");
+                        assert_eq!(log.is_empty(), !grown, "{case}");
+                        assert_eq!(domain_bits(c.server()), want, "{case}");
+                    }
+                }
+            }
         }
     }
 

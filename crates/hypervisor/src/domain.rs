@@ -14,6 +14,11 @@
 //! [`DeflationMechanism`]; the hybrid mechanism follows the pseudo-code of
 //! Figure 13: hotplug down to `max(hotplug_threshold, round_up(target))`,
 //! then let cgroup multiplexing cover the remaining distance to the target.
+//!
+//! A domain keeps its effective allocation as a field, recomputed at the
+//! end of every method that changes the guest or the cgroups; both are
+//! private, so nothing else can change them and leave the field stale.
+//! Debug builds check the field against a fresh computation on every read.
 
 use crate::cgroups::CgroupSet;
 use crate::guest::{GuestOs, HotplugOutcome, MEMORY_BLOCK_MB};
@@ -80,12 +85,18 @@ pub struct Domain {
     /// bookkeeping: not part of the snapshot, which the cluster rebuilds
     /// it from.
     pub slot: u32,
-    /// Simulated guest OS (hotplug state, RSS, caches).
-    pub guest: GuestOs,
-    /// Simulated cgroup controllers (multiplexing state).
-    pub cgroups: CgroupSet,
+    /// Simulated guest OS (hotplug state, RSS, caches). Private so that
+    /// every change goes through a mutator that refreshes `effective`.
+    guest: GuestOs,
+    /// Simulated cgroup controllers (multiplexing state). Private for the
+    /// same reason as `guest`.
+    cgroups: CgroupSet,
     /// Mechanism used for subsequent deflation requests.
     pub mechanism: DeflationMechanism,
+    /// The effective allocation, recomputed from the spec, the guest's
+    /// hotplug state and the cgroup limits at the end of every mutator.
+    /// Host-side like `slot`: not part of the snapshot.
+    effective: ResourceVector,
     /// Recent CPU-utilisation samples (fractions of the full allocation,
     /// newest last, at most [`CPU_UTIL_HISTORY_LEN`]). The migration cost
     /// model reads this to estimate the domain's page-dirtying rate:
@@ -117,9 +128,21 @@ impl Domain {
             guest,
             cgroups,
             mechanism,
+            effective: ResourceVector::ZERO,
             cpu_util_history: Vec::new(),
             parked: false,
         }
+        .with_effective_refreshed()
+    }
+
+    /// The simulated guest OS: hotplug state, RSS and page cache.
+    pub fn guest(&self) -> &GuestOs {
+        &self.guest
+    }
+
+    /// The simulated cgroup controllers: limits and usages.
+    pub fn cgroups(&self) -> &CgroupSet {
+        &self.cgroups
     }
 
     /// True while the autoscaler has parked this domain (deflated instead
@@ -159,7 +182,9 @@ impl Domain {
     /// before a live migration so only the RSS has to cross the link.
     /// Returns the MiB shaved off the hot footprint.
     pub fn deflate_for_migration(&mut self) -> f64 {
-        self.guest.drop_page_cache()
+        let dropped = self.guest.drop_page_cache();
+        self.refresh_effective();
+        dropped
     }
 
     /// Land a live-migrated guest on this (destination) domain: its memory
@@ -174,6 +199,7 @@ impl Domain {
         self.guest = source.guest.clone();
         self.cpu_util_history = source.cpu_util_history.clone();
         self.parked = source.parked;
+        self.refresh_effective();
     }
 
     /// Serialize the full domain state for an engine checkpoint: spec,
@@ -241,20 +267,23 @@ impl Domain {
             guest,
             cgroups,
             mechanism,
+            effective: ResourceVector::ZERO,
             cpu_util_history,
             parked,
-        })
+        }
+        .with_effective_refreshed())
     }
 
     /// The allocation currently granted on each dimension, i.e. the tighter
     /// of the hotplug state and the cgroup limit.
     pub fn effective_allocation(&self) -> ResourceVector {
-        ResourceVector::new(
-            self.effective(ResourceKind::Cpu),
-            self.effective(ResourceKind::Memory),
-            self.effective(ResourceKind::DiskBw),
-            self.effective(ResourceKind::NetBw),
-        )
+        debug_assert_eq!(
+            self.effective,
+            self.compute_effective(),
+            "VM {}: cached effective allocation is stale",
+            self.spec.id.0
+        );
+        self.effective
     }
 
     /// The effective CPU allocation as a fraction of the maximum (1.0 for
@@ -264,12 +293,23 @@ impl Domain {
         if max <= 0.0 {
             1.0
         } else {
-            self.effective(ResourceKind::Cpu) / max
+            self.effective_allocation().cpu() / max
         }
     }
 
-    /// One component of [`effective_allocation`](Self::effective_allocation).
-    fn effective(&self, kind: ResourceKind) -> f64 {
+    /// [`effective_allocation`](Self::effective_allocation) derived from
+    /// the spec, the guest and the cgroups rather than read from the cache.
+    fn compute_effective(&self) -> ResourceVector {
+        ResourceVector::new(
+            self.compute_effective_kind(ResourceKind::Cpu),
+            self.compute_effective_kind(ResourceKind::Memory),
+            self.compute_effective_kind(ResourceKind::DiskBw),
+            self.compute_effective_kind(ResourceKind::NetBw),
+        )
+    }
+
+    /// One component of [`compute_effective`](Self::compute_effective).
+    fn compute_effective_kind(&self, kind: ResourceKind) -> f64 {
         let limit = self.cgroups.controller(kind).limit();
         match kind {
             ResourceKind::Cpu | ResourceKind::Memory => limit
@@ -279,13 +319,26 @@ impl Domain {
         }
     }
 
+    /// Bring the cached effective allocation up to date; the last step of
+    /// every mutator.
+    fn refresh_effective(&mut self) {
+        self.effective = self.compute_effective();
+    }
+
+    /// [`refresh_effective`](Self::refresh_effective) for a domain under
+    /// construction.
+    fn with_effective_refreshed(mut self) -> Self {
+        self.refresh_effective();
+        self
+    }
+
     /// Deflation fraction of one resource relative to the maximum allocation.
     pub fn deflation_fraction(&self, kind: ResourceKind) -> f64 {
         let max = self.spec.max_allocation[kind];
         if max <= 0.0 {
             0.0
         } else {
-            (1.0 - self.effective(kind) / max).clamp(0.0, 1.0)
+            (1.0 - self.effective_allocation()[kind] / max).clamp(0.0, 1.0)
         }
     }
 
@@ -299,6 +352,7 @@ impl Domain {
         self.guest.report_usage(usage.memory(), page_cache_mb, busy);
         self.cgroups.set_usages(usage);
         self.observe_cpu_utilization(busy);
+        self.refresh_effective();
     }
 
     /// Apply a target allocation vector through this domain's mechanism.
@@ -314,23 +368,56 @@ impl Domain {
     /// * hybrid — exactly the clamped target, with as much as safely possible
     ///   realised via hotplug and the remainder via multiplexing.
     pub fn deflate_to(&mut self, target: ResourceVector) -> [DeflationOutcome; 4] {
+        let before = self.effective;
         let clamped = target.clamp(&ResourceVector::ZERO, &self.spec.max_allocation);
-        ResourceKind::ALL.map(|kind| self.deflate_resource(kind, clamped[kind]))
+        let mut via_hotplug = ResourceVector::ZERO;
+        for kind in ResourceKind::ALL {
+            via_hotplug[kind] = self.set_target(kind, clamped[kind]);
+        }
+        self.refresh_effective();
+        ResourceKind::ALL.map(|kind| {
+            let effective = self.effective[kind];
+            // Explicit hotplug moves the cgroup limit with the guest, so
+            // none of the change is multiplexing; on the other paths
+            // multiplexing covers whatever hotplug did not.
+            let hotplug_only = self.mechanism == DeflationMechanism::Explicit
+                && GuestOs::supports_hot_unplug(kind);
+            let via_multiplexing = if hotplug_only {
+                0.0
+            } else {
+                (before[kind] - effective) - via_hotplug[kind]
+            };
+            DeflationOutcome {
+                kind,
+                requested: clamped[kind],
+                effective,
+                via_hotplug: via_hotplug[kind],
+                via_multiplexing,
+            }
+        })
     }
 
     /// [`deflate_to`](Self::deflate_to) for a caller that tracks
-    /// allocation changes: the domain's [`slot`](Self::slot) is appended
-    /// to `changed` when its effective CPU allocation moved.
+    /// allocation changes and needs no outcomes: the domain's
+    /// [`slot`](Self::slot) is appended to `changed` when its effective
+    /// CPU allocation moved.
     pub fn retarget(&mut self, target: ResourceVector, changed: &mut Vec<u32>) {
-        let before = self.effective(ResourceKind::Cpu);
-        self.deflate_to(target);
-        if self.effective(ResourceKind::Cpu) != before {
+        let before = self.effective.cpu();
+        let clamped = target.clamp(&ResourceVector::ZERO, &self.spec.max_allocation);
+        for kind in ResourceKind::ALL {
+            self.set_target(kind, clamped[kind]);
+        }
+        self.refresh_effective();
+        if self.effective.cpu() != before {
             changed.push(self.slot);
         }
     }
 
-    fn deflate_resource(&mut self, kind: ResourceKind, target: f64) -> DeflationOutcome {
-        let before = self.effective(kind);
+    /// Apply one resource's clamped target through the domain's mechanism
+    /// and return the part of the change realised through hotplug
+    /// (positive when unplugging). Leaves the cached effective allocation
+    /// to the caller.
+    fn set_target(&mut self, kind: ResourceKind, target: f64) -> f64 {
         match (self.mechanism, kind) {
             (DeflationMechanism::Transparent, _)
             | (_, ResourceKind::DiskBw)
@@ -339,14 +426,7 @@ impl Domain {
                 // state does not cap the allocation tighter than the target.
                 self.undo_hotplug_below(kind, target);
                 self.cgroups.controller_mut(kind).set_limit(target);
-                let effective = self.effective(kind);
-                DeflationOutcome {
-                    kind,
-                    requested: target,
-                    effective,
-                    via_hotplug: 0.0,
-                    via_multiplexing: before - effective,
-                }
+                0.0
             }
             (DeflationMechanism::Explicit, _) => {
                 let outcome = self.hotplug_towards(kind, target);
@@ -355,14 +435,7 @@ impl Domain {
                 // threshold or split hotplug units.
                 let hotplugged = self.hotplug_level(kind);
                 self.cgroups.controller_mut(kind).set_limit(hotplugged);
-                let effective = self.effective(kind);
-                DeflationOutcome {
-                    kind,
-                    requested: target,
-                    effective,
-                    via_hotplug: -outcome.applied_in_units(kind),
-                    via_multiplexing: 0.0,
-                }
+                -outcome.applied_in_units(kind)
             }
             (DeflationMechanism::Hybrid, _) => {
                 // Figure 13: hotplug_val = max(hp_threshold, round_up(target)).
@@ -371,15 +444,7 @@ impl Domain {
                 let outcome = self.hotplug_towards(kind, hotplug_val);
                 // Multiplexing covers the rest of the way to the target.
                 self.cgroups.controller_mut(kind).set_limit(target);
-                let effective = self.effective(kind);
-                let via_hotplug = -outcome.applied_in_units(kind);
-                DeflationOutcome {
-                    kind,
-                    requested: target,
-                    effective,
-                    via_hotplug,
-                    via_multiplexing: (before - effective) - via_hotplug,
-                }
+                -outcome.applied_in_units(kind)
             }
         }
     }
@@ -497,7 +562,7 @@ mod tests {
     fn launch_grants_full_allocation() {
         let d = Domain::launch(spec());
         assert_eq!(d.effective_allocation(), spec().max_allocation);
-        assert_eq!(d.guest.online_vcpus(), 8);
+        assert_eq!(d.guest().online_vcpus(), 8);
         assert_eq!(d.deflation_fraction(ResourceKind::Cpu), 0.0);
         assert!(!d.is_parked());
     }
@@ -523,10 +588,10 @@ mod tests {
     #[test]
     fn deflate_for_migration_drops_cache_only() {
         let mut d = Domain::launch(spec());
-        let cache = d.guest.page_cache_mb();
+        let cache = d.guest().page_cache_mb();
         assert!(cache > 0.0);
         assert_eq!(d.deflate_for_migration(), cache);
-        assert_eq!(d.guest.page_cache_mb(), 0.0);
+        assert_eq!(d.guest().page_cache_mb(), 0.0);
         // Allocations are untouched — the squeeze is guest-internal.
         assert_eq!(d.effective_allocation(), spec().max_allocation);
     }
@@ -538,8 +603,8 @@ mod tests {
         let eff = d.effective_allocation();
         assert_eq!(eff, ResourceVector::new(2500.0, 6000.0, 50.0, 100.0));
         // The guest still sees all its vCPUs and memory.
-        assert_eq!(d.guest.online_vcpus(), 8);
-        assert_eq!(d.guest.plugged_memory_mb(), 16_384.0);
+        assert_eq!(d.guest().online_vcpus(), 8);
+        assert_eq!(d.guest().plugged_memory_mb(), 16_384.0);
         assert!((d.deflation_fraction(ResourceKind::Cpu) - 0.6875).abs() < 1e-9);
     }
 
@@ -574,9 +639,9 @@ mod tests {
         assert_eq!(eff.cpu(), 2500.0);
         assert_eq!(eff.memory(), 4000.0);
         // But the guest also saw part of it via hotplug: 3 vCPUs online.
-        assert_eq!(d.guest.online_vcpus(), 3);
+        assert_eq!(d.guest().online_vcpus(), 3);
         // Memory hotplug stopped at the RSS threshold (5120).
-        assert_eq!(d.guest.plugged_memory_mb(), 5120.0);
+        assert_eq!(d.guest().plugged_memory_mb(), 5120.0);
         let mem = outcomes
             .iter()
             .find(|o| o.kind == ResourceKind::Memory)
@@ -594,8 +659,8 @@ mod tests {
         assert!(d.deflation_fraction(ResourceKind::Cpu) > 0.0);
         d.deflate_to(spec().max_allocation);
         assert_eq!(d.effective_allocation(), spec().max_allocation);
-        assert_eq!(d.guest.online_vcpus(), 8);
-        assert_eq!(d.guest.plugged_memory_mb(), 16_384.0);
+        assert_eq!(d.guest().online_vcpus(), 8);
+        assert_eq!(d.guest().plugged_memory_mb(), 16_384.0);
     }
 
     #[test]
@@ -603,12 +668,12 @@ mod tests {
         let mut d = Domain::launch_with(spec(), DeflationMechanism::Explicit);
         d.report_guest_usage(ResourceVector::new(500.0, 2000.0, 0.0, 0.0), 100.0);
         d.deflate_to(ResourceVector::new(2000.0, 2048.0, 200.0, 1000.0));
-        assert_eq!(d.guest.online_vcpus(), 2);
+        assert_eq!(d.guest().online_vcpus(), 2);
         // Switch to transparent and ask for more CPU than is plugged.
         d.mechanism = DeflationMechanism::Transparent;
         d.deflate_to(ResourceVector::new(6000.0, 8192.0, 200.0, 1000.0));
         assert_eq!(d.effective_allocation().cpu(), 6000.0);
-        assert!(d.guest.online_vcpus() >= 6);
+        assert!(d.guest().online_vcpus() >= 6);
     }
 
     #[test]
@@ -655,6 +720,73 @@ mod tests {
         let mut w2 = deflate_core::checkpoint::ByteWriter::new();
         restored.write_snapshot(&mut w2);
         assert_eq!(w2.into_bytes(), bytes);
+    }
+
+    /// The cached effective allocation matches a fresh recomputation, bit
+    /// for bit, after every mutator under every mechanism.
+    #[test]
+    fn cached_effective_allocation_tracks_every_mutator() {
+        let bits = |v: ResourceVector| v.iter().map(|(_, x)| x.to_bits()).collect::<Vec<_>>();
+        let check = |d: &Domain, step: &str| {
+            assert_eq!(
+                bits(d.effective),
+                bits(d.compute_effective()),
+                "{} after {step}",
+                d.mechanism.name()
+            );
+        };
+        let targets = [
+            ResourceVector::new(2500.0, 4000.0, 50.0, 100.0),
+            ResourceVector::new(7300.0, 15_000.0, 200.0, 999.0),
+            ResourceVector::new(0.0, 0.0, 0.0, 0.0),
+            ResourceVector::splat(1e12),
+            spec().max_allocation * 0.3,
+        ];
+        for mechanism in [
+            DeflationMechanism::Transparent,
+            DeflationMechanism::Explicit,
+            DeflationMechanism::Hybrid,
+        ] {
+            let mut d = Domain::launch_with(spec(), mechanism);
+            check(&d, "launch_with");
+            let mut source = Domain::launch_with(spec(), mechanism);
+            source.report_guest_usage(ResourceVector::new(3000.0, 2000.0, 0.0, 0.0), 300.0);
+            source.deflate_to(ResourceVector::new(3000.0, 2048.0, 100.0, 500.0));
+            let mut changed = Vec::new();
+            for (i, &target) in targets.iter().enumerate() {
+                d.report_guest_usage(
+                    ResourceVector::new(1000.0 * i as f64, 1500.0 * i as f64, 10.0, 10.0),
+                    700.0,
+                );
+                check(&d, "report_guest_usage");
+                d.deflate_to(target);
+                check(&d, "deflate_to");
+                // `retarget` and `deflate_to` make the same state changes.
+                let mut twin = d.clone();
+                twin.deflate_to(target * 0.5);
+                d.retarget(target * 0.5, &mut changed);
+                check(&d, "retarget");
+                assert_eq!(d, twin);
+                d.deflate_for_migration();
+                check(&d, "deflate_for_migration");
+            }
+            d.migrate_guest_state_from(&source);
+            check(&d, "migrate_guest_state_from");
+            let mut w = ByteWriter::new();
+            d.write_snapshot(&mut w);
+            let bytes = w.into_bytes();
+            let restored = Domain::read_snapshot(&mut ByteReader::new(&bytes)).unwrap();
+            check(&restored, "read_snapshot");
+            assert_eq!(bits(restored.effective), bits(d.effective));
+        }
+    }
+
+    /// The cache costs no memory per resident: it takes the room of the
+    /// cgroup controllers' kind tags, so a server's map nodes stay as big
+    /// as they were.
+    #[test]
+    fn domain_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Domain>(), 296);
     }
 
     #[test]

@@ -168,7 +168,8 @@ impl MigrationCostModel {
     /// The hot memory footprint of a domain in MiB: resident set plus page
     /// cache — what a pre-copy migration must actually move.
     pub fn hot_footprint_mb(domain: &Domain) -> f64 {
-        (domain.guest.rss_mb() + domain.guest.page_cache_mb()).min(domain.guest.plugged_memory_mb())
+        (domain.guest().rss_mb() + domain.guest().page_cache_mb())
+            .min(domain.guest().plugged_memory_mb())
     }
 
     /// Pre-copy overhead factor for a CPU-utilisation estimate, and whether

@@ -131,7 +131,12 @@ impl SimServer {
     /// Overcommitment factor: the largest per-dimension ratio of committed
     /// allocation to capacity, floored at 1.0 (§5.2 `overcommitted_j`).
     pub fn overcommitment_factor(&self) -> f64 {
-        let committed = self.committed();
+        self.overcommitment_of(self.committed())
+    }
+
+    /// [`overcommitment_factor`](Self::overcommitment_factor) of a
+    /// `committed` vector the caller has already summed.
+    fn overcommitment_of(&self, committed: ResourceVector) -> f64 {
         let mut worst: f64 = 1.0;
         for (kind, cap) in self.capacity.iter() {
             if cap > 0.0 {
@@ -141,16 +146,46 @@ impl SimServer {
         worst
     }
 
-    /// Snapshot for the placement layer.
+    /// Snapshot for the placement layer. One walk over the residents sums
+    /// [`effective_used`](Self::effective_used),
+    /// [`deflatable_headroom`](Self::deflatable_headroom) and
+    /// [`committed`](Self::committed), each in the same order as those
+    /// methods do.
     pub fn view(&self) -> ServerView {
+        let mut used = ResourceVector::ZERO;
+        let mut deflatable = ResourceVector::ZERO;
+        let mut committed = ResourceVector::ZERO;
+        for d in self.domains.values() {
+            let effective = d.effective_allocation();
+            used += effective;
+            if d.spec.deflatable {
+                deflatable += effective.saturating_sub(&d.spec.min_allocation);
+            }
+            committed += d.spec.max_allocation;
+        }
         ServerView {
             id: self.id,
             total: self.capacity,
-            used: self.effective_used(),
-            deflatable: self.deflatable_headroom(),
-            overcommitment: self.overcommitment_factor(),
+            used,
+            deflatable,
+            overcommitment: self.overcommitment_of(committed),
             partition: self.partition,
         }
+    }
+
+    /// [`effective_used`](Self::effective_used), and whether a reinflation
+    /// could grow anyone: some unparked deflatable resident holds less
+    /// than its maximum on some resource.
+    pub(crate) fn used_and_reinflatable(&self) -> (ResourceVector, bool) {
+        let mut used = ResourceVector::ZERO;
+        let mut reinflatable = false;
+        for d in self.domains.values() {
+            let effective = d.effective_allocation();
+            used += effective;
+            reinflatable |=
+                d.spec.deflatable && !d.is_parked() && effective != d.spec.max_allocation;
+        }
+        (used, reinflatable)
     }
 
     /// Launch a new domain at its full allocation. Fails if the domain's

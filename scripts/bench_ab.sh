@@ -13,7 +13,9 @@
 # median raw (not host-normalised) events/s and median reference-kernel
 # time, with a warning when the two sides' reference times differ by
 # more than 10 %: the normalised rate then moves with the binary, not
-# with the engine. Ends with whether every run reported "correct": true.
+# with the engine. The raw events/s line also gives A's IQR and in how
+# many pairs B's raw rate beat A's, so a claim can be read on raw
+# events/s alone. Ends with whether every run reported "correct": true.
 # Run from the repository root (the observed workload writes under
 # .bench_out/ there). Build a binary with
 #
@@ -101,12 +103,12 @@ for name, direction in better.items():
 # Per run: the median over its reps of the raw rate and of the reference
 # times bracketing each rep; per side: the median over its runs.
 REP = re.compile(r"^rep \d+: .* raw ([0-9.]+)/s, ref ([0-9.]+)/([0-9.]+) s")
-raw = {"A": [], "B": []}
-ref = {"A": [], "B": []}
+raw = {"A": {}, "B": {}}
+ref = {"A": {}, "B": {}}
 for name in sorted(os.listdir(scratch)):
     if not name.endswith(".err"):
         continue
-    label = name.split(".")[0]
+    label, pair = name.split(".")[:2]
     rates, refs = [], []
     with open(os.path.join(scratch, name)) as f:
         for line in f:
@@ -115,12 +117,15 @@ for name in sorted(os.listdir(scratch)):
                 rates.append(float(m.group(1)))
                 refs += [float(m.group(2)), float(m.group(3))]
     if rates:
-        raw[label].append(statistics.median(rates))
-        ref[label].append(statistics.median(refs))
+        raw[label][int(pair)] = statistics.median(rates)
+        ref[label][int(pair)] = statistics.median(refs)
 if raw["A"] and raw["B"]:
-    ra, rb = statistics.median(raw["A"]), statistics.median(raw["B"])
-    fa, fb = statistics.median(ref["A"]), statistics.median(ref["B"])
-    print(f"{'raw events/s':<14} {ra:>12.6g} {rb:>12.6g} {(rb - ra) / ra * 100:>+7.1f}%")
+    ra, rb = statistics.median(raw["A"].values()), statistics.median(raw["B"].values())
+    fa, fb = statistics.median(ref["A"].values()), statistics.median(ref["B"].values())
+    pairs = sorted(set(raw["A"]) & set(raw["B"]))
+    raw_wins = sum(raw["B"][p] > raw["A"][p] for p in pairs)
+    print(f"{'raw events/s':<14} {ra:>12.6g} {rb:>12.6g} {(rb - ra) / ra * 100:>+7.1f}% "
+          f"{quartile_gap(list(raw['A'].values())):>10.4g} {raw_wins:>3}/{len(pairs)}")
     print(f"{'host.ref_s':<14} {fa:>12.6g} {fb:>12.6g} {(fb - fa) / fa * 100:>+7.1f}%")
     if abs(fb - fa) > 0.1 * fa:
         print("WARNING: the two binaries' reference-kernel times differ by more "

@@ -89,11 +89,11 @@ fn hybrid_mechanism_uses_hotplug_and_multiplexing_together() {
         assert!(eff.cpu() < 16_000.0, "vm-{id} was not deflated");
         // Hybrid deflation made part of the reduction visible to the guest.
         assert!(
-            domain.guest.online_vcpus() < domain.guest.boot_vcpus(),
+            domain.guest().online_vcpus() < domain.guest().boot_vcpus(),
             "vm-{id} guest saw no hotplug"
         );
         // And the guest never lost memory below its resident set.
-        assert!(domain.guest.plugged_memory_mb() >= domain.guest.rss_mb());
+        assert!(domain.guest().plugged_memory_mb() >= domain.guest().rss_mb());
     }
 }
 
