@@ -4,7 +4,8 @@
 //! any engine change is judged against. Each run also
 //! writes a Chrome `trace_event` file openable in Perfetto /
 //! `chrome://tracing` (`DEFLATE_TRACE_OUT` names it, with each row's
-//! size spliced in before the extension).
+//! size spliced in before the extension; without it the trace goes to
+//! the temp directory and is deleted once validated).
 //!
 //! Exits non-zero when the observability acceptance contract breaks:
 //! attributed phases must cover ≥ 90 % of the engine total,
@@ -32,7 +33,14 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
     for run in &runs {
         phase_table(run).print();
-        println!("trace: {}", run.trace_path.display());
+        if run.trace_kept {
+            println!("trace: {}", run.trace_path.display());
+        } else {
+            println!(
+                "trace: {} (validated and deleted; set DEFLATE_TRACE_OUT to keep it)",
+                run.trace_path.display()
+            );
+        }
         failures.extend(run.failures());
     }
     failures.extend(rss_ceiling_failure(

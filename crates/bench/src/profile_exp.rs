@@ -11,7 +11,8 @@
 //! `chrome://tracing`) is written per run; `DEFLATE_TRACE_OUT` names the
 //! output file, which gets the row's size spliced in before its
 //! extension (`fig_profile.trace.json` → `fig_profile-10000vms.trace.json`)
-//! and otherwise lands in the system temp directory.
+//! and is kept. Without it the trace goes to the system temp directory
+//! and is deleted once validated.
 //!
 //! The binary enforces the observability acceptance contract and exits
 //! non-zero when it breaks: attributed phases must cover ≥ 90 % of the
@@ -92,6 +93,10 @@ pub struct ProfileRun {
     pub trace: Result<ChromeTraceStats, String>,
     /// Where the Chrome trace was written.
     pub trace_path: PathBuf,
+    /// Whether the trace is still there: kept when `DEFLATE_TRACE_OUT`
+    /// named it, deleted after validation when it went to the temp
+    /// directory.
+    pub trace_kept: bool,
     /// The process's peak RSS (`VmHWM`) when this run and its trace
     /// validation finished, MiB (`None` without procfs). Sampled then,
     /// not when the table prints: a sweep prints every table after its
@@ -191,11 +196,18 @@ impl ProfileRun {
     }
 }
 
+/// The `DEFLATE_TRACE_OUT` override, if set and non-empty.
+fn trace_out() -> Option<String> {
+    std::env::var("DEFLATE_TRACE_OUT")
+        .ok()
+        .filter(|p| !p.is_empty())
+}
+
 /// Where the run's Chrome trace goes: derived from `DEFLATE_TRACE_OUT`
 /// if set (see [`trace_path_with`]), otherwise a per-size, pid-suffixed
 /// file in the system temp directory.
 pub fn trace_path_for(vms: usize) -> PathBuf {
-    trace_path_with(std::env::var("DEFLATE_TRACE_OUT").ok().as_deref(), vms)
+    trace_path_with(trace_out().as_deref(), vms)
 }
 
 /// [`trace_path_for`] with the override passed in. A non-empty
@@ -225,6 +237,7 @@ pub fn trace_path_with(override_path: Option<&str>, vms: usize) -> PathBuf {
 
 /// Profile one cluster size of the spot-market scenario.
 pub fn profile_cell(scale: Scale, vms: usize) -> std::io::Result<ProfileRun> {
+    let trace_kept = trace_out().is_some();
     let trace_path = trace_path_for(vms);
     let spec = TelemetrySpec::profiling().with_chrome_trace(&trace_path);
     let sink = TelemetrySink::from_spec(&spec)?;
@@ -235,6 +248,10 @@ pub fn profile_cell(scale: Scale, vms: usize) -> std::io::Result<ProfileRun> {
         Ok(file) => validate_chrome_trace_from(std::io::BufReader::new(file)),
         Err(err) => Err(format!("unreadable: {err}")),
     };
+    if !trace_kept {
+        // About 100 MB at 100k VMs; nobody asked to keep it.
+        let _ = std::fs::remove_file(&trace_path);
+    }
     let peak_rss_mib = deflate_telemetry::peak_rss_mib();
     Ok(ProfileRun {
         vms,
@@ -244,6 +261,7 @@ pub fn profile_cell(scale: Scale, vms: usize) -> std::io::Result<ProfileRun> {
         report,
         trace,
         trace_path,
+        trace_kept,
         peak_rss_mib,
     })
 }
@@ -349,7 +367,15 @@ mod tests {
             .peak_rss_mib
             .map_or_else(|| "rss=n/a".to_string(), |mib| format!("rss={mib:.0} MiB"));
         assert!(rendered.contains(&rss), "{rss} expected in:\n{rendered}");
-        let _ = std::fs::remove_file(&run.trace_path);
+        // Tests run without `DEFLATE_TRACE_OUT` unless a caller sets it;
+        // then the trace is the caller's to keep.
+        assert_eq!(run.trace_kept, run.trace_path.exists());
+        if trace_out().is_none() {
+            assert!(
+                !run.trace_kept,
+                "a temp-dir trace is deleted once validated"
+            );
+        }
         let mut later = run;
         later.peak_rss_mib = Some(12_345.0);
         assert!(phase_table(&later).render().contains("rss=12345 MiB"));

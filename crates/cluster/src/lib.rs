@@ -104,6 +104,7 @@ pub mod audit;
 pub mod bisect;
 pub mod manager;
 pub mod metrics;
+mod pending;
 pub mod placement;
 pub mod scheduler;
 pub mod sim;

@@ -8,9 +8,12 @@
 //! the three cluster-level metrics of §7.4: reclamation-failure probability
 //! (Figure 20), throughput loss (Figure 21) and revenue (Figure 22).
 //!
-//! The simulation runs on the generalized event engine of
-//! `deflate-transient`: a deterministic binary-heap [`EventQueue`] over
-//! typed [`SimEvent`]s. Besides VM arrivals and departures it understands
+//! The simulation runs on the typed [`SimEvent`]s of `deflate-transient`,
+//! delivered in the total order of its
+//! [`EventQueue`](deflate_transient::events::EventQueue): the workload's
+//! arrivals and departures are sorted once and merged on every pop with
+//! a small queue for the events scheduled otherwise (see `pending.rs`).
+//! Besides VM arrivals and departures it understands
 //! provider-side **capacity events** — attach a [`CapacitySchedule`] with
 //! [`ClusterSimulation::with_capacity_schedule`] and every reclamation is
 //! absorbed by deflation, then deflation-aware migration, and only then by
@@ -43,6 +46,7 @@
 use crate::audit::Auditor;
 use crate::manager::{ClusterConfig, ClusterManager, PlacementResult, ReclamationMode};
 use crate::metrics::{MigrationEvent, RunStats, SimResult, UsageSummary, VmOutcome, VmRecord};
+use crate::pending::PendingEvents;
 use crate::spec::WorkloadVm;
 use deflate_autoscale::{Autoscaler, ElasticApp};
 use deflate_core::audit::AuditSpec;
@@ -51,8 +55,10 @@ use deflate_core::policy::{AutoscalePolicy, TransferPolicy};
 use deflate_core::telemetry::TelemetrySpec;
 use deflate_core::vm::{IdMap, ServerId, VmId};
 use deflate_hypervisor::migration::MigrationCostModel;
-use deflate_telemetry::{EventField, MemoryLedger, Phase, TelemetryEventKind, TelemetrySink};
-use deflate_transient::events::{EventQueue, SimEvent};
+use deflate_telemetry::{
+    EventField, MemoryLedger, MemoryPeak, Phase, TelemetryEventKind, TelemetrySink,
+};
+use deflate_transient::events::SimEvent;
 use deflate_transient::signal::CapacitySchedule;
 
 /// The trace-driven cluster simulator.
@@ -71,15 +77,15 @@ pub struct ClusterSimulation {
 }
 
 /// The engine's complete working state between event boundaries: the
-/// cluster manager, the optional autoscaler, the pending event queue and
-/// the per-VM bookkeeping. Built by `boot`, advanced by `drive`, folded
-/// into a [`SimResult`] by `finish` — and, between `drive` calls,
+/// cluster manager, the optional autoscaler, the pending events and the
+/// per-VM bookkeeping. Built by `boot`, advanced by `drive`, folded into
+/// a [`SimResult`] by `finish` — and, between `drive` calls,
 /// serializable as a versioned snapshot
 /// ([`ClusterSimulation::checkpoint`]).
-struct EngineState {
+struct EngineState<'w> {
     manager: ClusterManager,
     autoscaler: Option<Autoscaler>,
-    queue: EventQueue,
+    pending: PendingEvents<'w>,
     /// One per workload VM, at its workload index, which is also its slot
     /// in the manager.
     records: Vec<VmRecord>,
@@ -95,6 +101,9 @@ struct EngineState {
     /// enables at least one checker. Pure observer: never serialized into
     /// snapshots, never consulted by any decision path.
     auditor: Option<Auditor>,
+    /// The memory-ledger sample with the highest accounted total so far.
+    /// Telemetry only, like the auditor: never serialized or consulted.
+    memory_peak: MemoryPeak,
 }
 
 impl ClusterSimulation {
@@ -270,9 +279,11 @@ impl ClusterSimulation {
     ) -> CheckpointResult<Vec<u8>> {
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
         let mut state = self.boot_unscheduled(workload);
-        self.restore_state(workload, &mut state, snapshot)?;
+        let taken_at = self.restore_state(workload, &mut state, snapshot)?;
         self.drive(workload, &mut state, Some(at_secs));
-        Ok(self.serialize_state(workload, &state, at_secs))
+        // A boundary before the snapshot's own advances nothing, and the
+        // state stays the one taken at the snapshot's boundary.
+        Ok(self.serialize_state(workload, &state, at_secs.max(taken_at)))
     }
 
     /// The simulated time a snapshot was taken at, without restoring it.
@@ -282,17 +293,17 @@ impl ClusterSimulation {
     }
 
     /// Build the engine's working state for a fresh run: the cluster
-    /// manager, the optional autoscaler, the fully scheduled event queue
+    /// manager, the optional autoscaler, every event of the run pending
     /// and the per-VM bookkeeping — everything `drive` advances.
-    fn boot(&self, workload: &[WorkloadVm]) -> EngineState {
+    fn boot<'w>(&self, workload: &'w [WorkloadVm]) -> EngineState<'w> {
         let mut state = self.boot_unscheduled(workload);
-        state.queue = self.schedule(workload, state.autoscaler.as_ref());
+        state.pending = self.schedule(workload, state.autoscaler.as_ref());
         state
     }
 
-    /// [`boot`](Self::boot) with an empty event queue: the state a
-    /// snapshot restores over, which brings its own queue.
-    fn boot_unscheduled(&self, workload: &[WorkloadVm]) -> EngineState {
+    /// [`boot`](Self::boot) with nothing pending: the state a snapshot
+    /// restores over, which brings its own pending events.
+    fn boot_unscheduled<'w>(&self, workload: &'w [WorkloadVm]) -> EngineState<'w> {
         let overcommitment = crate::spec::overcommitment_of(
             workload,
             self.config.server_capacity,
@@ -320,7 +331,7 @@ impl ClusterSimulation {
         EngineState {
             manager,
             autoscaler,
-            queue: EventQueue::new(),
+            pending: PendingEvents::empty(workload),
             records,
             running: vec![false; workload.len()],
             migrations: Vec::new(),
@@ -328,28 +339,31 @@ impl ClusterSimulation {
             events_processed: 0,
             overcommitment,
             auditor: (!self.audit.is_off()).then(|| Auditor::new(self.audit)),
+            memory_peak: MemoryPeak::new(),
         }
     }
 
     /// Schedule every workload, capacity, tick and bootstrap event of a
-    /// fresh run into a new queue.
-    fn schedule(&self, workload: &[WorkloadVm], autoscaler: Option<&Autoscaler>) -> EventQueue {
-        // Schedule every event up front. The queue's deterministic total
-        // order (time, then kind, then id) makes the run independent of
+    /// fresh run: the arrivals and departures as sorted orders, the rest
+    /// into the queue.
+    fn schedule<'w>(
+        &self,
+        workload: &'w [WorkloadVm],
+        autoscaler: Option<&Autoscaler>,
+    ) -> PendingEvents<'w> {
+        // Schedule every event up front. The deterministic total order
+        // (time, then kind, then id) makes the run independent of
         // insertion order: departures precede capacity changes precede
         // arrivals at equal timestamps, so back-to-back VMs never
         // artificially overlap and simultaneous arrivals see the already
         // shrunk server.
-        let events: Vec<(f64, SimEvent)> = {
+        let (mut pending, events) = {
             let _schedule = self.telemetry.span(Phase::ScheduleBuild);
-            let mut events: Vec<(f64, SimEvent)> =
-                Vec::with_capacity(workload.len() * 2 + self.schedule.len());
-            let mut horizon: f64 = 0.0;
-            for (i, vm) in workload.iter().enumerate() {
-                events.push((vm.arrival_secs, SimEvent::Arrival(i)));
-                events.push((vm.departure_secs, SimEvent::Departure(i)));
-                horizon = horizon.max(vm.departure_secs);
-            }
+            let pending = PendingEvents::sorted(workload);
+            let mut events: Vec<(f64, SimEvent)> = Vec::with_capacity(self.schedule.len());
+            let horizon = workload
+                .iter()
+                .fold(0.0, |horizon: f64, vm| horizon.max(vm.departure_secs));
             for change in self.schedule.changes() {
                 let event = if change.is_reclaim {
                     SimEvent::CapacityReclaim {
@@ -375,48 +389,40 @@ impl ClusterSimulation {
                 // Bootstrap scale-outs launch each app's initial pool.
                 events.extend(autoscaler.initial_events());
             }
-            events
+            (pending, events)
         };
-        self.build_queue(events)
-    }
-
-    /// Heapify a run's event list into the queue, in one linear pass.
-    fn build_queue(&self, events: Vec<(f64, SimEvent)>) -> EventQueue {
         let _heapify = self.telemetry.span(Phase::Heapify);
-        self.telemetry
-            .count("queue.events_scheduled", events.len() as u64);
-        EventQueue::from_events(events)
+        self.telemetry.count(
+            "queue.events_scheduled",
+            (pending.len() + events.len()) as u64,
+        );
+        pending.queue_all(events);
+        pending
     }
 
-    /// The main event loop: pop events in the queue's global total order
-    /// and dispatch them. With `stop_secs` set the loop stops at the first
-    /// event **after** that time, leaving it queued — an event boundary a
-    /// checkpoint can serialize; `None` drains the queue.
-    fn drive(&self, workload: &[WorkloadVm], state: &mut EngineState, stop_secs: Option<f64>) {
+    /// The main event loop: pop events in their global total order and
+    /// dispatch them. With `stop_secs` set the loop stops at the first
+    /// event **after** that time, leaving it pending — an event boundary
+    /// a checkpoint can serialize; `None` drains every event.
+    fn drive(&self, workload: &[WorkloadVm], state: &mut EngineState<'_>, stop_secs: Option<f64>) {
         let EngineState {
             manager,
             autoscaler,
-            queue,
+            pending,
             records,
             running,
             migrations,
             utilization,
             events_processed,
             auditor,
+            memory_peak,
             ..
         } = state;
         loop {
-            if let Some(stop) = stop_secs {
-                match queue.peek_time() {
-                    Some(time) if time <= stop => {}
-                    _ => break,
-                }
-            }
-            // Time the heap pop separately from the event handlers it
-            // feeds.
+            // Time the pop separately from the event handlers it feeds.
             let popped = {
                 let _pop = self.telemetry.span(Phase::EventPop);
-                queue.pop()
+                pending.pop_through(stop_secs)
             };
             let Some((time, event)) = popped else { break };
             *events_processed += 1;
@@ -510,7 +516,7 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(&outcome, time, migrations, queue, autoscaler);
+                    Self::apply_capacity_outcome(&outcome, time, migrations, pending, autoscaler);
                 }
                 SimEvent::CapacityRestore {
                     server,
@@ -540,7 +546,7 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(&outcome, time, migrations, queue, autoscaler);
+                    Self::apply_capacity_outcome(&outcome, time, migrations, pending, autoscaler);
                 }
                 SimEvent::MigrationComplete { migration } => {
                     let outcome = manager.complete_migration(migration, time);
@@ -554,7 +560,7 @@ impl ClusterSimulation {
                             ],
                         );
                     }
-                    Self::apply_capacity_outcome(&outcome, time, migrations, queue, autoscaler);
+                    Self::apply_capacity_outcome(&outcome, time, migrations, pending, autoscaler);
                 }
                 SimEvent::UtilizationTick => {
                     let (used, capacity) = manager.cpu_usage_snapshot();
@@ -580,7 +586,7 @@ impl ClusterSimulation {
                     if let Some(autoscaler) = autoscaler.as_mut() {
                         let _decide = self.telemetry.span(Phase::Autoscale);
                         for (t, event) in autoscaler.on_tick(time, &*manager) {
-                            queue.push(t, event);
+                            pending.push(t, event);
                         }
                     }
                     // The memory ledger is sampled at every utilisation
@@ -592,12 +598,13 @@ impl ClusterSimulation {
                         self.publish_memory(
                             workload,
                             manager,
-                            queue,
+                            pending,
                             records,
                             running,
                             migrations,
                             utilization,
                             autoscaler.as_ref(),
+                            memory_peak,
                         );
                     }
                 }
@@ -684,7 +691,7 @@ impl ClusterSimulation {
     fn finish(
         &self,
         workload: &[WorkloadVm],
-        state: EngineState,
+        mut state: EngineState<'_>,
         started_at: std::time::Instant,
     ) -> SimResult {
         // Final memory-ledger publish: runs without utilisation ticks
@@ -694,12 +701,13 @@ impl ClusterSimulation {
             self.publish_memory(
                 workload,
                 &state.manager,
-                &state.queue,
+                &state.pending,
                 &state.records,
                 &state.running,
                 &state.migrations,
                 &state.utilization,
                 state.autoscaler.as_ref(),
+                &mut state.memory_peak,
             );
         }
         let EngineState {
@@ -741,21 +749,23 @@ impl ClusterSimulation {
 
     /// Publish the per-subsystem memory ledger into the telemetry metrics
     /// registry: one deterministic `mem.<subsystem>` byte gauge per owner
-    /// (see [`MemoryLedger`]) plus `mem.accounted_total`, and alongside
-    /// them the live `mem.rss_kib` VmRSS reading — the OS-level ground
-    /// truth the accounted gauges are compared against by `fig_memory`
-    /// (absent off Linux). Caller guards on `telemetry.enabled()`.
+    /// (see [`MemoryLedger`]) plus `mem.accounted_total`, the
+    /// `mem.peak.*` gauges when this sample is the run's highest (see
+    /// [`MemoryPeak`]), and alongside them the live `mem.rss_kib` VmRSS
+    /// reading (absent off Linux). `fig_memory` compares the peak with
+    /// the process's peak RSS. Caller guards on `telemetry.enabled()`.
     #[allow(clippy::too_many_arguments)]
     fn publish_memory(
         &self,
         workload: &[WorkloadVm],
         manager: &ClusterManager,
-        queue: &EventQueue,
+        pending: &PendingEvents<'_>,
         records: &[VmRecord],
         running: &[bool],
         migrations: &[MigrationEvent],
         utilization: &[(f64, f64)],
         autoscaler: Option<&Autoscaler>,
+        peak: &mut MemoryPeak,
     ) {
         use deflate_core::mem::vec_bytes;
         let mut ledger = MemoryLedger::new();
@@ -763,7 +773,7 @@ impl ClusterSimulation {
         // grows the registry with the `mem.*` entries themselves.
         ledger.record("telemetry", self.telemetry.accounted_bytes());
         manager.record_memory(&mut ledger);
-        ledger.record("event_queue", queue.accounted_bytes());
+        ledger.record("event_queue", pending.accounted_bytes());
         ledger.record(
             "vm_records",
             vec_bytes(records)
@@ -784,13 +794,15 @@ impl ClusterSimulation {
             ledger.record("autoscaler", autoscaler.accounted_bytes());
         }
         ledger.publish(&self.telemetry);
+        peak.observe(&ledger, &self.telemetry);
         if let Some(rss) = deflate_telemetry::rss_kib() {
             self.telemetry.gauge_set("mem.rss_kib", rss);
         }
     }
 
     /// Serialize a paused engine state as versioned snapshot bytes. The
-    /// layout (all little-endian, maps sorted, queue in pop order) is
+    /// layout (all little-endian, maps sorted, pending events in pop
+    /// order) is
     /// golden-pinned by `tests/checkpoint_restore.rs`; changing it
     /// requires bumping [`deflate_core::checkpoint::SNAPSHOT_VERSION`].
     /// No wall-clock or otherwise host-dependent value is ever written,
@@ -799,16 +811,15 @@ impl ClusterSimulation {
     fn serialize_state(
         &self,
         workload: &[WorkloadVm],
-        state: &EngineState,
+        state: &EngineState<'_>,
         at_secs: f64,
     ) -> Vec<u8> {
         let mut w = ByteWriter::with_header();
         w.put_f64(at_secs);
         w.put_usize(workload.len());
         w.put_u64(state.events_processed);
-        let queued = state.queue.contents();
-        w.put_usize(queued.len());
-        for (time, event) in queued {
+        w.put_usize(state.pending.len());
+        for (time, event) in state.pending.contents() {
             w.put_f64(time);
             event.write_snapshot(&mut w);
         }
@@ -852,17 +863,19 @@ impl ClusterSimulation {
     }
 
     /// Overwrite an [unscheduled](Self::boot_unscheduled) engine state
-    /// with a snapshot's contents. The queue is rebuilt from the events the
-    /// snapshot stores in their pop order; the order is total, so the
-    /// rebuilt queue pops the same sequence.
-    fn restore_state(
+    /// with a snapshot's contents and return the time it was taken at.
+    /// The pending events are rebuilt from the ones the snapshot stores
+    /// in their pop order; the order is total, so they pop the same
+    /// sequence. The pending arrivals and departures must be exactly the
+    /// ones a run stopped at the snapshot's time has not delivered.
+    fn restore_state<'w>(
         &self,
-        workload: &[WorkloadVm],
-        state: &mut EngineState,
+        workload: &'w [WorkloadVm],
+        state: &mut EngineState<'w>,
         snapshot: &[u8],
-    ) -> CheckpointResult<()> {
+    ) -> CheckpointResult<f64> {
         let mut r = ByteReader::with_header(snapshot)?;
-        let _at_secs = r.get_f64()?;
+        let at_secs = r.get_f64()?;
         let num_vms = r.get_usize()?;
         if num_vms != workload.len() {
             return Err(CheckpointError::Corrupt(format!(
@@ -874,14 +887,16 @@ impl ClusterSimulation {
         state.events_processed = r.get_u64()?;
         // A time plus at least the one-byte event tag.
         let queued = r.get_len(9)?;
-        let mut events = Vec::with_capacity(queued);
-        for _ in 0..queued {
+        let events = (0..queued).map(|_| {
             let time = r.get_f64()?;
             let event = SimEvent::read_snapshot(&mut r)?;
             self.check_event(workload.len(), time, &event)?;
-            events.push((time, event));
-        }
-        state.queue = self.build_queue(events);
+            Ok((time, event))
+        });
+        state.pending = {
+            let _heapify = self.telemetry.span(Phase::Heapify);
+            PendingEvents::restored(workload, at_secs, events)?
+        };
         // Slots are not in the snapshot: workload VM `i` gets slot `i`
         // back.
         let slot_of: IdMap<VmId, u32> = workload
@@ -945,7 +960,8 @@ impl ClusterSimulation {
             let u = r.get_f64()?;
             state.utilization.push((t, u));
         }
-        r.finish()
+        r.finish()?;
+        Ok(at_secs)
     }
 
     /// Reject a decoded queue entry the engine could not dispatch: a
@@ -1014,7 +1030,7 @@ impl ClusterSimulation {
         outcome: &crate::manager::CapacityChangeOutcome,
         time: f64,
         migrations: &mut Vec<MigrationEvent>,
-        queue: &mut EventQueue,
+        pending: &mut PendingEvents<'_>,
         autoscaler: &mut Option<Autoscaler>,
     ) {
         if let Some(autoscaler) = autoscaler.as_mut() {
@@ -1034,7 +1050,7 @@ impl ClusterSimulation {
             });
         }
         for started in &outcome.started {
-            queue.push(
+            pending.push(
                 started.event_secs,
                 SimEvent::MigrationComplete {
                     migration: started.id,
@@ -1459,6 +1475,104 @@ mod tests {
         assert_eq!(advanced, sim.checkpoint(&workload, 9.0 * 3600.0));
         let resumed = sim.resume(&workload, &advanced).unwrap();
         assert_eq!(full, resumed);
+    }
+
+    /// `resume(checkpoint(T)) == run` where the pending events a
+    /// snapshot splits are tied across kinds: VMs on a ten-minute grid
+    /// shared with the utilisation ticks, every fifth arriving at a
+    /// capacity change, zero-length and inverted lifetimes, and
+    /// migrations in flight. Boundaries sit on event times, where
+    /// same-instant events of several kinds are all delivered before the
+    /// cut, and between them.
+    #[test]
+    fn resume_matches_run_at_many_boundaries_with_tied_events() {
+        let mut workload = small_workload(150, 61);
+        let servers =
+            (crate::spec::min_cluster_size(&workload, ResourceVector::cpu_mem(48_000.0, 131_072.0))
+                as f64
+                / 1.3)
+                .floor()
+                .max(2.0) as usize;
+        let schedule = deflate_transient::signal::CapacitySchedule::generate(&TransientConfig {
+            num_servers: servers,
+            transient_fraction: 1.0,
+            duration_secs: 10.0 * 3600.0,
+            profile: CapacityProfile::SquareWave {
+                period_secs: 2.0 * 3600.0,
+                keep_fraction: 0.5,
+                duty: 0.4,
+            },
+            seed: 23,
+        });
+        let changes: Vec<f64> = schedule.changes().iter().map(|c| c.time_secs).collect();
+        let mut lcg: u64 = 61;
+        let mut below = |n: usize| {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (lcg >> 33) as usize % n
+        };
+        for (i, vm) in workload.iter_mut().enumerate() {
+            vm.arrival_secs = if i % 5 == 0 {
+                changes[below(changes.len())]
+            } else {
+                600.0 * below(60) as f64
+            };
+            vm.departure_secs = match i % 10 {
+                0 | 1 => vm.arrival_secs,
+                2 => vm.arrival_secs - 600.0 * (1 + below(6)) as f64,
+                _ => vm.arrival_secs + 600.0 * (1 + below(36)) as f64,
+            };
+        }
+        let at_change = |t: f64| changes.contains(&t);
+        assert!(workload
+            .iter()
+            .any(|vm| at_change(vm.departure_secs) && vm.departure_secs == vm.arrival_secs));
+        assert!(workload
+            .iter()
+            .any(|a| workload.iter().any(|d| d.departure_secs == a.arrival_secs)));
+        let cost = deflate_hypervisor::migration::MigrationCostModel::lan_default()
+            .with_budget_mbps(1250.0)
+            .with_deadline_secs(30.0);
+        let sim = ClusterSimulation::new(config(servers), proportional())
+            .with_capacity_schedule(schedule)
+            .with_utilization_ticks(600.0)
+            .with_migrate_back(true)
+            .with_migration_cost(cost);
+        let full = sim.run(&workload);
+        assert!(!full.migrations.is_empty(), "no migration completed");
+        let mut times: Vec<f64> = workload
+            .iter()
+            .flat_map(|vm| [vm.arrival_secs, vm.departure_secs])
+            .chain(changes.iter().copied())
+            .collect();
+        times.sort_by(f64::total_cmp);
+        times.dedup();
+        let boundaries = times
+            .iter()
+            .step_by(times.len() / 30 + 1)
+            .flat_map(|&t| [t, t + 1.0])
+            .chain([f64::NEG_INFINITY, -600.0, 1e9]);
+        for at_secs in boundaries {
+            let snapshot = sim.checkpoint(&workload, at_secs);
+            let resumed = sim.resume(&workload, &snapshot).unwrap();
+            assert_eq!(full, resumed, "restore diverged at T={at_secs}");
+        }
+    }
+
+    /// Advancing a snapshot to an earlier boundary delivers nothing and
+    /// keeps the snapshot's own boundary, so the result restores.
+    #[test]
+    fn resume_until_an_earlier_boundary_keeps_the_snapshot() {
+        let workload = small_workload(80, 29);
+        let servers =
+            crate::spec::min_cluster_size(&workload, ResourceVector::cpu_mem(48_000.0, 131_072.0));
+        let sim =
+            ClusterSimulation::new(config(servers), proportional()).with_utilization_ticks(1800.0);
+        let later = sim.checkpoint(&workload, 5.0 * 3600.0);
+        let back = sim.resume_until(&workload, &later, 2.0 * 3600.0).unwrap();
+        assert_eq!(back, later);
+        assert_eq!(sim.resume(&workload, &back).unwrap(), sim.run(&workload));
     }
 
     /// A resume builds only the queue its snapshot brings, never the

@@ -43,7 +43,7 @@ pub mod sink;
 pub use chrome::{validate_chrome_trace, validate_chrome_trace_from, ChromeTraceStats};
 pub use deflate_core::telemetry::{TelemetryEventKind, TelemetryEventSet, TelemetrySpec};
 pub use events::{encode_event, parse_event_line, EventField, ParsedEvent};
-pub use memory::{map_entry_bytes, vec_bytes, vec_capacity_bytes, MemoryLedger};
+pub use memory::{map_entry_bytes, vec_bytes, vec_capacity_bytes, MemoryLedger, MemoryPeak};
 pub use profiler::{Phase, PhaseReport, PhaseRow};
 pub use registry::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use runtime::{

@@ -14,7 +14,8 @@
 //! (identical across runs and hosts — no pointers, no allocator
 //! introspection) and honest about what they cover (owned heap
 //! blocks reachable from the subsystem, not allocator slack or code).
-//! The `fig_memory` CI gate checks the estimate explains ≥ 70 % of
+//! A [`MemoryPeak`] keeps the sample with the highest accounted total.
+//! The `fig_memory` CI gate checks that this peak explains ≥ 70 % of
 //! measured peak RSS, so the ledger can't quietly rot.
 
 use crate::sink::TelemetrySink;
@@ -81,6 +82,47 @@ impl MemoryLedger {
     }
 }
 
+/// The high-water mark of a run's sampled ledgers: the sample with the
+/// highest accounted total, kept whole, so each subsystem's bytes at the
+/// peak can be read next to the process's peak RSS. Final values alone
+/// understate the peak: a subsystem that shrinks before the end (the
+/// event queue, the in-flight migrations) is gone from the last sample.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MemoryPeak {
+    ledger: MemoryLedger,
+}
+
+impl MemoryPeak {
+    /// No sample yet.
+    pub fn new() -> Self {
+        MemoryPeak::default()
+    }
+
+    /// Fold in one sample. The first sample, and any whose total is
+    /// above the peak's, becomes the peak and is published as
+    /// `mem.peak.<subsystem>` gauges plus `mem.peak.accounted_total`
+    /// (nothing is published on a disabled sink). Returns whether the
+    /// sample became the peak.
+    pub fn observe(&mut self, sample: &MemoryLedger, sink: &TelemetrySink) -> bool {
+        if !self.ledger.is_empty() && sample.total_bytes() <= self.ledger.total_bytes() {
+            return false;
+        }
+        self.ledger = sample.clone();
+        if sink.enabled() {
+            for (name, bytes) in self.ledger.entries() {
+                sink.gauge_set(&format!("mem.peak.{name}"), bytes as f64);
+            }
+            sink.gauge_set("mem.peak.accounted_total", self.ledger.total_bytes() as f64);
+        }
+        true
+    }
+
+    /// The sample that set the peak (empty before any).
+    pub fn ledger(&self) -> &MemoryLedger {
+        &self.ledger
+    }
+}
+
 pub use deflate_core::mem::{map_entry_bytes, vec_bytes, vec_capacity_bytes, MAP_ENTRY_OVERHEAD};
 
 #[cfg(test)]
@@ -119,6 +161,39 @@ mod tests {
         assert_eq!(metrics.gauge("mem.event_queue"), Some(4096.0));
         assert_eq!(metrics.gauge("mem.telemetry"), Some(128.0));
         assert_eq!(metrics.gauge("mem.accounted_total"), Some(4224.0));
+    }
+
+    #[test]
+    fn peak_keeps_the_sample_with_the_highest_total() {
+        let spec = deflate_core::telemetry::TelemetrySpec {
+            metrics: true,
+            ..Default::default()
+        };
+        let sink = TelemetrySink::in_memory(&spec);
+        let sample = |queue: u64, records: u64| {
+            let mut ledger = MemoryLedger::new();
+            ledger.record("event_queue", queue);
+            ledger.record("vm_records", records);
+            ledger
+        };
+        let mut peak = MemoryPeak::new();
+        assert!(peak.observe(&sample(0, 0), &sink), "the first sample");
+        assert!(peak.observe(&sample(900, 100), &sink));
+        // A larger subsystem in a smaller total does not move the peak.
+        assert!(!peak.observe(&sample(0, 950), &sink));
+        assert!(
+            !peak.observe(&sample(500, 500), &sink),
+            "ties keep the first"
+        );
+        assert_eq!(peak.ledger(), &sample(900, 100));
+        let metrics = sink.report().metrics;
+        assert_eq!(metrics.gauge("mem.peak.event_queue"), Some(900.0));
+        assert_eq!(metrics.gauge("mem.peak.vm_records"), Some(100.0));
+        assert_eq!(metrics.gauge("mem.peak.accounted_total"), Some(1000.0));
+        let mut quiet = MemoryPeak::new();
+        let off = TelemetrySink::disabled();
+        assert!(quiet.observe(&sample(1, 1), &off));
+        assert!(off.report().metrics.is_empty());
     }
 
     #[test]

@@ -204,6 +204,7 @@ impl Scheduled {
 /// raw bits of the capacity payload. This is the order [`EventQueue`]
 /// pops in; exposing it lets callers sort a queue's contents (and
 /// compare event sequences) without re-deriving the ordering.
+#[inline]
 pub fn event_cmp(a: (f64, SimEvent), b: (f64, SimEvent)) -> Ordering {
     let a = Scheduled {
         time: a.0,
@@ -306,6 +307,13 @@ impl EventQueue {
     /// Remove and return the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, SimEvent)> {
         self.heap.pop().map(|s| (s.time, s.event))
+    }
+
+    /// The earliest pending event as `(time, event)`, without removing
+    /// it.
+    #[inline]
+    pub fn peek(&self) -> Option<(f64, SimEvent)> {
+        self.heap.peek().map(|s| (s.time, s.event))
     }
 
     /// The timestamp of the earliest pending event.
@@ -503,9 +511,12 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek(), None);
         q.push(2.0, SimEvent::Arrival(0));
         q.push(1.0, SimEvent::Arrival(1));
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(1.0));
+        assert_eq!(q.peek(), Some((1.0, SimEvent::Arrival(1))));
+        assert_eq!(q.len(), 2, "peek leaves the event queued");
     }
 }

@@ -567,6 +567,90 @@ fn semantically_invalid_fields_are_rejected() {
     );
 }
 
+/// The pending arrivals and departures a snapshot stores must be exactly
+/// the ones its run has not delivered, in delivery order and at the
+/// workload's times: one dropped (the first or a later one), repeated,
+/// swapped with a later one of its kind or moved in time, or a boundary
+/// moved before a delivered arrival, is a typed `Corrupt` error, never a
+/// panic or a different run.
+#[test]
+fn pending_arrivals_and_departures_must_be_the_undelivered_suffix() {
+    let workload = transient_workload(Scale::Quick);
+    let sim = transient_simulation(
+        &workload,
+        Scale::Quick,
+        TransientMode::Deflation,
+        CapacityProfile::spot_market_default(),
+        default_migration_cost(),
+        vmdeflate::core::policy::TransferPolicy::fifo(),
+    );
+    let at_secs = 3.0 * 3600.0;
+    let snapshot = sim.checkpoint(&workload, at_secs);
+    let offsets = field_offsets(&snapshot, workload.len());
+    let (queue_at, _) = length_prefix_offsets(&snapshot);
+    // A queued VM event is its time, the kind's tag (0 for a departure,
+    // 4 for an arrival) and the workload index: 17 bytes.
+    const ENTRY: usize = 17;
+    let count = |bytes: &mut [u8], delta: i64| {
+        let n = u64::from_le_bytes(bytes[queue_at..queue_at + 8].try_into().unwrap());
+        let n = n.checked_add_signed(delta).unwrap();
+        bytes[queue_at..queue_at + 8].copy_from_slice(&n.to_le_bytes());
+    };
+    let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+    for (tag, kind) in [(4u8, "arrival"), (0, "departure")] {
+        let entries: Vec<usize> = offsets
+            .event_times
+            .iter()
+            .copied()
+            .filter(|&at| snapshot[at + 8] == tag)
+            .collect();
+        assert!(entries.len() >= 3, "too few pending {kind}s");
+        for (which, at) in [
+            ("first", entries[0]),
+            ("middle", entries[entries.len() / 2]),
+        ] {
+            let mut dropped = snapshot.clone();
+            dropped.drain(at..at + ENTRY);
+            count(&mut dropped, -1);
+            cases.push((format!("{which} {kind} dropped"), dropped));
+            let mut repeated = snapshot.clone();
+            let entry = snapshot[at..at + ENTRY].to_vec();
+            repeated.splice(at..at, entry);
+            count(&mut repeated, 1);
+            cases.push((format!("{which} {kind} repeated"), repeated));
+            for delta in [1.0, -1.0, -at_secs] {
+                let mut moved = snapshot.clone();
+                let time = f64::from_le_bytes(snapshot[at..at + 8].try_into().unwrap());
+                moved[at..at + 8].copy_from_slice(&(time + delta).to_le_bytes());
+                cases.push((format!("{which} {kind} moved by {delta} s"), moved));
+            }
+        }
+        let (a, b) = (entries[0], entries[entries.len() / 2]);
+        let mut swapped = snapshot.clone();
+        swapped.copy_within(b..b + ENTRY, a);
+        swapped[b..b + ENTRY].copy_from_slice(&snapshot[a..a + ENTRY]);
+        cases.push((format!("{kind}s swapped"), swapped));
+    }
+    let delivered = workload
+        .iter()
+        .map(|vm| vm.arrival_secs)
+        .filter(|&t| t <= at_secs)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let mut early = snapshot.clone();
+    early[8..16].copy_from_slice(&(delivered - 1.0).to_le_bytes());
+    cases.push(("boundary before a delivered arrival".into(), early));
+    for (what, bad) in cases {
+        match sim.resume(&workload, &bad) {
+            Err(CheckpointError::Corrupt(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+    assert_eq!(
+        sim.resume(&workload, &snapshot).unwrap(),
+        sim.run(&workload)
+    );
+}
+
 /// A resident domain whose decoded state would reach an `f64::clamp`
 /// with a NaN or inverted bound is a typed `Corrupt` error, raised before
 /// the cgroups are built: a spec allocation that is NaN, infinite or
