@@ -156,8 +156,8 @@ impl LatencyStats {
     /// bytes.
     pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
         Ok(LatencyStats {
-            response_times: r.get_f64_vec()?,
-            dropped: r.get_usize()?,
+            response_times: r.field("response_times").get_f64_vec()?,
+            dropped: r.field("dropped").get_usize()?,
         })
     }
 }

@@ -146,7 +146,7 @@ impl Autoscaler {
     /// Restore [`write_snapshot`](Self::write_snapshot) state onto a
     /// freshly constructed autoscaler (same policy and application list).
     pub fn read_snapshot(&mut self, r: &mut ByteReader<'_>) -> CheckpointResult<()> {
-        let num_apps = r.get_usize()?;
+        let num_apps = r.field("apps.len").get_usize()?;
         if num_apps != self.apps.len() {
             return Err(CheckpointError::Corrupt(format!(
                 "snapshot has {} apps, autoscaler has {}",
@@ -154,35 +154,43 @@ impl Autoscaler {
                 self.apps.len()
             )));
         }
-        for app in &mut self.apps {
-            let members = r.get_usize()?;
-            app.members.clear();
-            for _ in 0..members {
-                app.members.push(Member {
-                    vm: VmId(r.get_u64()?),
-                    parked: r.get_bool()?,
-                    serving_from: r.get_f64()?,
-                });
-            }
-            app.launched = r.get_u64()?;
-            app.cooldown_until = r.get_f64()?;
+        for (a, app) in self.apps.iter_mut().enumerate() {
+            r.field_at("app", a).read(|r| {
+                let members = r.field("members.len").get_usize()?;
+                app.members.clear();
+                for m in 0..members {
+                    let member = r.field_at("member", m).read(|r| {
+                        Ok(Member {
+                            vm: VmId(r.field("vm").get_u64()?),
+                            parked: r.field("parked").get_bool()?,
+                            serving_from: r.field("serving_from").get_f64()?,
+                        })
+                    })?;
+                    app.members.push(member);
+                }
+                app.launched = r.field("launched").get_u64()?;
+                app.cooldown_until = r.field("cooldown_until").get_f64()?;
+                Ok(())
+            })?;
         }
-        self.stats = AutoscaleStats {
-            scale_out_actions: r.get_usize()?,
-            scale_in_actions: r.get_usize()?,
-            launches: r.get_usize()?,
-            launch_failures: r.get_usize()?,
-            reinflations: r.get_usize()?,
-            parks: r.get_usize()?,
-            retirements: r.get_usize()?,
-            replicas_lost: r.get_usize()?,
-            ticks: r.get_usize()?,
-            overload_ticks: r.get_usize()?,
-            setpoint_error_sum: r.get_f64()?,
-            latency: LatencyStats::read_snapshot(r)?,
-            final_active: r.get_usize()?,
-            final_parked: r.get_usize()?,
-        };
+        self.stats = r.field("stats").read(|r| {
+            Ok(AutoscaleStats {
+                scale_out_actions: r.field("scale_out_actions").get_usize()?,
+                scale_in_actions: r.field("scale_in_actions").get_usize()?,
+                launches: r.field("launches").get_usize()?,
+                launch_failures: r.field("launch_failures").get_usize()?,
+                reinflations: r.field("reinflations").get_usize()?,
+                parks: r.field("parks").get_usize()?,
+                retirements: r.field("retirements").get_usize()?,
+                replicas_lost: r.field("replicas_lost").get_usize()?,
+                ticks: r.field("ticks").get_usize()?,
+                overload_ticks: r.field("overload_ticks").get_usize()?,
+                setpoint_error_sum: r.field("setpoint_error_sum").get_f64()?,
+                latency: r.field("latency").read(LatencyStats::read_snapshot)?,
+                final_active: r.field("final_active").get_usize()?,
+                final_parked: r.field("final_parked").get_usize()?,
+            })
+        })?;
         Ok(())
     }
 

@@ -18,25 +18,30 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from a CLI argument / environment variable value.
-    pub fn from_arg(arg: Option<&str>) -> Scale {
+    /// Parse a CLI argument or `DEFLATE_SCALE` value: `quick`/`QUICK` or
+    /// `full`/`FULL`. Anything else is an error naming the value.
+    pub fn from_arg(arg: &str) -> Result<Scale, String> {
         match arg {
-            Some("full") | Some("FULL") => Scale::Full,
-            Some("quick") | Some("QUICK") => Scale::Quick,
-            _ => Scale::Full,
+            "full" | "FULL" => Ok(Scale::Full),
+            "quick" | "QUICK" => Ok(Scale::Quick),
+            other => Err(format!("unknown scale `{other}`")),
         }
     }
 
     /// Scale selected for an experiment binary: the first CLI argument, or
-    /// the `DEFLATE_SCALE` environment variable, defaulting to `Full`.
+    /// the `DEFLATE_SCALE` environment variable, defaulting to `Full`. An
+    /// unknown value prints a usage line and exits with status 2.
     pub fn from_env_and_args() -> Scale {
-        let arg = std::env::args().nth(1);
-        if let Some(a) = arg.as_deref() {
-            return Scale::from_arg(Some(a));
-        }
-        match std::env::var("DEFLATE_SCALE") {
-            Ok(v) => Scale::from_arg(Some(v.as_str())),
-            Err(_) => Scale::Full,
+        let arg = std::env::args()
+            .nth(1)
+            .or_else(|| std::env::var("DEFLATE_SCALE").ok());
+        match arg.as_deref().map_or(Ok(Scale::Full), Scale::from_arg) {
+            Ok(scale) => scale,
+            Err(err) => {
+                let program = std::env::args().next().unwrap_or_default();
+                eprintln!("{err}\nusage: {program} [quick|full] (or DEFLATE_SCALE=quick|full)");
+                std::process::exit(2);
+            }
         }
     }
 
@@ -121,11 +126,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parsing() {
-        assert_eq!(Scale::from_arg(Some("quick")), Scale::Quick);
-        assert_eq!(Scale::from_arg(Some("full")), Scale::Full);
-        assert_eq!(Scale::from_arg(Some("bogus")), Scale::Full);
-        assert_eq!(Scale::from_arg(None), Scale::Full);
+    fn parsing_accepts_only_the_two_scales() {
+        assert_eq!(Scale::from_arg("quick"), Ok(Scale::Quick));
+        assert_eq!(Scale::from_arg("QUICK"), Ok(Scale::Quick));
+        assert_eq!(Scale::from_arg("full"), Ok(Scale::Full));
+        assert_eq!(Scale::from_arg("FULL"), Ok(Scale::Full));
+        assert_eq!(
+            Scale::from_arg("quik"),
+            Err("unknown scale `quik`".to_string())
+        );
+        assert!(Scale::from_arg("").is_err());
     }
 
     #[test]

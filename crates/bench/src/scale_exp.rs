@@ -30,7 +30,6 @@ use deflate_cluster::spec::{
     MinAllocationRule, WorkloadVm,
 };
 use deflate_core::audit::AuditSpec;
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
 use deflate_core::placement::PartitionScheme;
 use deflate_core::policy::ProportionalDeflation;
 use deflate_hypervisor::domain::DeflationMechanism;
@@ -38,8 +37,6 @@ use deflate_hypervisor::migration::MigrationCostModel;
 use deflate_telemetry::TelemetrySink;
 use deflate_traces::azure::{AzureTraceConfig, AzureTraceGenerator};
 use deflate_transient::signal::{CapacityProfile, CapacitySchedule, TransientConfig};
-use std::fs;
-use std::path::Path;
 use std::sync::Arc;
 
 /// One measured row of the scaling sweep.
@@ -146,129 +143,29 @@ pub fn run_scale_cell_configured(
     (result, servers)
 }
 
-/// Run the full sweep: every cluster size of the scale preset.
+/// Run the full sweep: every cluster size of the scale preset, in the
+/// preset's order.
 pub fn scale_sweep(scale: Scale) -> Vec<ScaleRow> {
-    scale_sweep_with_resume(scale, Vec::new(), |_| {})
+    scale
+        .scale_sweep_vms()
+        .iter()
+        .map(|&vms| {
+            let workload = scale_workload(scale, vms);
+            let (result, servers) = run_scale_cell(&workload, scale);
+            ScaleRow {
+                vms,
+                servers,
+                events: result.runtime.events_processed,
+                wall_clock_secs: result.runtime.wall_clock_secs,
+                events_per_sec: result.runtime.events_per_sec(),
+                peak_rss_mib: peak_rss_mib(),
+            }
+        })
+        .collect()
 }
 
-/// [`scale_sweep`] with **row-level resume**: sizes already present in
-/// `done` are skipped without even rebuilding their workload, and `flush`
-/// is called with the cumulative row set after every newly measured
-/// size, so an interrupted sweep loses at most the size it was inside.
-/// [`scale_sweep_resumable`] wires this to an on-disk state file.
-/// Returned rows are sorted by size, the preset's own order.
-pub fn scale_sweep_with_resume(
-    scale: Scale,
-    done: Vec<ScaleRow>,
-    mut flush: impl FnMut(&[ScaleRow]),
-) -> Vec<ScaleRow> {
-    let mut rows = done;
-    for &vms in scale.scale_sweep_vms() {
-        if rows.iter().any(|r| r.vms == vms) {
-            continue;
-        }
-        let workload = scale_workload(scale, vms);
-        let (result, servers) = run_scale_cell(&workload, scale);
-        rows.push(ScaleRow {
-            vms,
-            servers,
-            events: result.runtime.events_processed,
-            wall_clock_secs: result.runtime.wall_clock_secs,
-            events_per_sec: result.runtime.events_per_sec(),
-            peak_rss_mib: peak_rss_mib(),
-        });
-        flush(&rows);
-    }
-    rows.sort_by_key(|r| r.vms);
-    rows
-}
-
-/// Run the sweep resumably against an on-disk state file: rows measured
-/// by a previous (possibly interrupted or killed) invocation are loaded
-/// from `state_path` and skipped, and every newly measured cell is
-/// flushed back atomically (write-to-temp + rename). A re-run over a
-/// complete state file measures nothing and just reprints the table. An
-/// unreadable or stale-format state file is discarded and the sweep
-/// starts over — the file is a cache, never a source of truth.
-pub fn scale_sweep_resumable(scale: Scale, state_path: &Path) -> Vec<ScaleRow> {
-    let done = match fs::read(state_path) {
-        Ok(bytes) => rows_from_bytes(&bytes).unwrap_or_default(),
-        Err(_) => Vec::new(),
-    };
-    scale_sweep_with_resume(scale, done, |rows| {
-        let tmp = state_path.with_extension("tmp");
-        if fs::write(&tmp, rows_to_bytes(rows)).is_ok() {
-            let _ = fs::rename(&tmp, state_path);
-        }
-    })
-}
-
-/// Serialize measured sweep rows for the resumable state file, using the
-/// engine checkpoint's versioned little-endian byte conventions (shared
-/// magic + format version, so a format change requires the same version
-/// bump the snapshot golden test enforces). A tag string distinguishes
-/// the row file from an engine snapshot.
-pub fn rows_to_bytes(rows: &[ScaleRow]) -> Vec<u8> {
-    let mut w = ByteWriter::with_header();
-    w.put_str(SCALE_ROWS_TAG);
-    w.put_usize(rows.len());
-    for row in rows {
-        w.put_usize(row.vms);
-        w.put_usize(row.servers);
-        w.put_u64(row.events);
-        w.put_f64(row.wall_clock_secs);
-        w.put_f64(row.events_per_sec);
-        w.put_bool(row.peak_rss_mib.is_some());
-        if let Some(mib) = row.peak_rss_mib {
-            w.put_f64(mib);
-        }
-    }
-    w.into_bytes()
-}
-
-/// Rebuild sweep rows from [`rows_to_bytes`] bytes.
-pub fn rows_from_bytes(bytes: &[u8]) -> CheckpointResult<Vec<ScaleRow>> {
-    let mut r = ByteReader::with_header(bytes)?;
-    let tag = r.get_str()?;
-    if tag != SCALE_ROWS_TAG {
-        return Err(CheckpointError::Corrupt(format!(
-            "not a fig_scale row file (tag `{tag}`)"
-        )));
-    }
-    let len = r.get_usize()?;
-    let mut rows = Vec::with_capacity(len.min(1024));
-    for _ in 0..len {
-        rows.push(ScaleRow {
-            vms: r.get_usize()?,
-            servers: r.get_usize()?,
-            events: r.get_u64()?,
-            wall_clock_secs: r.get_f64()?,
-            events_per_sec: r.get_f64()?,
-            peak_rss_mib: if r.get_bool()? {
-                Some(r.get_f64()?)
-            } else {
-                None
-            },
-        });
-    }
-    r.finish()?;
-    Ok(rows)
-}
-
-/// Discriminator string of the resumable-sweep state file. The suffix
-/// names the row layout, so a file written under an older layout is
-/// rejected as `Corrupt` (and the sweep starts over) instead of misread.
-const SCALE_ROWS_TAG: &str = "fig-scale-rows-v2";
-
-/// The sweep as a printable table.
+/// The sweep as the printable `fig_scale` table.
 pub fn scale_sweep_table(scale: Scale) -> Table {
-    table_from_rows(&scale_sweep(scale))
-}
-
-/// Render already-measured sweep rows as the `fig_scale` table. Split
-/// from [`scale_sweep_table`] so the binary can render rows loaded from
-/// a resumable state file.
-pub fn table_from_rows(rows: &[ScaleRow]) -> Table {
     let mut table = Table::new(
         "Engine scaling: cluster size under spot-market reclamation",
         &[
@@ -281,7 +178,7 @@ pub fn table_from_rows(rows: &[ScaleRow]) -> Table {
         ],
     );
     let mut tally = RuntimeTally::default();
-    for row in rows {
+    for row in scale_sweep(scale) {
         tally.add(deflate_cluster::metrics::RunStats {
             wall_clock_secs: row.wall_clock_secs,
             events_processed: row.events,
@@ -326,94 +223,6 @@ mod tests {
             "spot-market must reclaim"
         );
         assert!(Scale::Quick.scale_sweep_vms().contains(&100_000));
-    }
-
-    #[test]
-    fn sweep_rows_round_trip_through_the_state_file_format() {
-        let rows = vec![
-            ScaleRow {
-                vms: 10_000,
-                servers: 321,
-                events: 123_456,
-                wall_clock_secs: 1.5,
-                events_per_sec: 82_304.0,
-                peak_rss_mib: Some(512.25),
-            },
-            ScaleRow {
-                vms: 100_000,
-                servers: 3210,
-                events: 1_234_567,
-                wall_clock_secs: 12.5,
-                events_per_sec: 98_765.36,
-                peak_rss_mib: None,
-            },
-        ];
-        let bytes = rows_to_bytes(&rows);
-        let restored = rows_from_bytes(&bytes).expect("own bytes must parse");
-        assert_eq!(restored.len(), rows.len());
-        for (a, b) in rows.iter().zip(&restored) {
-            assert_eq!((a.vms, a.servers, a.events), (b.vms, b.servers, b.events));
-            assert_eq!(a.wall_clock_secs.to_bits(), b.wall_clock_secs.to_bits());
-            assert_eq!(a.events_per_sec.to_bits(), b.events_per_sec.to_bits());
-            assert_eq!(
-                a.peak_rss_mib.map(f64::to_bits),
-                b.peak_rss_mib.map(f64::to_bits)
-            );
-        }
-        // Garbage and truncation are rejected, not misread.
-        assert!(rows_from_bytes(b"not a state file").is_err());
-        assert!(rows_from_bytes(&bytes[..bytes.len() - 3]).is_err());
-    }
-
-    /// A state file written under the earlier row layout (with a shard
-    /// count and a parity flag per row) is rejected, not misread.
-    #[test]
-    fn state_files_of_the_earlier_row_layout_are_rejected() {
-        let mut w = ByteWriter::with_header();
-        w.put_str("fig-scale-rows");
-        w.put_usize(1);
-        w.put_usize(10_000); // vms
-        w.put_usize(321); // servers
-        w.put_usize(1); // shards
-        w.put_u64(123_456); // events
-        w.put_f64(1.5); // wall-clock seconds
-        w.put_f64(82_304.0); // events per second
-        w.put_bool(true);
-        w.put_f64(512.25); // peak RSS MiB
-        w.put_bool(true); // parity
-
-        // Rejected by the tag, before any row field is read.
-        match rows_from_bytes(&w.into_bytes()) {
-            Err(CheckpointError::Corrupt(reason)) => {
-                assert!(reason.contains("fig-scale-rows"), "{reason}")
-            }
-            other => panic!("old layout not rejected by its tag: {other:?}"),
-        }
-    }
-
-    /// A sweep resumed over a complete row set measures nothing: no cell
-    /// runs (the quick preset's smallest size is 10k VMs — a run here
-    /// would dominate the unit-test wall clock) and the flush callback
-    /// never fires.
-    #[test]
-    fn resume_over_complete_rows_skips_every_cell() {
-        let scale = Scale::Quick;
-        let mut done = Vec::new();
-        for &vms in scale.scale_sweep_vms() {
-            done.push(ScaleRow {
-                vms,
-                servers: 1,
-                events: 1,
-                wall_clock_secs: 0.1,
-                events_per_sec: 10.0,
-                peak_rss_mib: None,
-            });
-        }
-        let expected = done.len();
-        let mut flushes = 0;
-        let rows = scale_sweep_with_resume(scale, done, |_| flushes += 1);
-        assert_eq!(rows.len(), expected);
-        assert_eq!(flushes, 0, "complete state must skip all measurement");
     }
 
     #[test]

@@ -11,22 +11,17 @@
 //!    runs from the last known-identical snapshot via
 //!    [`ClusterSimulation::resume_until`], until the first divergent
 //!    window is narrower than the requested resolution;
-//! 2. [`first_divergent_field`] then walks the two snapshots in lockstep
-//!    along the exact [`write_snapshot`](crate::manager::ClusterManager::write_snapshot)
-//!    byte layout and names the first field whose bits differ — e.g.
+//! 2. [`first_divergent_field`] then restores the two snapshots with the
+//!    field recorder on ([`ClusterSimulation::snapshot_fields`]) and names
+//!    the field holding the first differing byte — e.g.
 //!    `placement_index.dirty_len` or
 //!    `manager.server[3].domain[17].guest.rss_mb`.
 //!
 //! Because every probe resumes from the known-identical prefix, a bisection
 //! over a horizon `H` at resolution `r` costs `O(log2(H / r))` partial
 //! replays instead of the `O(H / r)` full replays of a linear scan.
-//!
-//! The walk mirrors `serialize_state` field for field; the layout is
-//! golden-pinned by `tests/checkpoint_restore.rs`, and
-//! `snapshot_walk_consumes_every_byte` below fails if the two ever drift.
 
 use deflate_core::checkpoint::{ByteReader, CheckpointError, CheckpointResult};
-use deflate_core::resources::ResourceKind;
 
 use crate::sim::ClusterSimulation;
 use crate::spec::WorkloadVm;
@@ -115,7 +110,7 @@ pub fn bisect_divergence(
     let mut probes = 2;
     let end_a = a.checkpoint(workload, horizon_secs);
     let end_b = b.checkpoint(workload, horizon_secs);
-    if first_divergent_field(&end_a, &end_b)?.is_none() {
+    if end_a == end_b {
         return Ok(None);
     }
 
@@ -125,7 +120,7 @@ pub fn bisect_divergence(
     probes += 2;
     let boot_a = a.checkpoint(workload, BOOT_SECS);
     let boot_b = b.checkpoint(workload, BOOT_SECS);
-    if let Some(diff) = first_divergent_field(&boot_a, &boot_b)? {
+    if let Some(diff) = first_divergent_field(a, b, workload, &boot_a, &boot_b)? {
         return Ok(Some(DivergenceReport {
             window_secs: (BOOT_SECS, BOOT_SECS),
             events_processed: (events_processed_of(&boot_a)?, events_processed_of(&boot_b)?),
@@ -148,7 +143,7 @@ pub fn bisect_divergence(
         let mid_a = a.resume_until(workload, &snap_lo, mid)?;
         let mid_b = b.resume_until(workload, &snap_lo, mid)?;
         probes += 2;
-        if first_divergent_field(&mid_a, &mid_b)?.is_none() {
+        if mid_a == mid_b {
             lo = mid;
             snap_lo = mid_a;
         } else {
@@ -158,7 +153,7 @@ pub fn bisect_divergence(
         }
     }
 
-    let diff = first_divergent_field(&hi_a, &hi_b)?
+    let diff = first_divergent_field(a, b, workload, &hi_a, &hi_b)?
         .expect("bisection invariant: the hi boundary stays divergent");
     Ok(Some(DivergenceReport {
         window_secs: (lo, hi),
@@ -177,379 +172,55 @@ fn events_processed_of(snapshot: &[u8]) -> CheckpointResult<u64> {
     r.get_u64()
 }
 
-/// Walk two snapshots in lockstep along the engine's snapshot layout and
-/// name the first field whose bits differ.
+/// Name the field holding the first byte in which two snapshots of the
+/// same workload differ, each restored under its own simulation, with
+/// both values rendered.
 ///
-/// Returns `Ok(None)` for byte-identical snapshots. Errs when either
-/// buffer is corrupt (bad header, truncated, unknown discriminant) —
-/// corruption is a different failure than divergence and must not be
-/// reported as a field.
-pub fn first_divergent_field(a: &[u8], b: &[u8]) -> CheckpointResult<Option<SnapshotDiff>> {
-    if a == b {
+/// Returns `Ok(None)` for byte-identical snapshots. Up to the first
+/// differing byte both snapshots decode alike, so the field map of
+/// whichever restores (`a` first) locates it. Errs on a bad header, or
+/// when neither snapshot restores: corruption is a different failure
+/// than divergence and must not be reported as a field.
+pub fn first_divergent_field(
+    sim_a: &ClusterSimulation,
+    sim_b: &ClusterSimulation,
+    workload: &[WorkloadVm],
+    a: &[u8],
+    b: &[u8],
+) -> CheckpointResult<Option<SnapshotDiff>> {
+    let Some(at) = a
+        .iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .or((a.len() != b.len()).then(|| a.len().min(b.len())))
+    else {
         return Ok(None);
-    }
-    let mut l = Lockstep {
-        a: ByteReader::with_header(a)?,
-        b: ByteReader::with_header(b)?,
     };
-    match walk_snapshot(&mut l) {
-        Ok(()) => {
-            // Bytes differ but every field matched: one buffer carries
-            // trailing bytes the layout does not describe.
-            Ok(Some(SnapshotDiff {
-                field: "trailing_bytes".to_string(),
-                a: format!("{} left", l.a.remaining()),
-                b: format!("{} left", l.b.remaining()),
-            }))
-        }
-        Err(Stop::Diverged(diff)) => Ok(Some(*diff)),
-        Err(Stop::Corrupt(e)) => Err(e),
-    }
-}
-
-/// Why a lockstep walk stopped early.
-enum Stop {
-    Diverged(Box<SnapshotDiff>),
-    Corrupt(CheckpointError),
-}
-
-impl From<CheckpointError> for Stop {
-    fn from(e: CheckpointError) -> Self {
-        Stop::Corrupt(e)
-    }
-}
-
-type Step<T> = Result<T, Stop>;
-
-/// Two [`ByteReader`]s advanced field by field; the first mismatching
-/// primitive aborts the walk with its dotted field name.
-struct Lockstep<'s> {
-    a: ByteReader<'s>,
-    b: ByteReader<'s>,
-}
-
-impl Lockstep<'_> {
-    fn diverged<T: std::fmt::Display>(name: impl FnOnce() -> String, a: T, b: T) -> Stop {
-        Stop::Diverged(Box::new(SnapshotDiff {
-            field: name(),
-            a: a.to_string(),
-            b: b.to_string(),
-        }))
-    }
-
-    fn u8(&mut self, name: impl FnOnce() -> String) -> Step<u8> {
-        let (a, b) = (self.a.get_u8()?, self.b.get_u8()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
-    }
-
-    fn bool(&mut self, name: impl FnOnce() -> String) -> Step<bool> {
-        let (a, b) = (self.a.get_bool()?, self.b.get_bool()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
-    }
-
-    fn u32(&mut self, name: impl FnOnce() -> String) -> Step<u32> {
-        let (a, b) = (self.a.get_u32()?, self.b.get_u32()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
-    }
-
-    fn u64(&mut self, name: impl FnOnce() -> String) -> Step<u64> {
-        let (a, b) = (self.a.get_u64()?, self.b.get_u64()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
-    }
-
-    fn usize(&mut self, name: impl FnOnce() -> String) -> Step<usize> {
-        let (a, b) = (self.a.get_usize()?, self.b.get_usize()?);
-        if a != b {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
-    }
-
-    /// Bit-exact comparison: the snapshot contract is bit-identity, so
-    /// `-0.0` vs `0.0` or differing NaN payloads are real divergences.
-    fn f64(&mut self, name: impl FnOnce() -> String) -> Step<f64> {
-        let (a, b) = (self.a.get_f64()?, self.b.get_f64()?);
-        if a.to_bits() != b.to_bits() {
-            return Err(Self::diverged(name, a, b));
-        }
-        Ok(a)
-    }
-
-    fn f64_slice(&mut self, name: impl Fn() -> String) -> Step<()> {
-        let (a, b) = (self.a.get_f64_vec()?, self.b.get_f64_vec()?);
-        if a.len() != b.len() {
-            return Err(Self::diverged(
-                || format!("{}.len", name()),
-                a.len(),
-                b.len(),
-            ));
-        }
-        for (i, (va, vb)) in a.iter().zip(&b).enumerate() {
-            if va.to_bits() != vb.to_bits() {
-                return Err(Self::diverged(|| format!("{}[{i}]", name()), va, vb));
-            }
-        }
-        Ok(())
-    }
-
-    fn resources(&mut self, name: impl Fn() -> String) -> Step<()> {
-        let (a, b) = (self.a.get_resources()?, self.b.get_resources()?);
-        for kind in ResourceKind::ALL {
-            if a[kind].to_bits() != b[kind].to_bits() {
-                return Err(Self::diverged(
-                    || format!("{}.{kind}", name()),
-                    a[kind],
-                    b[kind],
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn vm_spec(&mut self, name: impl Fn() -> String) -> Step<()> {
-        let (a, b) = (self.a.get_vm_spec()?, self.b.get_vm_spec()?);
-        if a != b {
-            return Err(Self::diverged(name, format!("{a:?}"), format!("{b:?}")));
-        }
-        Ok(())
-    }
-}
-
-/// Mirror of `ClusterSimulation::serialize_state`.
-fn walk_snapshot(l: &mut Lockstep<'_>) -> Step<()> {
-    l.f64(|| "at_secs".into())?;
-    let workload_len = l.usize(|| "workload_len".into())?;
-    l.u64(|| "events_processed".into())?;
-    let queued = l.usize(|| "queue.len".into())?;
-    for i in 0..queued {
-        walk_queued_event(l, i)?;
-    }
-    walk_manager(l)?;
-    if l.bool(|| "autoscaler.present".into())? {
-        walk_autoscaler(l)?;
-    }
-    for i in 0..workload_len {
-        walk_vm_record(l, i)?;
-    }
-    let migrations = l.usize(|| "migration_log.len".into())?;
-    for i in 0..migrations {
-        let p = move || format!("migration_log[{i}]");
-        l.f64(|| format!("{}.time_secs", p()))?;
-        l.u64(|| format!("{}.vm", p()))?;
-        l.u32(|| format!("{}.from", p()))?;
-        l.u32(|| format!("{}.to", p()))?;
-        l.f64(|| format!("{}.duration_secs", p()))?;
-        l.f64(|| format!("{}.volume_mb", p()))?;
-        l.bool(|| format!("{}.back", p()))?;
-    }
-    let samples = l.usize(|| "utilization.len".into())?;
-    for i in 0..samples {
-        l.f64(|| format!("utilization[{i}].time_secs"))?;
-        l.f64(|| format!("utilization[{i}].value"))?;
-    }
-    Ok(())
-}
-
-/// Mirror of `SimEvent::write_snapshot` prefixed with its delivery time.
-fn walk_queued_event(l: &mut Lockstep<'_>, i: usize) -> Step<()> {
-    let p = move || format!("queue[{i}]");
-    l.f64(|| format!("{}.time", p()))?;
-    let kind = l.u8(|| format!("{}.kind", p()))?;
-    match kind {
-        // Departure / Arrival
-        0 | 4 => {
-            l.usize(|| format!("{}.vm_index", p()))?;
-        }
-        // MigrationComplete
-        1 => {
-            l.u64(|| format!("{}.migration", p()))?;
-        }
-        // CapacityRestore / CapacityReclaim
-        2 | 3 => {
-            l.u32(|| format!("{}.server", p()))?;
-            l.f64(|| format!("{}.available_fraction", p()))?;
-        }
-        // ScaleOut / ScaleIn
-        5 | 6 => {
-            l.u32(|| format!("{}.app", p()))?;
-        }
-        // UtilizationTick carries no payload
-        7 => {}
-        other => {
-            return Err(Stop::Corrupt(CheckpointError::Corrupt(format!(
-                "unknown SimEvent discriminant {other} in queue[{i}]"
-            ))))
-        }
-    }
-    Ok(())
-}
-
-/// Mirror of `ClusterManager::write_snapshot`.
-fn walk_manager(l: &mut Lockstep<'_>) -> Step<()> {
-    let servers = l.usize(|| "manager.servers.len".into())?;
-    for s in 0..servers {
-        l.resources(move || format!("manager.server[{s}].capacity"))?;
-        let domains = l.usize(move || format!("manager.server[{s}].domains.len"))?;
-        for d in 0..domains {
-            walk_domain(l, s, d)?;
-        }
-    }
-    for map in ["vm_location", "migration_origin"] {
-        let entries = l.usize(move || format!("manager.{map}.len"))?;
-        for i in 0..entries {
-            l.u64(move || format!("manager.{map}[{i}].vm"))?;
-            l.u64(move || format!("manager.{map}[{i}].server_index"))?;
-        }
-    }
-    let flights = l.usize(|| "manager.in_flight.len".into())?;
-    for i in 0..flights {
-        let p = move || format!("manager.in_flight[{i}]");
-        l.u64(|| format!("{}.id", p()))?;
-        l.u64(|| format!("{}.vm", p()))?;
-        l.usize(|| format!("{}.source", p()))?;
-        l.usize(|| format!("{}.dest", p()))?;
-        l.f64(|| format!("{}.start_secs", p()))?;
-        l.f64(|| format!("{}.finish_secs", p()))?;
-        l.f64(|| format!("{}.deadline_secs", p()))?;
-        l.f64(|| format!("{}.volume_mb", p()))?;
-        l.bool(|| format!("{}.back", p()))?;
-    }
-    l.u64(|| "manager.next_migration_id".into())?;
-    let ledgers = l.usize(|| "scheduler.ledgers.len".into())?;
-    for i in 0..ledgers {
-        l.f64_slice(move || format!("scheduler.ledger[{i}]"))?;
-    }
-    l.usize(|| "scheduler.booked".into())?;
-    l.usize(|| "scheduler.rejected".into())?;
-    l.f64(|| "scheduler.total_queue_wait_secs".into())?;
-    for counter in [
-        "admitted_free",
-        "admitted_with_deflation",
-        "admitted_with_preemption",
-        "rejected",
-        "preempted_vms",
-    ] {
-        l.usize(move || format!("manager.admission.{counter}"))?;
-    }
-    for counter in [
-        "reclaim_events",
-        "restore_events",
-        "absorbed_by_deflation",
-        "migrations",
-        "migrations_back",
-        "migration_aborts",
-        "migration_rejections",
-        "reclamation_victims",
-    ] {
-        l.usize(move || format!("manager.transient.{counter}"))?;
-    }
-    let dirty = l.usize(|| "placement_index.dirty_len".into())?;
-    for i in 0..dirty {
-        l.usize(move || format!("placement_index.dirty[{i}]"))?;
-    }
-    Ok(())
-}
-
-/// Mirror of `Domain::write_snapshot` (spec, mechanism, guest, cgroups,
-/// history, parked flag).
-fn walk_domain(l: &mut Lockstep<'_>, s: usize, d: usize) -> Step<()> {
-    let p = move || format!("manager.server[{s}].domain[{d}]");
-    l.vm_spec(|| format!("{}.vm_spec", p()))?;
-    l.u8(|| format!("{}.mechanism", p()))?;
-    l.u32(|| format!("{}.guest.boot_vcpus", p()))?;
-    l.u32(|| format!("{}.guest.online_vcpus", p()))?;
-    l.f64(|| format!("{}.guest.boot_memory_mb", p()))?;
-    l.f64(|| format!("{}.guest.plugged_memory_mb", p()))?;
-    l.f64(|| format!("{}.guest.rss_mb", p()))?;
-    l.f64(|| format!("{}.guest.page_cache_mb", p()))?;
-    l.f64(|| format!("{}.guest.cpu_busy_fraction", p()))?;
-    l.resources(|| format!("{}.usages", p()))?;
-    l.resources(|| format!("{}.limits", p()))?;
-    l.f64_slice(|| format!("{}.cpu_util_history", p()))?;
-    l.bool(|| format!("{}.parked", p()))?;
-    Ok(())
-}
-
-/// Mirror of `Autoscaler::write_snapshot`.
-fn walk_autoscaler(l: &mut Lockstep<'_>) -> Step<()> {
-    let apps = l.usize(|| "autoscaler.apps.len".into())?;
-    for a in 0..apps {
-        let p = move || format!("autoscaler.app[{a}]");
-        let members = l.usize(|| format!("{}.members.len", p()))?;
-        for m in 0..members {
-            l.u64(|| format!("{}.member[{m}].vm", p()))?;
-            l.bool(|| format!("{}.member[{m}].parked", p()))?;
-            l.f64(|| format!("{}.member[{m}].serving_from", p()))?;
-        }
-        l.u64(|| format!("{}.launched", p()))?;
-        l.f64(|| format!("{}.cooldown_until", p()))?;
-    }
-    for counter in [
-        "scale_out_actions",
-        "scale_in_actions",
-        "launches",
-        "launch_failures",
-        "reinflations",
-        "parks",
-        "retirements",
-        "replicas_lost",
-        "ticks",
-        "overload_ticks",
-    ] {
-        l.usize(move || format!("autoscaler.stats.{counter}"))?;
-    }
-    l.f64(|| "autoscaler.stats.setpoint_error_sum".into())?;
-    l.f64_slice(|| "autoscaler.stats.latency.response_times".into())?;
-    l.usize(|| "autoscaler.stats.latency.dropped".into())?;
-    l.usize(|| "autoscaler.stats.final_active".into())?;
-    l.usize(|| "autoscaler.stats.final_parked".into())?;
-    Ok(())
-}
-
-/// Mirror of the per-VM record block of `serialize_state`.
-fn walk_vm_record(l: &mut Lockstep<'_>, i: usize) -> Step<()> {
-    let p = move || format!("record[{i}]");
-    l.bool(|| format!("{}.running", p()))?;
-    let outcome = l.u8(|| format!("{}.outcome", p()))?;
-    match outcome {
-        // Completed / Rejected carry no payload
-        0 | 1 => {}
-        // Preempted / Evicted carry their timestamp
-        2 | 3 => {
-            l.f64(|| format!("{}.outcome.at_secs", p()))?;
-        }
-        other => {
-            return Err(Stop::Corrupt(CheckpointError::Corrupt(format!(
-                "unknown VmOutcome discriminant {other} in record[{i}]"
-            ))))
-        }
-    }
-    // The usage summary's frame: an entry count, then its fields.
-    l.usize(|| format!("{}.usage.len", p()))?;
-    l.u32(|| format!("{}.usage.next_sample", p()))?;
-    l.u32(|| format!("{}.usage.flags", p()))?;
-    for field in [
-        "demanded",
-        "lost",
-        "weighted",
-        "last_change_secs",
-        "last_fraction",
-    ] {
-        l.f64(move || format!("{}.usage.{field}", p()))?;
-    }
-    Ok(())
+    ByteReader::with_header(a)?;
+    ByteReader::with_header(b)?;
+    let fields = sim_a
+        .snapshot_fields(workload, a)
+        .or_else(|err| sim_b.snapshot_fields(workload, b).map_err(|_| err))?;
+    let Some(field) = fields.iter().find(|f| f.range.contains(&at)) else {
+        // Every byte the restore decoded matches: one snapshot carries
+        // bytes past the end of the other.
+        return Ok(Some(SnapshotDiff {
+            field: "trailing_bytes".to_string(),
+            a: format!("{} left", a.len() - at),
+            b: format!("{} left", b.len() - at),
+        }));
+    };
+    let render = |bytes: &[u8]| {
+        bytes
+            .get(field.range.clone())
+            .map(|v| field.kind.render(v))
+            .ok_or(CheckpointError::Truncated)
+    };
+    Ok(Some(SnapshotDiff {
+        field: field.path.clone(),
+        a: render(a)?,
+        b: render(b)?,
+    }))
 }
 
 #[cfg(test)]
@@ -654,43 +325,53 @@ mod tests {
         assert!(!report.diff.field.is_empty());
         // Ground truth by independent from-scratch checkpoints: identical
         // at the window's lower bound, divergent at its upper bound.
-        assert_eq!(
-            first_divergent_field(&a.checkpoint(&workload, lo), &b.checkpoint(&workload, lo))
-                .unwrap(),
-            None,
+        assert!(
+            a.checkpoint(&workload, lo) == b.checkpoint(&workload, lo),
             "runs must still be bit-identical at the window's lower bound"
         );
+        let (hi_a, hi_b) = (a.checkpoint(&workload, hi), b.checkpoint(&workload, hi));
         assert!(
-            first_divergent_field(&a.checkpoint(&workload, hi), &b.checkpoint(&workload, hi))
+            first_divergent_field(&a, &b, &workload, &hi_a, &hi_b)
                 .unwrap()
                 .is_some(),
             "runs must be divergent at the window's upper bound"
         );
     }
 
-    // The field walk must describe every byte the engine serializes: a
-    // single bit flipped anywhere in a snapshot yields a named field, and
-    // untouched snapshots walk clean.
+    // The recorded field map is the layout: its ranges tile every byte
+    // after the header exactly once, and a byte flipped inside any field
+    // is named as that field.
     #[test]
-    fn snapshot_walk_consumes_every_byte() {
+    fn recorded_fields_tile_the_snapshot_and_name_every_flipped_byte() {
         let workload = scenario_workload();
         let (servers, schedule) = scenario_cluster(&workload);
         let sim = scenario_sim(servers, schedule, TransferPolicy::fifo());
         let snapshot = sim.checkpoint(&workload, HORIZON_SECS / 2.0);
-        assert_eq!(first_divergent_field(&snapshot, &snapshot).unwrap(), None);
+        let fields = sim.snapshot_fields(&workload, &snapshot).unwrap();
+        let mut end = 8;
+        for field in &fields {
+            assert_eq!(field.range.start, end, "gap or overlap at {}", field.path);
+            assert!(!field.range.is_empty(), "{} is empty", field.path);
+            end = field.range.end;
+        }
+        assert_eq!(end, snapshot.len(), "the map stops short of the end");
+        assert!(fields.iter().any(|f| f.path.starts_with("manager.server[")));
+        assert!(fields.iter().any(|f| f.path.starts_with("record[")));
 
-        // Flip the last byte: the walk must still reach and name a field
-        // (the final byte belongs to the utilization block or the empty
-        // trailing length), not fall off the layout.
         let mut mutated = snapshot.clone();
-        *mutated.last_mut().unwrap() ^= 0x01;
-        let diff = first_divergent_field(&snapshot, &mutated)
-            .unwrap()
-            .expect("a flipped bit must be named");
-        assert!(
-            diff.field.starts_with("utilization"),
-            "last byte belongs to the utilization block, got {}",
-            diff.field
+        for field in &fields {
+            let at = field.range.start;
+            mutated[at] ^= 0x01;
+            let diff = first_divergent_field(&sim, &sim, &workload, &snapshot, &mutated)
+                .unwrap()
+                .expect("a flipped byte must be named");
+            assert_eq!(diff.field, field.path, "byte {at}");
+            assert_ne!(diff.a, diff.b, "{}", field.path);
+            mutated[at] ^= 0x01;
+        }
+        assert_eq!(
+            first_divergent_field(&sim, &sim, &workload, &snapshot, &mutated).unwrap(),
+            None
         );
     }
 
@@ -702,28 +383,15 @@ mod tests {
         let (servers, schedule) = scenario_cluster(&workload);
         let sim = scenario_sim(servers, schedule, TransferPolicy::fifo());
         let snapshot = sim.checkpoint(&workload, HORIZON_SECS / 2.0);
-        let u64_at = |at: usize| u64::from_le_bytes(snapshot[at..at + 8].try_into().unwrap());
-        // The snapshot ends with the migration log (a count, then 41 bytes
-        // per entry) and the utilisation series, empty without ticks.
-        let end = snapshot.len() - 8;
-        assert_eq!(u64_at(end), 0);
-        let log_at = (0..)
-            .map(|m| end - 8 - 41 * m)
-            .zip(0u64..)
-            .find(|&(at, m)| u64_at(at) == m)
-            .map(|(at, _)| at)
-            .unwrap();
-        // The last record's summary ends right before the log, with
-        // demanded, lost, weighted, last_change_secs and last_fraction.
+        let path = format!("record[{}].usage.demanded", workload.len() - 1);
+        let fields = sim.snapshot_fields(&workload, &snapshot).unwrap();
+        let field = fields.iter().find(|f| f.path == path).unwrap();
         let mut mutated = snapshot.clone();
-        mutated[log_at - 40] ^= 0x01;
-        let diff = first_divergent_field(&snapshot, &mutated)
+        mutated[field.range.start] ^= 0x01;
+        let diff = first_divergent_field(&sim, &sim, &workload, &snapshot, &mutated)
             .unwrap()
             .expect("a flipped bit must be named");
-        assert_eq!(
-            diff.field,
-            format!("record[{}].usage.demanded", workload.len() - 1)
-        );
+        assert_eq!(diff.field, path);
     }
 
     #[test]
@@ -733,10 +401,20 @@ mod tests {
         let sim = scenario_sim(servers, schedule, TransferPolicy::fifo());
         let early = sim.checkpoint(&workload, 600.0);
         let late = sim.checkpoint(&workload, 1800.0);
-        let diff = first_divergent_field(&early, &late)
+        let diff = first_divergent_field(&sim, &sim, &workload, &early, &late)
             .unwrap()
             .expect("snapshots at different boundaries differ");
         // The very first field is the boundary time itself.
         assert_eq!(diff.field, "at_secs");
+        // Bytes past the end of a restorable snapshot are trailing.
+        let mut padded = early.clone();
+        padded.push(0);
+        let diff = first_divergent_field(&sim, &sim, &workload, &early, &padded)
+            .unwrap()
+            .expect("a longer snapshot differs");
+        assert_eq!(
+            (diff.field.as_str(), diff.a.as_str(), diff.b.as_str()),
+            ("trailing_bytes", "0 left", "1 left")
+        );
     }
 }

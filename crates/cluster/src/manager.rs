@@ -2088,7 +2088,7 @@ impl ClusterManager {
         r: &mut ByteReader<'_>,
         reserved_slot: impl Fn(VmId) -> Option<u32>,
     ) -> CheckpointResult<()> {
-        let num_servers = r.get_usize()?;
+        let num_servers = r.field("manager.servers.len").get_usize()?;
         if num_servers != self.controllers.len() {
             return Err(CheckpointError::Corrupt(format!(
                 "snapshot has {} servers, cluster has {}",
@@ -2096,13 +2096,16 @@ impl ClusterManager {
                 self.controllers.len()
             )));
         }
-        for controller in &mut self.controllers {
+        for (s, controller) in self.controllers.iter_mut().enumerate() {
             let server = controller.server_mut();
-            server.capacity = r.get_resources()?;
-            let count = r.get_usize()?;
-            for _ in 0..count {
-                server.restore_domain(Domain::read_snapshot(r)?);
-            }
+            r.field_at("manager.server", s).read(|r| {
+                server.capacity = r.field("capacity").get_resources()?;
+                let count = r.field("domains.len").get_usize()?;
+                for d in 0..count {
+                    server.restore_domain(r.field_at("domain", d).read(Domain::read_snapshot)?);
+                }
+                Ok(())
+            })?;
         }
         // Every decoded server index must name a server of this cluster.
         let server_index = |what: &str, idx: u64| match usize::try_from(idx) {
@@ -2122,46 +2125,54 @@ impl ClusterManager {
             }
             None => this.slot_for_id(vm),
         };
-        let n = r.get_len(16)?;
-        for _ in 0..n {
-            let vm = VmId(r.get_u64()?);
-            let idx = server_index("vm_location", r.get_u64()?)?;
+        // A VM id and a server index per entry.
+        let location = |r: &mut ByteReader<'_>| {
+            let vm = VmId(r.field("vm").get_u64()?);
+            Ok((vm, r.field("server_index").get_u64()?))
+        };
+        let n = r.field("manager.vm_location.len").get_len(16)?;
+        for i in 0..n {
+            let (vm, idx) = r.field_at("manager.vm_location", i).read(location)?;
+            let idx = server_index("vm_location", idx)?;
             let slot = slot_for(self, vm);
             self.vms[slot as usize].location = idx as u32;
         }
-        let n = r.get_len(16)?;
-        for _ in 0..n {
-            let vm = VmId(r.get_u64()?);
-            let idx = server_index("migration_origin", r.get_u64()?)?;
+        let n = r.field("manager.migration_origin.len").get_len(16)?;
+        for i in 0..n {
+            let (vm, idx) = r.field_at("manager.migration_origin", i).read(location)?;
+            let idx = server_index("migration_origin", idx)?;
             let slot = slot_for(self, vm);
             self.clear_origin(slot);
             self.displace(slot, idx);
         }
         // id, vm, source, dest and four f64s of 8 bytes each, plus a bool.
-        let n = r.get_len(65)?;
+        let n = r.field("manager.in_flight.len").get_len(65)?;
         self.in_flight = IdMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let id = r.get_u64()?;
-            if id == NO_FLIGHT {
-                return Err(CheckpointError::Corrupt(format!(
-                    "in-flight migration id {id} is reserved"
-                )));
-            }
-            let vm = VmId(r.get_u64()?);
-            let slot = slot_for(self, vm);
-            let flight = InFlight {
-                vm,
-                slot,
-                source: server_index("in-flight source", r.get_u64()?)?,
-                dest: server_index("in-flight dest", r.get_u64()?)?,
-                start_secs: r.get_f64()?,
-                finish_secs: r.get_f64()?,
-                deadline_secs: r.get_f64()?,
-                volume_mb: r.get_f64()?,
-                back: r.get_bool()?,
-            };
-            self.vms[slot as usize].flight = id;
-            self.in_flight.insert(id, flight);
+        for i in 0..n {
+            r.field_at("manager.in_flight", i).read(|r| {
+                let id = r.field("id").get_u64()?;
+                if id == NO_FLIGHT {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "in-flight migration id {id} is reserved"
+                    )));
+                }
+                let vm = VmId(r.field("vm").get_u64()?);
+                let slot = slot_for(self, vm);
+                let flight = InFlight {
+                    vm,
+                    slot,
+                    source: server_index("in-flight source", r.field("source").get_u64()?)?,
+                    dest: server_index("in-flight dest", r.field("dest").get_u64()?)?,
+                    start_secs: r.field("start_secs").get_f64()?,
+                    finish_secs: r.field("finish_secs").get_f64()?,
+                    deadline_secs: r.field("deadline_secs").get_f64()?,
+                    volume_mb: r.field("volume_mb").get_f64()?,
+                    back: r.field("back").get_bool()?,
+                };
+                self.vms[slot as usize].flight = id;
+                self.in_flight.insert(id, flight);
+                Ok(())
+            })?;
         }
         for idx in 0..num_servers {
             let ids: Vec<VmId> = self.controllers[idx]
@@ -2174,31 +2185,38 @@ impl ClusterManager {
                 self.label_domain(idx, slot);
             }
         }
-        self.next_migration_id = r.get_u64()?;
-        self.scheduler = TransferScheduler::read_snapshot(r, self.scheduler.policy())?;
-        self.counters = AdmissionCounters {
-            admitted_free: r.get_usize()?,
-            admitted_with_deflation: r.get_usize()?,
-            admitted_with_preemption: r.get_usize()?,
-            rejected: r.get_usize()?,
-            preempted_vms: r.get_usize()?,
-        };
-        self.transient = TransientCounters {
-            reclaim_events: r.get_usize()?,
-            restore_events: r.get_usize()?,
-            absorbed_by_deflation: r.get_usize()?,
-            migrations: r.get_usize()?,
-            migrations_back: r.get_usize()?,
-            migration_aborts: r.get_usize()?,
-            migration_rejections: r.get_usize()?,
-            reclamation_victims: r.get_usize()?,
-        };
+        self.next_migration_id = r.field("manager.next_migration_id").get_u64()?;
+        let policy = self.scheduler.policy();
+        self.scheduler = r
+            .field("scheduler")
+            .read(|r| TransferScheduler::read_snapshot(r, policy))?;
+        self.counters = r.field("manager.admission").read(|r| {
+            Ok(AdmissionCounters {
+                admitted_free: r.field("admitted_free").get_usize()?,
+                admitted_with_deflation: r.field("admitted_with_deflation").get_usize()?,
+                admitted_with_preemption: r.field("admitted_with_preemption").get_usize()?,
+                rejected: r.field("rejected").get_usize()?,
+                preempted_vms: r.field("preempted_vms").get_usize()?,
+            })
+        })?;
+        self.transient = r.field("manager.transient").read(|r| {
+            Ok(TransientCounters {
+                reclaim_events: r.field("reclaim_events").get_usize()?,
+                restore_events: r.field("restore_events").get_usize()?,
+                absorbed_by_deflation: r.field("absorbed_by_deflation").get_usize()?,
+                migrations: r.field("migrations").get_usize()?,
+                migrations_back: r.field("migrations_back").get_usize()?,
+                migration_aborts: r.field("migration_aborts").get_usize()?,
+                migration_rejections: r.field("migration_rejections").get_usize()?,
+                reclamation_victims: r.field("reclamation_victims").get_usize()?,
+            })
+        })?;
         self.staged.clear();
         self.index =
             PlacementIndex::new(self.controllers.iter().map(|c| c.server().view()).collect());
-        let dirty = r.get_usize()?;
-        for _ in 0..dirty {
-            let idx = r.get_usize()?;
+        let dirty = r.field("placement_index.dirty_len").get_usize()?;
+        for i in 0..dirty {
+            let idx = r.field_at("placement_index.dirty", i).get_usize()?;
             self.index.mark_dirty(idx);
         }
         Ok(())

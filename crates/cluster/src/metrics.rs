@@ -104,20 +104,20 @@ impl UsageSummary {
     /// for a VM whose trace has `trace_len` samples. A cursor past the
     /// trace, unknown flag bits or a non-finite accumulator is `Corrupt`.
     pub fn read_snapshot(r: &mut ByteReader<'_>, trace_len: usize) -> CheckpointResult<Self> {
-        let entries = r.get_usize()?;
+        let entries = r.field("len").get_usize()?;
         if entries != SNAPSHOT_ENTRIES {
             return Err(CheckpointError::Corrupt(format!(
                 "usage summary of {entries} entries, expected {SNAPSHOT_ENTRIES}"
             )));
         }
         let summary = UsageSummary {
-            next_sample: r.get_u32()?,
-            flags: r.get_u32()?,
-            demanded: r.get_f64()?,
-            lost: r.get_f64()?,
-            weighted: r.get_f64()?,
-            last_change_secs: r.get_f64()?,
-            last_fraction: r.get_f64()?,
+            next_sample: r.field("next_sample").get_u32()?,
+            flags: r.field("flags").get_u32()?,
+            demanded: r.field("demanded").get_f64()?,
+            lost: r.field("lost").get_f64()?,
+            weighted: r.field("weighted").get_f64()?,
+            last_change_secs: r.field("last_change_secs").get_f64()?,
+            last_fraction: r.field("last_fraction").get_f64()?,
         };
         if summary.next_sample as usize > trace_len {
             return Err(CheckpointError::Corrupt(format!(

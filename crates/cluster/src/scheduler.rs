@@ -174,15 +174,15 @@ impl TransferScheduler {
     /// bit-identically.
     pub fn read_snapshot(r: &mut ByteReader<'_>, policy: TransferPolicy) -> CheckpointResult<Self> {
         // Each ledger is at least its own 8-byte length prefix.
-        let num_servers = r.get_len(8)?;
+        let num_servers = r.field("ledgers.len").get_len(8)?;
         let mut reservations = Vec::with_capacity(num_servers);
-        for _ in 0..num_servers {
-            reservations.push(r.get_f64_vec()?);
+        for i in 0..num_servers {
+            reservations.push(r.field_at("ledger", i).get_f64_vec()?);
         }
         let stats = SchedulerStats {
-            booked: r.get_usize()?,
-            rejected: r.get_usize()?,
-            total_queue_wait_secs: r.get_f64()?,
+            booked: r.field("booked").get_usize()?,
+            rejected: r.field("rejected").get_usize()?,
+            total_queue_wait_secs: r.field("total_queue_wait_secs").get_f64()?,
         };
         Ok(TransferScheduler {
             policy,

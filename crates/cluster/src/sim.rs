@@ -50,7 +50,9 @@ use crate::pending::PendingEvents;
 use crate::spec::WorkloadVm;
 use deflate_autoscale::{Autoscaler, ElasticApp};
 use deflate_core::audit::AuditSpec;
-use deflate_core::checkpoint::{ByteReader, ByteWriter, CheckpointError, CheckpointResult};
+use deflate_core::checkpoint::{
+    ByteReader, ByteWriter, CheckpointError, CheckpointResult, SnapshotField,
+};
 use deflate_core::policy::{AutoscalePolicy, TransferPolicy};
 use deflate_core::telemetry::TelemetrySpec;
 use deflate_core::vm::{IdMap, ServerId, VmId};
@@ -261,7 +263,8 @@ impl ClusterSimulation {
         let started_at = std::time::Instant::now();
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
         let mut state = self.boot_unscheduled(workload);
-        self.restore_state(workload, &mut state, snapshot)?;
+        let mut r = ByteReader::with_header(snapshot)?;
+        self.restore_state(workload, &mut state, &mut r)?;
         self.drive(workload, &mut state, None);
         Ok(self.finish(workload, state, started_at))
     }
@@ -279,11 +282,26 @@ impl ClusterSimulation {
     ) -> CheckpointResult<Vec<u8>> {
         let _engine_total = self.telemetry.span(Phase::EngineTotal);
         let mut state = self.boot_unscheduled(workload);
-        let taken_at = self.restore_state(workload, &mut state, snapshot)?;
+        let mut r = ByteReader::with_header(snapshot)?;
+        let taken_at = self.restore_state(workload, &mut state, &mut r)?;
         self.drive(workload, &mut state, Some(at_secs));
         // A boundary before the snapshot's own advances nothing, and the
         // state stays the one taken at the snapshot's boundary.
         Ok(self.serialize_state(workload, &state, at_secs.max(taken_at)))
+    }
+
+    /// Restore `snapshot` while [recording](ByteReader::record_fields)
+    /// every field decoded, and return them in byte order: each one's
+    /// dotted path (e.g. `manager.server[3].domain[17].guest.rss_mb`),
+    /// byte range and kind. The decoders are the layout, so this map is
+    /// how the bisection and the restore tests find a field.
+    pub fn snapshot_fields(
+        &self,
+        workload: &[WorkloadVm],
+        snapshot: &[u8],
+    ) -> CheckpointResult<Vec<SnapshotField>> {
+        let mut state = self.boot_unscheduled(workload);
+        ByteReader::record_fields(snapshot, |r| self.restore_state(workload, &mut state, r))
     }
 
     /// The simulated time a snapshot was taken at, without restoring it.
@@ -863,7 +881,9 @@ impl ClusterSimulation {
     }
 
     /// Overwrite an [unscheduled](Self::boot_unscheduled) engine state
-    /// with a snapshot's contents and return the time it was taken at.
+    /// with the snapshot `r` reads (past its header) and return the time
+    /// it was taken at. Each field is named as it is read, which is the
+    /// layout [`snapshot_fields`](Self::snapshot_fields) reports.
     /// The pending events are rebuilt from the ones the snapshot stores
     /// in their pop order; the order is total, so they pop the same
     /// sequence. The pending arrivals and departures must be exactly the
@@ -872,11 +892,10 @@ impl ClusterSimulation {
         &self,
         workload: &'w [WorkloadVm],
         state: &mut EngineState<'w>,
-        snapshot: &[u8],
+        r: &mut ByteReader<'_>,
     ) -> CheckpointResult<f64> {
-        let mut r = ByteReader::with_header(snapshot)?;
-        let at_secs = r.get_f64()?;
-        let num_vms = r.get_usize()?;
+        let at_secs = r.field("at_secs").get_f64()?;
+        let num_vms = r.field("workload_len").get_usize()?;
         if num_vms != workload.len() {
             return Err(CheckpointError::Corrupt(format!(
                 "snapshot taken over {} workload VMs, restoring with {}",
@@ -884,14 +903,16 @@ impl ClusterSimulation {
                 workload.len()
             )));
         }
-        state.events_processed = r.get_u64()?;
+        state.events_processed = r.field("events_processed").get_u64()?;
         // A time plus at least the one-byte event tag.
-        let queued = r.get_len(9)?;
-        let events = (0..queued).map(|_| {
-            let time = r.get_f64()?;
-            let event = SimEvent::read_snapshot(&mut r)?;
-            self.check_event(workload.len(), time, &event)?;
-            Ok((time, event))
+        let queued = r.field("queue.len").get_len(9)?;
+        let events = (0..queued).map(|i| {
+            r.field_at("queue", i).read(|r| {
+                let time = r.field("time").get_f64()?;
+                let event = SimEvent::read_snapshot(r)?;
+                self.check_event(workload.len(), time, &event)?;
+                Ok((time, event))
+            })
         });
         state.pending = {
             let _heapify = self.telemetry.span(Phase::Heapify);
@@ -906,59 +927,70 @@ impl ClusterSimulation {
             .collect();
         state
             .manager
-            .read_snapshot_with(&mut r, |vm| slot_of.get(&vm).copied())?;
-        let has_autoscaler = r.get_bool()?;
+            .read_snapshot_with(r, |vm| slot_of.get(&vm).copied())?;
+        let has_autoscaler = r.field("autoscaler.present").get_bool()?;
         if has_autoscaler != state.autoscaler.is_some() {
             return Err(CheckpointError::Corrupt(
                 "snapshot and simulation disagree on autoscaling".to_string(),
             ));
         }
         if let Some(autoscaler) = state.autoscaler.as_mut() {
-            autoscaler.read_snapshot(&mut r)?;
+            r.field("autoscaler")
+                .read(|r| autoscaler.read_snapshot(r))?;
         }
         let vms = workload
             .iter()
             .zip(&mut state.records)
             .zip(&mut state.running);
-        for ((vm, record), running) in vms {
-            *running = r.get_bool()?;
-            record.outcome = match r.get_u8()? {
-                0 => VmOutcome::Completed,
-                1 => VmOutcome::Rejected,
-                2 => VmOutcome::Preempted {
-                    at_secs: r.get_f64()?,
-                },
-                3 => VmOutcome::Evicted {
-                    at_secs: r.get_f64()?,
-                },
-                other => {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "unknown VmOutcome discriminant {other}"
-                    )))
-                }
-            };
-            record.usage = UsageSummary::read_snapshot(&mut r, vm.cpu_util.len())?;
+        for (i, ((vm, record), running)) in vms.enumerate() {
+            r.field_at("record", i).read(|r| {
+                *running = r.field("running").get_bool()?;
+                record.outcome = match r.field("outcome").get_u8()? {
+                    0 => VmOutcome::Completed,
+                    1 => VmOutcome::Rejected,
+                    2 => VmOutcome::Preempted {
+                        at_secs: r.field("outcome.at_secs").get_f64()?,
+                    },
+                    3 => VmOutcome::Evicted {
+                        at_secs: r.field("outcome.at_secs").get_f64()?,
+                    },
+                    other => {
+                        return Err(CheckpointError::Corrupt(format!(
+                            "unknown VmOutcome discriminant {other}"
+                        )))
+                    }
+                };
+                record.usage = r
+                    .field("usage")
+                    .read(|r| UsageSummary::read_snapshot(r, vm.cpu_util.len()))?;
+                Ok(())
+            })?;
         }
         // Time, vm, from, to, duration, volume and the back flag.
-        let migrations = r.get_len(41)?;
+        let migrations = r.field("migration_log.len").get_len(41)?;
         state.migrations = Vec::with_capacity(migrations);
-        for _ in 0..migrations {
-            state.migrations.push(MigrationEvent {
-                time_secs: r.get_f64()?,
-                vm: VmId(r.get_u64()?),
-                from: ServerId(r.get_u32()?),
-                to: ServerId(r.get_u32()?),
-                duration_secs: r.get_f64()?,
-                volume_mb: r.get_f64()?,
-                back: r.get_bool()?,
-            });
+        for i in 0..migrations {
+            let migration = r.field_at("migration_log", i).read(|r| {
+                Ok(MigrationEvent {
+                    time_secs: r.field("time_secs").get_f64()?,
+                    vm: VmId(r.field("vm").get_u64()?),
+                    from: ServerId(r.field("from").get_u32()?),
+                    to: ServerId(r.field("to").get_u32()?),
+                    duration_secs: r.field("duration_secs").get_f64()?,
+                    volume_mb: r.field("volume_mb").get_f64()?,
+                    back: r.field("back").get_bool()?,
+                })
+            })?;
+            state.migrations.push(migration);
         }
-        let samples = r.get_len(16)?;
+        let samples = r.field("utilization.len").get_len(16)?;
         state.utilization = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let t = r.get_f64()?;
-            let u = r.get_f64()?;
-            state.utilization.push((t, u));
+        for i in 0..samples {
+            let sample = r.field_at("utilization", i).read(|r| {
+                let t = r.field("time_secs").get_f64()?;
+                Ok((t, r.field("value").get_f64()?))
+            })?;
+            state.utilization.push(sample);
         }
         r.finish()?;
         Ok(at_secs)

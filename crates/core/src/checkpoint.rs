@@ -24,7 +24,8 @@
 use crate::resources::{ResourceKind, ResourceVector};
 use crate::vm::{Priority, VmClass, VmSpec};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 /// First bytes of every snapshot: "DFL" + format generation.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"DFLS";
@@ -142,12 +143,6 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
-    /// Write a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_usize(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-
     /// Write a length-prefixed slice of `f64`s.
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
         self.put_usize(vs.len());
@@ -186,16 +181,38 @@ impl ByteWriter {
 }
 
 /// Cursor-based decoder for the snapshot byte format.
+///
+/// Decoders name what they read: [`field`](Self::field) or
+/// [`field_at`](Self::field_at) names the next value a getter decodes,
+/// or the nested structure [`read`](Self::read) decodes, whose own fields
+/// are named relative to it. Under [`record_fields`](Self::record_fields)
+/// the reader notes every field it decodes as a [`SnapshotField`] (dotted
+/// path such as `manager.server[3].domain[17].guest.rss_mb`, byte range
+/// and [`FieldKind`]), so the decoders are the one description of the
+/// layout. With the recorder off, a field costs one predictable branch
+/// and builds nothing.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Name of the next field read. A recording reader clears it after
+    /// each read, so unnamed reads file under the enclosing field.
+    next: Seg,
+    /// Borrowed, not boxed: a reader has no drop glue, so callers that
+    /// never record, such as the engine benchmark's snapshot walk, gain
+    /// no drop code.
+    recorder: Option<&'a mut Recorder>,
 }
 
 impl<'a> ByteReader<'a> {
     /// A reader over raw bytes (no header check).
     pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+        ByteReader {
+            buf,
+            pos: 0,
+            next: Seg::default(),
+            recorder: None,
+        }
     }
 
     /// A reader that has validated the snapshot header (magic +
@@ -216,6 +233,52 @@ impl<'a> ByteReader<'a> {
         Ok(r)
     }
 
+    /// Decode `buf` past its header with `decode` through a reader that
+    /// records every field it reads, and return those fields in byte
+    /// order.
+    pub fn record_fields<T>(
+        buf: &[u8],
+        decode: impl FnOnce(&mut ByteReader<'_>) -> CheckpointResult<T>,
+    ) -> CheckpointResult<Vec<SnapshotField>> {
+        let mut recorder = Recorder::default();
+        let mut r = ByteReader::with_header(buf)?;
+        r.recorder = Some(&mut recorder);
+        decode(&mut r)?;
+        Ok(recorder.fields)
+    }
+
+    /// Name the next read `name`, within the structure being decoded.
+    pub fn field(&mut self, name: &'static str) -> &mut Self {
+        self.next = Seg { name, index: None };
+        self
+    }
+
+    /// Name the next read entry `index` of the collection `name` (path
+    /// `name[index]`); an empty `name` is a bare element (`[index]`).
+    pub fn field_at(&mut self, name: &'static str, index: usize) -> &mut Self {
+        self.next = Seg {
+            name,
+            index: Some(index),
+        };
+        self
+    }
+
+    /// Decode the next field as a nested structure with `decode`, which
+    /// names its own fields relative to it.
+    pub fn read<T>(
+        &mut self,
+        decode: impl FnOnce(&mut Self) -> CheckpointResult<T>,
+    ) -> CheckpointResult<T> {
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.scopes.push(std::mem::take(&mut self.next));
+        }
+        let value = decode(self);
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.scopes.pop();
+        }
+        value
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -223,22 +286,17 @@ impl<'a> ByteReader<'a> {
 
     /// Take `n` raw bytes.
     pub fn take(&mut self, n: usize) -> CheckpointResult<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(CheckpointError::Truncated);
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
+        self.consume(n, FieldKind::Bytes)
     }
 
     /// Read one byte.
     pub fn get_u8(&mut self) -> CheckpointResult<u8> {
-        Ok(self.take(1)?[0])
+        Ok(self.consume_array::<1>(FieldKind::U8)?[0])
     }
 
     /// Read a bool; any byte other than 0/1 is corrupt.
     pub fn get_bool(&mut self) -> CheckpointResult<bool> {
-        match self.get_u8()? {
+        match self.consume_array::<1>(FieldKind::Bool)?[0] {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(CheckpointError::Corrupt(format!(
@@ -249,14 +307,12 @@ impl<'a> ByteReader<'a> {
 
     /// Read a little-endian `u32`.
     pub fn get_u32(&mut self) -> CheckpointResult<u32> {
-        let bytes = self.take(4)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.consume_array(FieldKind::U32)?))
     }
 
     /// Read a little-endian `u64`.
     pub fn get_u64(&mut self) -> CheckpointResult<u64> {
-        let bytes = self.take(8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.consume_array(FieldKind::U64)?))
     }
 
     /// Read a `usize` written by [`ByteWriter::put_usize`].
@@ -283,35 +339,33 @@ impl<'a> ByteReader<'a> {
 
     /// Read an `f64` from its bit pattern.
     pub fn get_f64(&mut self) -> CheckpointResult<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
+        Ok(f64::from_bits(u64::from_le_bytes(
+            self.consume_array(FieldKind::F64)?,
+        )))
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> CheckpointResult<String> {
-        let len = self.get_usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CheckpointError::Corrupt("string is not UTF-8".into()))
-    }
-
-    /// Read a length-prefixed `f64` vector.
+    /// Read a length-prefixed `f64` vector (fields `len` and `[i]`).
     pub fn get_f64_vec(&mut self) -> CheckpointResult<Vec<f64>> {
-        let len = self.get_len(8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
+        self.read(|r| {
+            let len = r.field("len").get_len(8)?;
+            let mut out = Vec::with_capacity(len);
+            for i in 0..len {
+                out.push(r.field_at("", i).get_f64()?);
+            }
+            Ok(out)
+        })
     }
 
-    /// Read a [`ResourceVector`] written by [`ByteWriter::put_resources`].
+    /// Read a [`ResourceVector`] written by [`ByteWriter::put_resources`],
+    /// one field per [`ResourceKind::name`].
     pub fn get_resources(&mut self) -> CheckpointResult<ResourceVector> {
-        Ok(ResourceVector::new(
-            self.get_f64()?,
-            self.get_f64()?,
-            self.get_f64()?,
-            self.get_f64()?,
-        ))
+        self.read(|r| {
+            let mut v = ResourceVector::ZERO;
+            for kind in ResourceKind::ALL {
+                v[kind] = r.field(kind.name()).get_f64()?;
+            }
+            Ok(v)
+        })
     }
 
     /// Read a [`VmSpec`] written by [`ByteWriter::put_vm_spec`].
@@ -320,51 +374,151 @@ impl<'a> ByteReader<'a> {
     /// spec is already inside the clamp range, so the round-trip is
     /// bit-exact.
     pub fn get_vm_spec(&mut self) -> CheckpointResult<VmSpec> {
-        let id = crate::vm::VmId(self.get_u64()?);
-        let class = match self.get_u8()? {
-            0 => VmClass::Interactive,
-            1 => VmClass::DelayInsensitive,
-            2 => VmClass::Unknown,
-            other => {
+        self.read(|r| {
+            let id = crate::vm::VmId(r.field("id").get_u64()?);
+            let class = match r.field("class").get_u8()? {
+                0 => VmClass::Interactive,
+                1 => VmClass::DelayInsensitive,
+                2 => VmClass::Unknown,
+                other => {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "unknown VmClass discriminant {other}"
+                    )))
+                }
+            };
+            let max_allocation = r.field("max_allocation").get_resources()?;
+            let min_allocation = r.field("min_allocation").get_resources()?;
+            // Later code clamps into `[min, max]`-derived ranges, and
+            // `f64::clamp` panics on a NaN or inverted bound.
+            let valid = |v: &ResourceVector| v.iter().all(|(_, c)| c.is_finite() && c >= 0.0);
+            let ordered = min_allocation
+                .iter()
+                .zip(max_allocation.iter())
+                .all(|((_, lo), (_, hi))| lo <= hi);
+            if !valid(&max_allocation) || !valid(&min_allocation) || !ordered {
                 return Err(CheckpointError::Corrupt(format!(
-                    "unknown VmClass discriminant {other}"
-                )))
+                    "VM {} spec has allocations min {min_allocation} / max {max_allocation}",
+                    id.0
+                )));
             }
-        };
-        let max_allocation = self.get_resources()?;
-        let min_allocation = self.get_resources()?;
-        // Later code clamps into `[min, max]`-derived ranges, and
-        // `f64::clamp` panics on a NaN or inverted bound.
-        let valid = |v: &ResourceVector| v.iter().all(|(_, c)| c.is_finite() && c >= 0.0);
-        let ordered = min_allocation
-            .iter()
-            .zip(max_allocation.iter())
-            .all(|((_, lo), (_, hi))| lo <= hi);
-        if !valid(&max_allocation) || !valid(&min_allocation) || !ordered {
-            return Err(CheckpointError::Corrupt(format!(
-                "VM {} spec has allocations min {min_allocation} / max {max_allocation}",
-                id.0
-            )));
-        }
-        let priority = Priority::new(self.get_f64()?);
-        let deflatable = self.get_bool()?;
-        Ok(VmSpec {
-            id,
-            class,
-            max_allocation,
-            min_allocation,
-            priority,
-            deflatable,
+            let priority = Priority::new(r.field("priority").get_f64()?);
+            let deflatable = r.field("deflatable").get_bool()?;
+            Ok(VmSpec {
+                id,
+                class,
+                max_allocation,
+                min_allocation,
+                priority,
+                deflatable,
+            })
         })
     }
 
     /// Assert every byte was consumed.
-    pub fn finish(self) -> CheckpointResult<()> {
+    pub fn finish(&self) -> CheckpointResult<()> {
         if self.remaining() == 0 {
             Ok(())
         } else {
             Err(CheckpointError::TrailingBytes(self.remaining()))
         }
+    }
+
+    /// Consume `n` bytes as the next field, of `kind`.
+    #[inline]
+    fn consume(&mut self, n: usize, kind: FieldKind) -> CheckpointResult<&'a [u8]> {
+        if self.remaining() < n {
+            return Err(CheckpointError::Truncated);
+        }
+        let start = self.pos;
+        self.pos += n;
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.record(std::mem::take(&mut self.next), start..self.pos, kind);
+        }
+        Ok(&self.buf[start..self.pos])
+    }
+
+    #[inline]
+    fn consume_array<const N: usize>(&mut self, kind: FieldKind) -> CheckpointResult<[u8; N]> {
+        Ok(self.consume(N, kind)?.try_into().expect("N bytes"))
+    }
+}
+
+/// The primitive a recorded field was read as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldKind {
+    /// One byte.
+    U8,
+    /// One byte, 0 or 1.
+    Bool,
+    /// A little-endian `u32`.
+    U32,
+    /// A little-endian `u64` (also a `usize`).
+    U64,
+    /// An `f64` bit pattern.
+    F64,
+    /// Raw bytes.
+    Bytes,
+}
+
+impl FieldKind {
+    /// A field's bytes rendered as the value they decode to.
+    pub fn render(self, bytes: &[u8]) -> String {
+        let mut word = [0u8; 8];
+        let n = bytes.len().min(8);
+        word[..n].copy_from_slice(&bytes[..n]);
+        let word = u64::from_le_bytes(word);
+        match self {
+            FieldKind::Bool if word <= 1 => (word == 1).to_string(),
+            FieldKind::U8 | FieldKind::Bool | FieldKind::U32 | FieldKind::U64 => word.to_string(),
+            FieldKind::F64 => f64::from_bits(word).to_string(),
+            FieldKind::Bytes => format!("{bytes:02x?}"),
+        }
+    }
+}
+
+/// One field a reader under [`ByteReader::record_fields`] decoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotField {
+    /// Dotted path, e.g. `manager.server[3].domain[17].guest.rss_mb`.
+    pub path: String,
+    /// Byte range within the whole snapshot, header included.
+    pub range: Range<usize>,
+    /// The primitive the bytes were read as.
+    pub kind: FieldKind,
+}
+
+/// One step of a field path: `name`, `name[index]` or `[index]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seg {
+    name: &'static str,
+    index: Option<usize>,
+}
+
+/// A recording reader's open scopes and the fields read so far.
+#[derive(Debug, Default)]
+struct Recorder {
+    scopes: Vec<Seg>,
+    fields: Vec<SnapshotField>,
+}
+
+impl Recorder {
+    /// Note one field under the open scopes. Only a recording reader
+    /// gets here, so the call is kept out of the decoders' fast path.
+    #[cold]
+    fn record(&mut self, leaf: Seg, range: Range<usize>, kind: FieldKind) {
+        let mut path = String::new();
+        for seg in self.scopes.iter().chain([&leaf]) {
+            if !seg.name.is_empty() {
+                if !path.is_empty() {
+                    path.push('.');
+                }
+                path.push_str(seg.name);
+            }
+            if let Some(index) = seg.index {
+                let _ = write!(path, "[{index}]");
+            }
+        }
+        self.fields.push(SnapshotField { path, range, kind });
     }
 }
 
@@ -384,7 +538,6 @@ mod tests {
         w.put_f64(-0.0);
         w.put_f64(f64::INFINITY);
         w.put_f64(1.0 / 3.0);
-        w.put_str("héllo");
         w.put_f64_slice(&[1.5, f64::NEG_INFINITY]);
         let bytes = w.into_bytes();
 
@@ -399,7 +552,6 @@ mod tests {
         assert_eq!(neg_zero.to_bits(), (-0.0f64).to_bits(), "-0.0 exact");
         assert_eq!(r.get_f64().unwrap(), f64::INFINITY);
         assert_eq!(r.get_f64().unwrap().to_bits(), (1.0f64 / 3.0).to_bits());
-        assert_eq!(r.get_str().unwrap(), "héllo");
         let vs = r.get_f64_vec().unwrap();
         assert_eq!(vs.len(), 2);
         assert_eq!(vs[0], 1.5);
@@ -486,5 +638,42 @@ mod tests {
             r.get_bool().unwrap_err(),
             CheckpointError::Corrupt(_)
         ));
+    }
+    #[test]
+    fn a_recording_reader_names_each_field_with_its_range_and_value() {
+        let mut w = ByteWriter::with_header();
+        w.put_f64(1.5);
+        w.put_f64_slice(&[2.0]);
+        w.put_resources(&ResourceVector::new(1.0, 2.0, 3.0, 4.0));
+        w.put_bool(true);
+        let bytes = w.into_bytes();
+        let fields = ByteReader::record_fields(&bytes, |r| {
+            r.field("at").get_f64()?;
+            r.field_at("server", 3).read(|r| {
+                r.field("ledger").get_f64_vec()?;
+                r.field("capacity").get_resources()
+            })?;
+            r.get_bool()?;
+            r.finish()
+        })
+        .unwrap();
+        let fields: Vec<(String, Range<usize>, String)> = fields
+            .into_iter()
+            .map(|f| (f.path, f.range.clone(), f.kind.render(&bytes[f.range])))
+            .collect();
+        assert_eq!(fields.len(), 8);
+        assert_eq!(fields[0], ("at".into(), 8..16, "1.5".into()));
+        assert_eq!(
+            fields[1],
+            ("server[3].ledger.len".into(), 16..24, "1".into())
+        );
+        assert_eq!(
+            fields[2],
+            ("server[3].ledger[0]".into(), 24..32, "2".into())
+        );
+        assert_eq!(fields[6].0, "server[3].capacity.net-bw");
+        // An unnamed read files under the enclosing field: here the root.
+        assert_eq!(fields[7], (String::new(), 64..65, "true".into()));
+        assert_eq!(FieldKind::Bool.render(&[2]), "2");
     }
 }

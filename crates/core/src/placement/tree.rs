@@ -301,7 +301,7 @@ impl ViewTree {
     /// [`FirstFit`](super::FirstFit) picks from the slice.
     pub fn first_feasible(&self, demand: &ResourceVector, eligible: Eligible<'_>) -> Option<usize> {
         let mut found = None;
-        self.walk_feasible(&Need::of(demand), |i| {
+        self.visit_feasible(&Need::of(demand), |i| {
             if eligible(&self.views[i]) {
                 found = Some(i);
                 ControlFlow::Break(())
@@ -326,7 +326,7 @@ impl ViewTree {
     {
         let demand = vm.max_allocation;
         let mut best: Option<PlacementDecision> = None;
-        self.walk_feasible(&Need::of(&demand), |i| {
+        self.visit_feasible(&Need::of(&demand), |i| {
             let server = &self.views[i];
             if eligible(server) {
                 let s = score(server);
@@ -444,7 +444,7 @@ impl ViewTree {
 
     /// Visit, in server order, every server that passes `fits_within` for
     /// the demand, skipping subtrees that cannot hold one.
-    fn walk_feasible(&self, need: &Need, mut visit: impl FnMut(usize) -> ControlFlow<()>) {
+    fn visit_feasible(&self, need: &Need, mut visit: impl FnMut(usize) -> ControlFlow<()>) {
         if self.views.is_empty() {
             return;
         }

@@ -56,17 +56,21 @@ impl ResourceKind {
             ResourceKind::NetBw => "Mbit/s",
         }
     }
-}
 
-impl fmt::Display for ResourceKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// Short lowercase name (`cpu`, `memory`, `disk-bw`, `net-bw`).
+    pub const fn name(self) -> &'static str {
+        match self {
             ResourceKind::Cpu => "cpu",
             ResourceKind::Memory => "memory",
             ResourceKind::DiskBw => "disk-bw",
             ResourceKind::NetBw => "net-bw",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for ResourceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

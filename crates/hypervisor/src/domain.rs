@@ -225,8 +225,8 @@ impl Domain {
     /// Rebuild a domain from [`write_snapshot`](Self::write_snapshot)
     /// bytes, bit-identically.
     pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
-        let spec = r.get_vm_spec()?;
-        let mechanism = match r.get_u8()? {
+        let spec = r.field("vm_spec").get_vm_spec()?;
+        let mechanism = match r.field("mechanism").get_u8()? {
             0 => DeflationMechanism::Transparent,
             1 => DeflationMechanism::Explicit,
             2 => DeflationMechanism::Hybrid,
@@ -236,9 +236,9 @@ impl Domain {
                 )))
             }
         };
-        let guest = GuestOs::read_snapshot(r)?;
-        let usages = r.get_resources()?;
-        let limits = r.get_resources()?;
+        let guest = r.field("guest").read(GuestOs::read_snapshot)?;
+        let usages = r.field("usages").get_resources()?;
+        let limits = r.field("limits").get_resources()?;
         // A NaN limit would become the bound of a later `f64::clamp`.
         if !usages.is_finite() || !limits.is_finite() {
             return Err(CheckpointError::Corrupt(format!(
@@ -252,7 +252,7 @@ impl Domain {
         let mut cgroups = CgroupSet::new(spec.max_allocation);
         cgroups.set_usages(usages);
         cgroups.set_limits(limits);
-        let cpu_util_history = r.get_f64_vec()?;
+        let cpu_util_history = r.field("cpu_util_history").get_f64_vec()?;
         if cpu_util_history.len() > CPU_UTIL_HISTORY_LEN {
             return Err(CheckpointError::Corrupt(format!(
                 "cpu utilisation history of {} samples exceeds the {} cap",
@@ -260,7 +260,7 @@ impl Domain {
                 CPU_UTIL_HISTORY_LEN
             )));
         }
-        let parked = r.get_bool()?;
+        let parked = r.field("parked").get_bool()?;
         Ok(Domain {
             spec,
             slot: NO_SLOT,

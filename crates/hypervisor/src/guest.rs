@@ -210,13 +210,13 @@ impl GuestOs {
     /// bytes, bit-identically.
     pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
         let guest = GuestOs {
-            boot_vcpus: r.get_u32()?,
-            online_vcpus: r.get_u32()?,
-            boot_memory_mb: r.get_f64()?,
-            plugged_memory_mb: r.get_f64()?,
-            rss_mb: r.get_f64()?,
-            page_cache_mb: r.get_f64()?,
-            cpu_busy_fraction: r.get_f64()?,
+            boot_vcpus: r.field("boot_vcpus").get_u32()?,
+            online_vcpus: r.field("online_vcpus").get_u32()?,
+            boot_memory_mb: r.field("boot_memory_mb").get_f64()?,
+            plugged_memory_mb: r.field("plugged_memory_mb").get_f64()?,
+            rss_mb: r.field("rss_mb").get_f64()?,
+            page_cache_mb: r.field("page_cache_mb").get_f64()?,
+            cpu_busy_fraction: r.field("cpu_busy_fraction").get_f64()?,
         };
         let floats = [
             guest.boot_memory_mb,

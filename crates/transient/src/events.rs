@@ -124,22 +124,26 @@ impl SimEvent {
 
     /// Decode an event written by [`write_snapshot`](Self::write_snapshot).
     pub fn read_snapshot(r: &mut ByteReader<'_>) -> CheckpointResult<Self> {
-        Ok(match r.get_u8()? {
-            0 => SimEvent::Departure(r.get_usize()?),
+        Ok(match r.field("kind").get_u8()? {
+            0 => SimEvent::Departure(r.field("vm_index").get_usize()?),
             1 => SimEvent::MigrationComplete {
-                migration: r.get_u64()?,
+                migration: r.field("migration").get_u64()?,
             },
             2 => SimEvent::CapacityRestore {
-                server: ServerId(r.get_u32()?),
-                available_fraction: r.get_f64()?,
+                server: ServerId(r.field("server").get_u32()?),
+                available_fraction: r.field("available_fraction").get_f64()?,
             },
             3 => SimEvent::CapacityReclaim {
-                server: ServerId(r.get_u32()?),
-                available_fraction: r.get_f64()?,
+                server: ServerId(r.field("server").get_u32()?),
+                available_fraction: r.field("available_fraction").get_f64()?,
             },
-            4 => SimEvent::Arrival(r.get_usize()?),
-            5 => SimEvent::ScaleOut { app: r.get_u32()? },
-            6 => SimEvent::ScaleIn { app: r.get_u32()? },
+            4 => SimEvent::Arrival(r.field("vm_index").get_usize()?),
+            5 => SimEvent::ScaleOut {
+                app: r.field("app").get_u32()?,
+            },
+            6 => SimEvent::ScaleIn {
+                app: r.field("app").get_u32()?,
+            },
             7 => SimEvent::UtilizationTick,
             other => {
                 return Err(CheckpointError::Corrupt(format!(

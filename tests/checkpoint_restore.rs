@@ -22,16 +22,18 @@ use deflate_bench::transient_exp::{
     SchedulerVariant, TransientMode, SCHEDULER_SWEEP_MBPS,
 };
 use deflate_bench::Scale;
-use vmdeflate::cluster::manager::{ClusterConfig, ClusterManager, PlacementKind, ReclamationMode};
+use vmdeflate::cluster::manager::{ClusterConfig, PlacementKind, ReclamationMode};
 use vmdeflate::cluster::sim::ClusterSimulation;
 use vmdeflate::cluster::spec::{
     paper_server_capacity, servers_for_transient_overcommitment, WorkloadVm,
 };
-use vmdeflate::core::checkpoint::{ByteReader, CheckpointError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use vmdeflate::core::checkpoint::{
+    CheckpointError, SnapshotField, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
 use vmdeflate::core::placement::PartitionScheme;
 use vmdeflate::core::policy::{ProportionalDeflation, TransferPolicy};
-use vmdeflate::hypervisor::domain::{DeflationMechanism, Domain};
-use vmdeflate::transient::events::SimEvent;
+use vmdeflate::core::resources::ResourceKind;
+use vmdeflate::hypervisor::domain::DeflationMechanism;
 use vmdeflate::transient::signal::{CapacityProfile, CapacitySchedule, TransientConfig};
 
 mod common;
@@ -344,8 +346,10 @@ fn inflated_length_prefixes_are_rejected() {
         vmdeflate::core::policy::TransferPolicy::fifo(),
     );
     let snapshot = sim.checkpoint(&workload, 3600.0);
-    let (queue_at, locations_at) = length_prefix_offsets(&snapshot);
-    for at in [queue_at, locations_at] {
+    let fields = sim.snapshot_fields(&workload, &snapshot).unwrap();
+    let locations = field(&fields, "manager.vm_location.len").range.start;
+    assert!(u64_at(&snapshot, locations) > 0, "VMs run at the boundary");
+    for at in [field(&fields, "queue.len").range.start, locations] {
         for claimed in [u64::MAX, 1 << 36, snapshot.len() as u64] {
             let mut bad = snapshot.clone();
             bad[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
@@ -358,91 +362,45 @@ fn inflated_length_prefixes_are_rejected() {
     }
 }
 
-/// Where the fields the restore path validates sit in a snapshot.
-#[derive(Default)]
-struct FieldOffsets {
-    /// Time of every queued event.
-    event_times: Vec<usize>,
-    /// Workload index of every queued arrival and departure.
-    vm_events: Vec<usize>,
-    /// Server id of every queued capacity event.
-    capacity_events: Vec<usize>,
-    /// Server index of every `vm_location` and `migration_origin` entry.
-    server_indices: Vec<usize>,
-    /// Source and destination of every in-flight transfer.
-    in_flight: Vec<usize>,
-    /// Each record's usage-summary frame, with its flags.
-    summaries: Vec<(usize, u32)>,
-    /// Each resident domain's frame (its `VmSpec` comes first).
-    domains: Vec<usize>,
+/// The fields whose path is `pattern` with each `[*]` standing for one
+/// index, in byte order.
+fn matching<'f>(fields: &'f [SnapshotField], pattern: &str) -> Vec<&'f SnapshotField> {
+    let shape = |path: &str| {
+        let mut parts = path.split('[');
+        let mut shape = parts.next().unwrap().to_string();
+        for part in parts {
+            shape.push_str("[*");
+            shape.push_str(&part[part.find(']').unwrap()..]);
+        }
+        shape
+    };
+    fields
+        .iter()
+        .filter(|f| shape(&f.path) == pattern)
+        .collect()
 }
 
-/// Walk a snapshot through the public decoders, noting field offsets.
-fn field_offsets(snapshot: &[u8], num_vms: usize) -> FieldOffsets {
-    let mut o = FieldOffsets::default();
-    let mut r = ByteReader::with_header(snapshot).unwrap();
-    let at = |r: &ByteReader<'_>| snapshot.len() - r.remaining();
-    r.get_f64().unwrap();
-    r.get_usize().unwrap();
-    r.get_u64().unwrap();
-    for _ in 0..r.get_usize().unwrap() {
-        o.event_times.push(at(&r));
-        r.get_f64().unwrap();
-        let payload = at(&r) + 1;
-        match SimEvent::read_snapshot(&mut r).unwrap() {
-            SimEvent::Arrival(_) | SimEvent::Departure(_) => o.vm_events.push(payload),
-            SimEvent::CapacityReclaim { .. } | SimEvent::CapacityRestore { .. } => {
-                o.capacity_events.push(payload)
-            }
-            _ => {}
-        }
-    }
-    // The manager, decoded by a manager of the snapshot's size; its maps
-    // are located by a second walk up to them.
-    let manager_at = at(&r);
-    let servers = r.get_usize().unwrap();
-    for _ in 0..servers {
-        r.get_resources().unwrap();
-        for _ in 0..r.get_usize().unwrap() {
-            o.domains.push(at(&r));
-            Domain::read_snapshot(&mut r).unwrap();
-        }
-    }
-    for _ in 0..2 {
-        for _ in 0..r.get_usize().unwrap() {
-            r.get_u64().unwrap();
-            o.server_indices.push(at(&r));
-            r.get_u64().unwrap();
-        }
-    }
-    for _ in 0..r.get_usize().unwrap() {
-        r.take(16).unwrap();
-        o.in_flight.extend([at(&r), at(&r) + 8]);
-        r.take(49).unwrap();
-    }
-    let mut r = ByteReader::new(&snapshot[manager_at..]);
-    let at = |r: &ByteReader<'_>| snapshot.len() - r.remaining();
-    ClusterManager::new(
-        &ClusterConfig::paper_default(servers),
-        ReclamationMode::MigrationOnly,
-    )
-    .read_snapshot(&mut r)
-    .unwrap();
-    assert!(
-        !r.get_bool().unwrap(),
-        "no autoscaler in this configuration"
-    );
-    for _ in 0..num_vms {
-        r.get_bool().unwrap();
-        if r.get_u8().unwrap() >= 2 {
-            r.get_f64().unwrap();
-        }
-        let frame = at(&r);
-        r.take(12).unwrap();
-        o.summaries.push((frame, r.get_u32().unwrap()));
-        r.take(40).unwrap();
-    }
-    o
+/// The one field at `path`.
+fn field<'f>(fields: &'f [SnapshotField], path: &str) -> &'f SnapshotField {
+    fields
+        .iter()
+        .find(|f| f.path == path)
+        .unwrap_or_else(|| panic!("no field `{path}` in the snapshot"))
+}
+
+/// The bytes of every field under `prefix` (e.g. `queue[3]`).
+fn span(fields: &[SnapshotField], prefix: &str) -> std::ops::Range<usize> {
+    let inner = fields.iter().filter(|f| {
+        f.path
+            .strip_prefix(prefix)
+            .is_some_and(|r| r.starts_with('.'))
+    });
+    let start = inner.clone().map(|f| f.range.start).min().unwrap();
+    start..inner.map(|f| f.range.end).max().unwrap()
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
 /// Every field the restore path validates, patched in a real snapshot to
@@ -466,88 +424,102 @@ fn semantically_invalid_fields_are_rejected() {
     );
     // A boundary just after a reclamation, so transfers are in flight.
     let (schedule, servers) = transient_capacity(&workload, Scale::Quick, profile);
-    let (snapshot, offsets) = schedule
+    let (snapshot, fields) = schedule
         .changes()
         .iter()
         .filter(|c| c.is_reclaim)
         .map(|c| {
             let snapshot = sim.checkpoint(&workload, c.time_secs + 1.0);
-            let offsets = field_offsets(&snapshot, workload.len());
-            (snapshot, offsets)
+            let fields = sim.snapshot_fields(&workload, &snapshot).unwrap();
+            (snapshot, fields)
         })
-        .find(|(_, o)| !o.in_flight.is_empty())
+        .find(|(_, fields)| !matching(fields, "manager.in_flight[*].source").is_empty())
         .expect("some reclamation leaves transfers in flight");
-    for (what, fields) in [
-        ("event time", &offsets.event_times),
-        ("vm event", &offsets.vm_events),
-        ("capacity event", &offsets.capacity_events),
-        ("server index", &offsets.server_indices),
-        ("in-flight server", &offsets.in_flight),
+    let event_times = matching(&fields, "queue[*].time");
+    let vm_events = matching(&fields, "queue[*].vm_index");
+    let capacity_events = matching(&fields, "queue[*].server");
+    let mut server_indices = matching(&fields, "manager.vm_location[*].server_index");
+    server_indices.extend(matching(
+        &fields,
+        "manager.migration_origin[*].server_index",
+    ));
+    let in_flight: Vec<_> = matching(&fields, "manager.in_flight[*].source")
+        .into_iter()
+        .zip(matching(&fields, "manager.in_flight[*].dest"))
+        .flat_map(|(source, dest)| [source, dest])
+        .collect();
+    for (what, found) in [
+        ("event time", &event_times),
+        ("vm event", &vm_events),
+        ("capacity event", &capacity_events),
+        ("server index", &server_indices),
+        ("in-flight server", &in_flight),
     ] {
-        assert!(!fields.is_empty(), "no {what} in the snapshot");
+        assert!(!found.is_empty(), "no {what} in the snapshot");
     }
-    let placed = offsets
-        .summaries
-        .iter()
-        .find(|&&(_, flags)| flags == 3)
-        .expect("some VM has been deflated")
-        .0;
-    let trace_len = |frame: usize| {
-        let vm = offsets
-            .summaries
-            .iter()
-            .position(|&(f, _)| f == frame)
-            .unwrap();
-        workload[vm].cpu_util.len() as u64
+    // One usage summary per workload VM, in workload order.
+    let counts = matching(&fields, "record[*].usage.len");
+    let cursors = matching(&fields, "record[*].usage.next_sample");
+    let flags = matching(&fields, "record[*].usage.flags");
+    assert_eq!(counts.len(), workload.len());
+    let flags_of = |vm: usize| {
+        let at = flags[vm].range.start;
+        u32::from_le_bytes(snapshot[at..at + 4].try_into().unwrap())
     };
+    let placed = (0..workload.len())
+        .find(|&vm| flags_of(vm) == 3)
+        .expect("some VM has been deflated");
     let mut patches: Vec<(String, usize, Vec<u8>)> = Vec::new();
-    for &at in &offsets.event_times {
+    for f in &event_times {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            patches.push((format!("event time {bad}"), at, bad.to_le_bytes().to_vec()));
+            let bytes = bad.to_le_bytes().to_vec();
+            patches.push((format!("event time {bad}"), f.range.start, bytes));
         }
     }
-    for &at in &offsets.vm_events {
+    for f in &vm_events {
         let bad = workload.len() as u64;
-        patches.push(("vm event index".into(), at, bad.to_le_bytes().to_vec()));
+        let bytes = bad.to_le_bytes().to_vec();
+        patches.push(("vm event index".into(), f.range.start, bytes));
     }
-    for &at in &offsets.capacity_events {
+    for f in &capacity_events {
         let bad = servers as u32;
-        patches.push(("capacity server".into(), at, bad.to_le_bytes().to_vec()));
+        let bytes = bad.to_le_bytes().to_vec();
+        patches.push(("capacity server".into(), f.range.start, bytes));
     }
-    for &at in offsets.server_indices.iter().chain(&offsets.in_flight) {
+    for f in server_indices.iter().chain(&in_flight) {
         for bad in [servers as u64, u64::MAX] {
-            patches.push(("server index".into(), at, bad.to_le_bytes().to_vec()));
+            let bytes = bad.to_le_bytes().to_vec();
+            patches.push(("server index".into(), f.range.start, bytes));
         }
     }
-    for &(frame, _) in &offsets.summaries {
-        patches.push(("usage count".into(), frame, 4u64.to_le_bytes().to_vec()));
-        let past = trace_len(frame) as u32 + 1;
-        patches.push((
-            "usage cursor".into(),
-            frame + 8,
-            past.to_le_bytes().to_vec(),
-        ));
-        patches.push((
-            "usage flags".into(),
-            frame + 12,
-            4u32.to_le_bytes().to_vec(),
-        ));
-        patches.push((
-            "usage flags".into(),
-            frame + 12,
-            2u32.to_le_bytes().to_vec(),
-        ));
+    for (vm, workload_vm) in workload.iter().enumerate() {
+        let count = 4u64.to_le_bytes().to_vec();
+        patches.push(("usage count".into(), counts[vm].range.start, count));
+        let past = (workload_vm.cpu_util.len() as u32 + 1)
+            .to_le_bytes()
+            .to_vec();
+        patches.push(("usage cursor".into(), cursors[vm].range.start, past));
+        for bad in [4u32, 2] {
+            let bytes = bad.to_le_bytes().to_vec();
+            patches.push(("usage flags".into(), flags[vm].range.start, bytes));
+        }
     }
-    for field in 0..5 {
+    for name in [
+        "demanded",
+        "lost",
+        "weighted",
+        "last_change_secs",
+        "last_fraction",
+    ] {
+        let at = field(&fields, &format!("record[{placed}].usage.{name}"))
+            .range
+            .start;
         for bad in [f64::NAN, f64::INFINITY] {
-            let at = placed + 16 + 8 * field;
-            patches.push((
-                format!("usage field {field}"),
-                at,
-                bad.to_le_bytes().to_vec(),
-            ));
+            let bytes = bad.to_le_bytes().to_vec();
+            patches.push((format!("usage field {name}"), at, bytes));
         }
     }
+    println!("{} invalid field patches", patches.len());
     for (what, at, bytes) in patches {
         let mut bad = snapshot.clone();
         bad[at..at + bytes.len()].copy_from_slice(&bytes);
@@ -558,8 +530,9 @@ fn semantically_invalid_fields_are_rejected() {
     }
     // The untouched snapshot and a cursor at the trace's end still restore.
     let mut edge = snapshot.clone();
-    let past = trace_len(placed) as u32;
-    edge[placed + 8..placed + 12].copy_from_slice(&past.to_le_bytes());
+    let cursor = cursors[placed].range.clone();
+    let end = workload[placed].cpu_util.len() as u32;
+    edge[cursor].copy_from_slice(&end.to_le_bytes());
     assert!(sim.resume(&workload, &edge).is_ok());
     assert_eq!(
         sim.resume(&workload, &snapshot).unwrap(),
@@ -586,36 +559,32 @@ fn pending_arrivals_and_departures_must_be_the_undelivered_suffix() {
     );
     let at_secs = 3.0 * 3600.0;
     let snapshot = sim.checkpoint(&workload, at_secs);
-    let offsets = field_offsets(&snapshot, workload.len());
-    let (queue_at, _) = length_prefix_offsets(&snapshot);
-    // A queued VM event is its time, the kind's tag (0 for a departure,
-    // 4 for an arrival) and the workload index: 17 bytes.
-    const ENTRY: usize = 17;
+    let fields = sim.snapshot_fields(&workload, &snapshot).unwrap();
+    let queue_at = field(&fields, "queue.len").range.start;
     let count = |bytes: &mut [u8], delta: i64| {
-        let n = u64::from_le_bytes(bytes[queue_at..queue_at + 8].try_into().unwrap());
-        let n = n.checked_add_signed(delta).unwrap();
+        let n = u64_at(bytes, queue_at).checked_add_signed(delta).unwrap();
         bytes[queue_at..queue_at + 8].copy_from_slice(&n.to_le_bytes());
     };
+    let kinds = matching(&fields, "queue[*].kind");
     let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
     for (tag, kind) in [(4u8, "arrival"), (0, "departure")] {
-        let entries: Vec<usize> = offsets
-            .event_times
-            .iter()
-            .copied()
-            .filter(|&at| snapshot[at + 8] == tag)
+        // Each pending event of this kind: its time, tag and workload index.
+        let entries: Vec<std::ops::Range<usize>> = (0..kinds.len())
+            .filter(|&i| snapshot[kinds[i].range.start] == tag)
+            .map(|i| span(&fields, &format!("queue[{i}]")))
             .collect();
         assert!(entries.len() >= 3, "too few pending {kind}s");
-        for (which, at) in [
-            ("first", entries[0]),
-            ("middle", entries[entries.len() / 2]),
+        for (which, entry) in [
+            ("first", &entries[0]),
+            ("middle", &entries[entries.len() / 2]),
         ] {
+            let at = entry.start;
             let mut dropped = snapshot.clone();
-            dropped.drain(at..at + ENTRY);
+            dropped.drain(entry.clone());
             count(&mut dropped, -1);
             cases.push((format!("{which} {kind} dropped"), dropped));
             let mut repeated = snapshot.clone();
-            let entry = snapshot[at..at + ENTRY].to_vec();
-            repeated.splice(at..at, entry);
+            repeated.splice(at..at, snapshot[entry.clone()].to_vec());
             count(&mut repeated, 1);
             cases.push((format!("{which} {kind} repeated"), repeated));
             for delta in [1.0, -1.0, -at_secs] {
@@ -625,10 +594,11 @@ fn pending_arrivals_and_departures_must_be_the_undelivered_suffix() {
                 cases.push((format!("{which} {kind} moved by {delta} s"), moved));
             }
         }
-        let (a, b) = (entries[0], entries[entries.len() / 2]);
+        let (a, b) = (&entries[0], &entries[entries.len() / 2]);
+        assert_eq!(a.len(), b.len());
         let mut swapped = snapshot.clone();
-        swapped.copy_within(b..b + ENTRY, a);
-        swapped[b..b + ENTRY].copy_from_slice(&snapshot[a..a + ENTRY]);
+        swapped.copy_within(b.clone(), a.start);
+        swapped[b.clone()].copy_from_slice(&snapshot[a.clone()]);
         cases.push((format!("{kind}s swapped"), swapped));
     }
     let delivered = workload
@@ -637,8 +607,10 @@ fn pending_arrivals_and_departures_must_be_the_undelivered_suffix() {
         .filter(|&t| t <= at_secs)
         .fold(f64::NEG_INFINITY, f64::max);
     let mut early = snapshot.clone();
-    early[8..16].copy_from_slice(&(delivered - 1.0).to_le_bytes());
+    early[field(&fields, "at_secs").range.clone()]
+        .copy_from_slice(&(delivered - 1.0).to_le_bytes());
     cases.push(("boundary before a delivered arrival".into(), early));
+    println!("{} pending-event cases", cases.len());
     for (what, bad) in cases {
         match sim.resume(&workload, &bad) {
             Err(CheckpointError::Corrupt(_)) => {}
@@ -668,53 +640,48 @@ fn invalid_domain_specs_and_guest_floats_are_rejected() {
         vmdeflate::core::policy::TransferPolicy::fifo(),
     );
     let snapshot = sim.checkpoint(&workload, 3600.0);
-    let domains = field_offsets(&snapshot, workload.len()).domains;
+    let fields = sim.snapshot_fields(&workload, &snapshot).unwrap();
+    let domains: Vec<&str> = matching(&fields, "manager.server[*].domain[*].vm_spec.id")
+        .iter()
+        .map(|f| f.path.strip_suffix(".vm_spec.id").unwrap())
+        .collect();
     assert!(domains.len() > 3, "too few resident domains");
-    // Frame layout: id u64, class u8, max and min allocations (4 × f64
-    // each), priority f64, deflatable u8, mechanism u8, two u32 vCPU
-    // counts, five guest f64s, then the usage and limit vectors.
-    let (max_at, min_at, guest_at, cgroups_at) = (9, 41, 91, 131);
-    let f64_at =
-        |bytes: &[u8], at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let at = |path: String| field(&fields, &path).range.start;
     let mut patches: Vec<(String, usize, f64)> = Vec::new();
-    for &d in [domains[0], domains[1], domains[domains.len() - 1]].iter() {
-        for k in 0..4 {
+    for d in [domains[0], domains[1], domains[domains.len() - 1]] {
+        for kind in ResourceKind::ALL {
+            let max_at = at(format!("{d}.vm_spec.max_allocation.{kind}"));
+            let min_at = at(format!("{d}.vm_spec.min_allocation.{kind}"));
             for bad in [f64::NAN, f64::INFINITY, -1.0] {
-                patches.push((
-                    format!("max allocation {k} = {bad}"),
-                    d + max_at + 8 * k,
-                    bad,
-                ));
-                patches.push((
-                    format!("min allocation {k} = {bad}"),
-                    d + min_at + 8 * k,
-                    bad,
-                ));
+                patches.push((format!("max allocation {kind} = {bad}"), max_at, bad));
+                patches.push((format!("min allocation {kind} = {bad}"), min_at, bad));
             }
-            let above = f64_at(&snapshot, d + max_at + 8 * k) + 1.0;
-            patches.push((
-                format!("min allocation {k} above max"),
-                d + min_at + 8 * k,
-                above,
-            ));
+            let above = f64::from_le_bytes(snapshot[max_at..max_at + 8].try_into().unwrap()) + 1.0;
+            patches.push((format!("min allocation {kind} above max"), min_at, above));
         }
-        for j in 0..5 {
+        for name in [
+            "boot_memory_mb",
+            "plugged_memory_mb",
+            "rss_mb",
+            "page_cache_mb",
+            "cpu_busy_fraction",
+        ] {
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
                 patches.push((
-                    format!("guest float {j} = {bad}"),
-                    d + guest_at + 8 * j,
+                    format!("guest {name} = {bad}"),
+                    at(format!("{d}.guest.{name}")),
                     bad,
                 ));
             }
         }
-        for k in 0..8 {
-            patches.push((
-                format!("cgroup value {k} = NaN"),
-                d + cgroups_at + 8 * k,
-                f64::NAN,
-            ));
+        for cgroup in ["usages", "limits"] {
+            for kind in ResourceKind::ALL {
+                let path = format!("{d}.{cgroup}.{kind}");
+                patches.push((format!("{path} = NaN"), at(path), f64::NAN));
+            }
         }
     }
+    println!("{} invalid domain patches", patches.len());
     for (what, at, bad) in patches {
         let mut patched = snapshot.clone();
         patched[at..at + 8].copy_from_slice(&bad.to_le_bytes());
@@ -723,31 +690,6 @@ fn invalid_domain_specs_and_guest_floats_are_rejected() {
             other => panic!("{what} patched at byte {at}: {other:?}"),
         }
     }
-}
-
-/// Byte offsets of two length prefixes in an engine snapshot: the event
-/// queue's and the cluster manager's VM-location map's. Walks the format
-/// through the public decoders up to each of them.
-fn length_prefix_offsets(snapshot: &[u8]) -> (usize, usize) {
-    let mut r = ByteReader::with_header(snapshot).unwrap();
-    r.get_f64().unwrap(); // checkpoint time
-    r.get_usize().unwrap(); // workload size
-    r.get_u64().unwrap(); // events processed
-    let queue_at = snapshot.len() - r.remaining();
-    for _ in 0..r.get_usize().unwrap() {
-        r.get_f64().unwrap();
-        SimEvent::read_snapshot(&mut r).unwrap();
-    }
-    // The manager: every server's capacity and residents.
-    for _ in 0..r.get_usize().unwrap() {
-        r.get_resources().unwrap();
-        for _ in 0..r.get_usize().unwrap() {
-            Domain::read_snapshot(&mut r).unwrap();
-        }
-    }
-    let locations_at = snapshot.len() - r.remaining();
-    assert!(r.get_usize().unwrap() > 0, "VMs run at the boundary");
-    (queue_at, locations_at)
 }
 
 /// Golden pin of the snapshot byte format: the FNV-1a digest of the
